@@ -11,8 +11,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from crossmil.clustering import cluster_dataset
 from crossmil.data import SyntheticSpec, generate_synthetic, split_train_test
-from crossmil.experiments import bag_size_ablation, fit_clusters, write_ablation_csv
+from crossmil.experiments import bag_size_ablation, write_ablation_csv
 from crossmil.models import ModelConfig
 from crossmil.training import TrainConfig
 
@@ -23,7 +24,7 @@ def run(out: Path, seed: int, bag_sizes: tuple[int, ...]) -> None:
         signal_fraction=0.5, signal_strength=1.0, noise_level=0.2, seed=seed,
     )
     train, test = split_train_test(generate_synthetic(spec), 10)
-    cluster_model = fit_clusters(train, test, "5x", 8, seed=seed)
+    cluster_model = cluster_dataset(train, "5x", 8, seed=seed)
     model_cfg = ModelConfig(embed_dim=32, encoder_dim=64, attention_hidden=32,
                             n_clusters=8, n_scales=3)
     train_cfg = TrainConfig(epochs=15, learning_rate=1e-3, n_splits=2, seed=seed)

@@ -14,9 +14,10 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from crossmil.clustering import cluster_dataset
 from crossmil.data import SyntheticSpec, generate_synthetic, split_train_test
 from crossmil.evaluation import compare_models
-from crossmil.experiments import fit_clusters, train_and_evaluate
+from crossmil.experiments import train_and_evaluate
 from crossmil.models import ModelConfig
 from crossmil.training import TrainConfig
 
@@ -38,7 +39,7 @@ def run(out: Path, seed: int) -> None:
         signal_fraction=0.5, signal_strength=1.0, noise_level=0.2, seed=seed,
     )
     train, test = split_train_test(generate_synthetic(spec), 12)
-    cluster_model = fit_clusters(train, test, "5x", 8, seed=seed)
+    cluster_model = cluster_dataset(train, "5x", 8, seed=seed)
     train_cfg = TrainConfig(epochs=15, learning_rate=1e-3, bag_size=8, n_splits=2, seed=seed)
 
     results = {}

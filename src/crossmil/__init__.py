@@ -6,7 +6,6 @@ from .autodiff import Tensor, backward
 from .clustering import Bag, ClusterModel, assemble_bag, cluster_dataset, kmeans
 from .data import (
     Dataset,
-    MultiScaleInstance,
     PatientRecord,
     SyntheticSpec,
     generate_synthetic,
@@ -36,7 +35,6 @@ __all__ = [
     "Dataset",
     "ModelConfig",
     "ModelParams",
-    "MultiScaleInstance",
     "PatientRecord",
     "SyntheticSpec",
     "Tensor",

@@ -23,7 +23,7 @@ from .attention_maps import (
     write_records_csv,
 )
 from .checkpoint import load_checkpoint, save_checkpoint
-from .clustering import assign_dataset, cluster_dataset, load_cluster_model, save_cluster_model
+from .clustering import cluster_dataset, load_cluster_model, save_cluster_model
 from .data import Dataset, SyntheticSpec, generate_synthetic, load_dataset, save_dataset, split_train_test
 from .errors import ConfigError, CrossmilError
 from .evaluation import (
@@ -242,7 +242,7 @@ def cmd_eval(args) -> int:
         config["seed"] = args.seed
     _apply_model_overrides(config, args)
     dataset = load_dataset(args.data)
-    cluster = assign_dataset(load_cluster_model(args.cluster), dataset)
+    cluster = load_cluster_model(args.cluster)
     cfg = model_config(config, dataset, cluster.k)
     models = _load_checkpoints(Path(args.ckpt_dir), cfg)
     report, scored = evaluate(

@@ -1,8 +1,10 @@
 """Phenotype clustering and cluster-balanced bag assembly.
 
-Patches are grouped by k-means over their embeddings (a single scale or
-all scales concatenated); bags then draw instances evenly from the
-clusters so every phenotype pattern is represented per patient.
+Locations are grouped by k-means over their embeddings (a single scale
+or all scales concatenated). A cluster model is its centroids: each
+location's cluster is its nearest centroid, worked out per patient when
+needed. Bags then draw locations evenly from the clusters so every
+phenotype pattern is represented per patient.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, MultiScaleInstance, PatientRecord
-from .errors import ContractError, FormatError
+from .data import Dataset, PatientRecord
+from .errors import ConfigError, ContractError, FormatError
 
 MULTI_SCALE = "multi"
 
@@ -98,28 +100,35 @@ def kmeans(
     return KMeansResult(centroids, labels, tuple(sse_history), len(sse_history))
 
 
-@dataclass(frozen=True)
+def _features(emb: np.ndarray, scale_index: int | None) -> np.ndarray:
+    """(n, d) clustering features: one scale's rows, or all S scales side by side."""
+    if scale_index is None:
+        return emb.reshape(len(emb), -1)
+    return np.ascontiguousarray(emb[:, scale_index])
+
+
+@dataclass(frozen=True, eq=False)
 class ClusterModel:
     k: int
-    centroids: np.ndarray
-    assignment: dict[tuple[str, int], int]
+    centroids: np.ndarray  # (k, d)
     clustering_scale: str  # a scale label, or "multi"
     scale_index: int | None  # None when clustering_scale == "multi"
 
-    def cluster_of(self, patient_id: str, location_id: int) -> int:
-        try:
-            return self.assignment[(patient_id, location_id)]
-        except KeyError:
-            raise ContractError(
-                f"({patient_id}, {location_id}) has no cluster assignment; "
-                "run assign_dataset on this dataset first"
-            ) from None
-
-
-def clustering_feature(instance: MultiScaleInstance, scale_index: int | None) -> np.ndarray:
-    if scale_index is None:
-        return np.concatenate(instance.vectors)
-    return instance.vectors[scale_index]
+    def label(self, patient: PatientRecord) -> np.ndarray:
+        """Nearest-centroid cluster of each of the patient's locations, shape (n,)."""
+        n_scales = patient.emb.shape[1]
+        if self.scale_index is not None and self.scale_index >= n_scales:
+            raise ConfigError(
+                f"patient {patient.patient_id}: the cluster model uses scale index "
+                f"{self.scale_index}, the patient has {n_scales} scales"
+            )
+        x = _features(patient.emb, self.scale_index)
+        if x.shape[1] != self.centroids.shape[1]:
+            raise ConfigError(
+                f"patient {patient.patient_id}: clustering features have width {x.shape[1]}, "
+                f"the cluster model's centroids have width {self.centroids.shape[1]}"
+            )
+        return _sq_distances(x, self.centroids).argmin(axis=1)
 
 
 def _resolve_scale_choice(dataset: Dataset, scale_choice) -> tuple[str, int | None]:
@@ -138,43 +147,17 @@ def _resolve_scale_choice(dataset: Dataset, scale_choice) -> tuple[str, int | No
     )
 
 
-def cluster_dataset(
-    dataset: Dataset,
-    scale_choice,
-    k: int,
-    seed: int = 0,
-    fit_patients: set[str] | None = None,
-) -> ClusterModel:
-    """Fit k-means on the chosen scale's vectors and assign every location.
-
-    ``fit_patients`` restricts centroid fitting (e.g. to training
-    patients); all patients in ``dataset`` still get nearest-centroid
-    assignments, so held-out patients never influence the centroids.
-    """
+def cluster_dataset(dataset: Dataset, scale_choice, k: int, seed: int = 0) -> ClusterModel:
+    """Fit k-means centroids on the chosen scale's features of every location."""
     label, scale_index = _resolve_scale_choice(dataset, scale_choice)
-    fit_ids = fit_patients if fit_patients is not None else {p.patient_id for p in dataset}
-    fit_vectors = [
-        clustering_feature(inst, scale_index)
-        for p in dataset
-        if p.patient_id in fit_ids
-        for inst in p.instances
-    ]
-    if not fit_vectors:
-        raise ContractError("no vectors to cluster (empty fit set)")
-    result = kmeans(np.asarray(fit_vectors), k, seed=seed)
-    model = ClusterModel(k, result.centroids, {}, label, scale_index)
-    return assign_dataset(model, dataset)
+    if not len(dataset):
+        raise ContractError("no vectors to cluster (empty dataset)")
+    x = np.concatenate([_features(p.emb, scale_index) for p in dataset])
+    return ClusterModel(k, kmeans(x, k, seed=seed).centroids, label, scale_index)
 
 
-def assign_dataset(model: ClusterModel, dataset: Dataset) -> ClusterModel:
-    """Extend a fitted model with nearest-centroid assignments for ``dataset``."""
-    assignment = dict(model.assignment)
-    for p in dataset:
-        feats = np.asarray([clustering_feature(i, model.scale_index) for i in p.instances])
-        labels = _sq_distances(feats, model.centroids).argmin(axis=1)
-        for inst, c in zip(p.instances, labels):
-            assignment[(p.patient_id, inst.location_id)] = int(c)
-    return ClusterModel(model.k, model.centroids, assignment, model.clustering_scale, model.scale_index)
+# cluster_model.json: {"k": int, "clustering_scale": label or "multi",
+#                      "scale_index": int or null, "centroids": [[float] * d] * k}
 
 
 def save_cluster_model(model: ClusterModel, path: str | Path) -> Path:
@@ -184,7 +167,6 @@ def save_cluster_model(model: ClusterModel, path: str | Path) -> Path:
         "clustering_scale": model.clustering_scale,
         "scale_index": model.scale_index,
         "centroids": model.centroids.tolist(),
-        "assignment": [[pid, loc, c] for (pid, loc), c in sorted(model.assignment.items())],
     }
     path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return path
@@ -196,26 +178,39 @@ def load_cluster_model(path: str | Path) -> ClusterModel:
     except json.JSONDecodeError as e:
         raise FormatError(f"cluster model file is not valid JSON: {e}") from e
     try:
-        return ClusterModel(
-            k=doc["k"],
-            centroids=np.asarray(doc["centroids"], dtype=np.float64),
-            assignment={(pid, int(loc)): int(c) for pid, loc, c in doc["assignment"]},
-            clustering_scale=doc["clustering_scale"],
-            scale_index=doc["scale_index"],
-        )
+        k, scale, scale_index = doc["k"], doc["clustering_scale"], doc["scale_index"]
+        centroids = np.asarray(doc["centroids"], dtype=np.float64)
     except KeyError as e:
         raise FormatError(f"cluster model file is missing key {e}") from e
+    except ValueError as e:  # ragged rows or non-numeric entries
+        raise FormatError(f"cluster model centroids are not an array of numbers: {e}") from e
+    if centroids.ndim != 2 or len(centroids) != k or not np.isfinite(centroids).all():
+        raise FormatError(
+            f"cluster model centroids must be a finite ({k}, d) array, got shape {centroids.shape}"
+        )
+    multi = scale == MULTI_SCALE
+    if not (scale_index is None if multi else isinstance(scale_index, int) and scale_index >= 0):
+        raise FormatError(
+            f"cluster model scale_index {scale_index!r} does not fit clustering_scale {scale!r}"
+        )
+    return ClusterModel(k, centroids, scale, scale_index)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Bag:
-    """Cluster-balanced instance sample for one patient."""
+    """Cluster-balanced sample of one patient's locations."""
 
-    patient_id: str
-    label: int
-    instances: tuple[MultiScaleInstance, ...]
-    cluster_of: tuple[int, ...]
-    bag_size: int
+    patient: PatientRecord
+    index: np.ndarray  # (bag_size,) positions into the patient's arrays
+    clusters: np.ndarray  # (bag_size,) cluster of each picked location
+
+    @property
+    def patient_id(self) -> str:
+        return self.patient.patient_id
+
+    @property
+    def label(self) -> int:
+        return self.patient.label
 
 
 def patient_rng(seed_parts: tuple[int, ...], patient_id: str) -> np.random.Generator:
@@ -225,26 +220,28 @@ def patient_rng(seed_parts: tuple[int, ...], patient_id: str) -> np.random.Gener
 
 def assemble_bag(
     patient: PatientRecord,
-    model: ClusterModel,
+    clusters: np.ndarray,
+    k: int,
     bag_size: int,
     rng: np.random.Generator,
 ) -> Bag:
-    """Draw ``bag_size`` instances, spread evenly over phenotype clusters.
+    """Draw ``bag_size`` of the patient's locations, spread evenly over the
+    k phenotype clusters; ``clusters[i]`` is location i's cluster.
 
     Target quota is bag_size/k per cluster; quotas of clusters this
     patient does not populate are redistributed round-robin. When
     bag_size < k, that many distinct populated clusters are chosen
-    uniformly, one instance each. Sampling is without replacement until
-    the patient's instances run out.
+    uniformly, one location each. Sampling is without replacement until
+    the patient's locations run out.
     """
     if bag_size < 1:
         raise ContractError(f"bag_size must be >= 1, got {bag_size}")
-    if not patient.instances:
-        raise ContractError(f"patient {patient.patient_id} has no instances")
-    k = model.k
-    members: dict[int, list[int]] = {c: [] for c in range(k)}
-    for idx, inst in enumerate(patient.instances):
-        members[model.cluster_of(patient.patient_id, inst.location_id)].append(idx)
+    if clusters.shape != (len(patient.emb),) or not (0 <= clusters.min() and clusters.max() < k):
+        raise ContractError(
+            f"patient {patient.patient_id}: need one cluster in [0, {k}) per location, "
+            f"got shape {clusters.shape}"
+        )
+    members = {c: np.flatnonzero(clusters == c).tolist() for c in range(k)}
     populated = [c for c in range(k) if members[c]]
 
     quotas = np.zeros(k, dtype=np.int64)
@@ -261,10 +258,9 @@ def assemble_bag(
             quotas[populated[i % len(populated)]] += 1
 
     # round-robin redistribution of quotas stuck on unpopulated clusters
-    stranded = int(quotas[[c for c in range(k) if c not in populated]].sum()) if populated else 0
-    for c in range(k):
-        if c not in members or not members[c]:
-            quotas[c] = 0
+    empty = [c for c in range(k) if not members[c]]
+    stranded = int(quotas[empty].sum())
+    quotas[empty] = 0
     for i in range(stranded):
         quotas[populated[i % len(populated)]] += 1
 
@@ -276,7 +272,7 @@ def assemble_bag(
             sel = rng.choice(len(remaining[c]), size=take, replace=False)
             for j in sorted(sel, reverse=True):
                 picked.append(remaining[c].pop(int(j)))
-    # shortfall: keep cycling populated clusters that still have instances
+    # shortfall: keep cycling populated clusters that still have locations
     while len(picked) < bag_size and any(remaining.values()):
         for c in populated:
             if len(picked) == bag_size:
@@ -284,13 +280,10 @@ def assemble_bag(
             if remaining[c]:
                 j = int(rng.integers(len(remaining[c])))
                 picked.append(remaining[c].pop(j))
-    # patient has fewer instances than bag_size: top up with replacement
+    # patient has fewer locations than bag_size: top up with replacement
     while len(picked) < bag_size:
         c = populated[int(rng.integers(len(populated)))]
         picked.append(members[c][int(rng.integers(len(members[c])))])
 
-    instances = tuple(patient.instances[i] for i in picked)
-    clusters = tuple(
-        model.cluster_of(patient.patient_id, inst.location_id) for inst in instances
-    )
-    return Bag(patient.patient_id, patient.label, instances, clusters, bag_size)
+    index = np.array(picked, dtype=np.int64)
+    return Bag(patient, index, clusters[index])

@@ -1,16 +1,16 @@
 """Dataset representation, synthetic generator, and on-disk formats.
 
 A dataset is a set of patients, each carrying one weak binary label and
-a list of multi-scale instances: embeddings at S magnification scales
-that share one spatial location. The synthetic generator plants class
-signal at exactly one scale, which gives ground truth both for
-classification and for attention localization.
+an ``(n, S, E)`` embedding array: n spatial locations, each seen at S
+magnification scales. The synthetic generator plants class signal at
+exactly one scale, which gives ground truth both for classification and
+for attention localization.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -27,49 +27,44 @@ class ScaleId:
     label: str
 
 
-@dataclass(frozen=True)
-class PatchEmbedding:
-    """One patch's embedding row, as stored on disk."""
-
-    patient_id: str
-    location_id: int
-    scale: ScaleId
-    xy: tuple[float, float]
-    vector: np.ndarray
-
-
-@dataclass(frozen=True)
-class MultiScaleInstance:
-    """Embeddings at all S scales for one spatial location."""
-
-    location_id: int
-    xy: tuple[float, float]
-    vectors: tuple[np.ndarray, ...]
-
-    @property
-    def dim(self) -> int:
-        return self.vectors[0].shape[0]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PatientRecord:
+    """One patient: ``emb[i, s]`` embeds location ``location_ids[i]``,
+    centred at ``xy[i]``, at scale ``s``."""
+
     patient_id: str
     label: int
-    instances: tuple[MultiScaleInstance, ...]
+    emb: np.ndarray  # (n, S, E) float64
+    location_ids: np.ndarray  # (n,) int64
+    xy: np.ndarray  # (n, 2) float64
     # synthetic ground truth: locations where signal was planted (empty for real data)
     signal_locations: frozenset[int] = frozenset()
 
     def __post_init__(self):
         if self.label not in (0, 1):
             raise ContractError(f"patient {self.patient_id}: label must be 0 or 1")
-        if not self.instances:
-            raise ContractError(f"patient {self.patient_id}: needs at least one instance")
+        n = len(self.emb)
+        shapes_ok = self.location_ids.shape == (n,) and self.xy.shape == (n, 2)
+        if self.emb.ndim != 3 or n == 0 or not shapes_ok:
+            raise ContractError(
+                f"patient {self.patient_id}: needs emb (n, S, E) with n >= 1, location_ids (n,) "
+                f"and xy (n, 2), got {self.emb.shape}, {self.location_ids.shape}, {self.xy.shape}"
+            )
 
 
 @dataclass(frozen=True)
 class Dataset:
     patients: tuple[PatientRecord, ...]
     scales: tuple[ScaleId, ...]
+    _by_id: dict[str, PatientRecord] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        by_id: dict[str, PatientRecord] = {}
+        for p in self.patients:
+            if p.patient_id in by_id:
+                raise ContractError(f"duplicate patient id {p.patient_id!r}")
+            by_id[p.patient_id] = p
+        object.__setattr__(self, "_by_id", by_id)
 
     @property
     def n_scales(self) -> int:
@@ -77,7 +72,7 @@ class Dataset:
 
     @property
     def dim(self) -> int:
-        return self.patients[0].instances[0].dim
+        return self.patients[0].emb.shape[2]
 
     def __iter__(self):
         return iter(self.patients)
@@ -86,10 +81,10 @@ class Dataset:
         return len(self.patients)
 
     def patient(self, patient_id: str) -> PatientRecord:
-        for p in self.patients:
-            if p.patient_id == patient_id:
-                return p
-        raise ContractError(f"unknown patient id {patient_id!r}")
+        try:
+            return self._by_id[patient_id]
+        except KeyError:
+            raise ContractError(f"unknown patient id {patient_id!r}") from None
 
 
 def default_scales(n_scales: int) -> tuple[ScaleId, ...]:
@@ -157,9 +152,10 @@ def background_prototypes(spec: SyntheticSpec) -> np.ndarray:
     return rng.standard_normal((spec.n_prototypes, spec.n_scales, spec.dim))
 
 
-def _grid_xy(i: int, n_locations: int) -> tuple[float, float]:
+def _grid_xy(n_locations: int) -> np.ndarray:
     side = int(np.ceil(np.sqrt(n_locations)))
-    return ((i % side) * GRID_CELL + GRID_CELL / 2, (i // side) * GRID_CELL + GRID_CELL / 2)
+    i = np.arange(n_locations)
+    return np.stack([i % side, i // side], axis=1) * GRID_CELL + GRID_CELL / 2
 
 
 def generate_synthetic(spec: SyntheticSpec) -> Dataset:
@@ -170,6 +166,8 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     u /= np.linalg.norm(u)
     prototypes = rng.standard_normal((spec.n_prototypes, spec.n_scales, spec.dim))
     n_signal = max(1, int(round(spec.signal_fraction * spec.n_locations)))
+    location_ids = np.arange(spec.n_locations)
+    xy = _grid_xy(spec.n_locations)
 
     patients = []
     for label in (0, 1):
@@ -183,15 +181,7 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
                 chosen = rng.choice(spec.n_locations, size=n_signal, replace=False)
                 emb[chosen, spec.informative_scale, :] += spec.signal_strength * u
                 signal_locs = frozenset(int(c) for c in chosen)
-            instances = tuple(
-                MultiScaleInstance(
-                    location_id=loc,
-                    xy=_grid_xy(loc, spec.n_locations),
-                    vectors=tuple(emb[loc, s].copy() for s in range(spec.n_scales)),
-                )
-                for loc in range(spec.n_locations)
-            )
-            patients.append(PatientRecord(pid, label, instances, signal_locs))
+            patients.append(PatientRecord(pid, label, emb, location_ids, xy, signal_locs))
     return Dataset(tuple(patients), default_scales(spec.n_scales))
 
 
@@ -214,8 +204,10 @@ def split_train_test(dataset: Dataset, n_test_per_class: int) -> tuple[Dataset, 
 #
 # manifest.json: {"patients": [{patient_id, label, file, n_locations,
 #                               n_scales, dim, scale_labels}, ...]}
-# one CSV per patient: location_id,scale,x,y,e0,...,e{E-1}
+# one CSV per patient: location_id,scale,x,y,e0,...,e{E-1}; one row per
+# (location, scale), locations ascending, so row (i, s) holds emb[i, s]
 # floats written with 17 significant digits (exact float64 round-trip)
+# signal_locations.json: {patient_id: [location_id, ...]}, synthetic only
 
 
 def _fmt(v: float) -> str:
@@ -230,21 +222,23 @@ def save_dataset(dataset: Dataset, out_dir: str | Path) -> Path:
     signal = {}
     for p in dataset:
         fname = f"{p.patient_id}.csv"
-        header = "location_id,scale,x,y," + ",".join(f"e{i}" for i in range(p.instances[0].dim))
+        n, n_scales, dim = p.emb.shape
+        header = "location_id,scale,x,y," + ",".join(f"e{i}" for i in range(dim))
         lines = [header]
-        for inst in sorted(p.instances, key=lambda i: i.location_id):
-            for s in range(dataset.n_scales):
-                coords = f"{inst.location_id},{s},{_fmt(inst.xy[0])},{_fmt(inst.xy[1])}"
-                lines.append(coords + "," + ",".join(_fmt(v) for v in inst.vectors[s]))
+        for i in np.argsort(p.location_ids, kind="stable"):
+            x, y = p.xy[i].tolist()
+            for s in range(n_scales):
+                coords = f"{p.location_ids[i]},{s},{_fmt(x)},{_fmt(y)}"
+                lines.append(coords + "," + ",".join(_fmt(v) for v in p.emb[i, s].tolist()))
         (out / fname).write_text("\n".join(lines) + "\n")
         entries.append(
             {
                 "patient_id": p.patient_id,
                 "label": p.label,
                 "file": fname,
-                "n_locations": len(p.instances),
+                "n_locations": n,
                 "n_scales": dataset.n_scales,
-                "dim": p.instances[0].dim,
+                "dim": dim,
                 "scale_labels": labels,
             }
         )
@@ -275,10 +269,14 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
     signal = json.loads(gt_path.read_text()) if gt_path.exists() else {}
 
     patients = []
+    seen: set[str] = set()
     scales: tuple[ScaleId, ...] | None = None
     first_dim: int | None = None
     for entry in doc["patients"]:
         pid, label = entry["patient_id"], entry["label"]
+        if pid in seen:
+            raise FormatError(f"manifest lists patient {pid} more than once")
+        seen.add(pid)
         n_scales, dim = entry["n_scales"], entry["dim"]
         if first_dim is None:
             first_dim = dim
@@ -292,63 +290,63 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
         path = base / entry["file"]
         if not path.exists():
             raise IntegrityError(f"patient {pid}: embedding file missing: {path}")
-        rows = _read_patient_csv(path, pid, dim, entry_scales)
-        instances = _rows_to_instances(rows, pid, n_scales)
-        if len(instances) != entry["n_locations"]:
+        emb, location_ids, xy = _read_patient_csv(path, pid, dim, n_scales, len(entry_scales))
+        if len(emb) != entry["n_locations"]:
             raise IntegrityError(
-                f"patient {pid}: manifest says {entry['n_locations']} locations, file has {len(instances)}"
+                f"patient {pid}: manifest says {entry['n_locations']} locations, file has {len(emb)}"
             )
         patients.append(
-            PatientRecord(pid, label, instances, frozenset(signal.get(pid, ())))
+            PatientRecord(pid, label, emb, location_ids, xy, frozenset(signal.get(pid, ())))
         )
     if scales is None:
         raise IntegrityError("manifest lists no patients")
     return Dataset(tuple(patients), scales)
 
 
-def _read_patient_csv(path: Path, pid: str, dim: int, scales: tuple[ScaleId, ...]) -> list[PatchEmbedding]:
+def _read_patient_csv(
+    path: Path, pid: str, dim: int, n_scales: int, n_scale_labels: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Parse one patient CSV into ``(emb (n, S, E), location_ids (n,), xy (n, 2))``."""
     lines = path.read_text().splitlines()
     expected = "location_id,scale,x,y," + ",".join(f"e{i}" for i in range(dim))
     if not lines or lines[0] != expected:
         raise FormatError(f"patient {pid}: unexpected CSV header in {path.name}")
-    rows = []
-    for ln, line in enumerate(lines[1:], start=2):
+    # row_of[location][scale] = index of that row in ``table`` (columns x, y, e0, ...)
+    row_of: dict[int, dict[int, int]] = {}
+    table = np.empty((len(lines) - 1, 2 + dim))
+    for r, line in enumerate(lines[1:]):
+        ln = r + 2
         parts = line.split(",")
         if len(parts) != 4 + dim:
             raise FormatError(f"patient {pid}: row {ln} has {len(parts)} fields, expected {4 + dim}")
         try:
             loc, s = int(parts[0]), int(parts[1])
-            xy = (float(parts[2]), float(parts[3]))
-            vector = np.array([float(v) for v in parts[4:]], dtype=np.float64)
+            table[r] = [float(v) for v in parts[2:]]
         except ValueError as e:
             raise FormatError(f"patient {pid}: row {ln} does not parse: {e}") from e
-        if not 0 <= s < len(scales):
+        if not 0 <= s < n_scale_labels:
             raise IntegrityError(f"patient {pid}: row {ln} names unknown scale {s}")
-        rows.append(PatchEmbedding(pid, loc, scales[s], xy, vector))
-    return rows
+        slot = row_of.setdefault(loc, {})
+        if s in slot:
+            raise IntegrityError(f"patient {pid}: duplicate entry for (location {loc}, scale {s})")
+        slot[s] = r
+    bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
+    if len(bad):
+        raise FormatError(f"patient {pid}: row {bad[0] + 2} holds a non-finite value")
 
-
-def _rows_to_instances(rows: list[PatchEmbedding], pid: str, n_scales: int) -> tuple[MultiScaleInstance, ...]:
-    by_loc: dict[int, dict[int, PatchEmbedding]] = {}
-    for r in rows:
-        slot = by_loc.setdefault(r.location_id, {})
-        if r.scale.index in slot:
-            raise IntegrityError(
-                f"patient {pid}: duplicate entry for (location {r.location_id}, scale {r.scale.index})"
-            )
-        slot[r.scale.index] = r
-    instances = []
-    for loc in sorted(by_loc):
-        slot = by_loc[loc]
-        missing = [s for s in range(n_scales) if s not in slot]
+    location_ids = np.array(sorted(row_of), dtype=np.int64)
+    for loc in location_ids.tolist():
+        missing = [s for s in range(n_scales) if s not in row_of[loc]]
         if missing:
-            raise IntegrityError(
-                f"patient {pid}: location {loc} is missing scale(s) {missing}"
-            )
-        xys = {slot[s].xy for s in range(n_scales)}
-        if len(xys) != 1:
-            raise IntegrityError(f"patient {pid}: location {loc} has inconsistent coordinates")
-        instances.append(
-            MultiScaleInstance(loc, slot[0].xy, tuple(slot[s].vector for s in range(n_scales)))
+            raise IntegrityError(f"patient {pid}: location {loc} is missing scale(s) {missing}")
+    rows = np.array(
+        [[row_of[loc][s] for s in range(n_scales)] for loc in location_ids.tolist()], dtype=np.int64
+    ).reshape(len(location_ids), n_scales)
+    xy = table[rows, :2]  # (n, S, 2): one coordinate pair per scale row
+    inconsistent = np.flatnonzero((xy != xy[:, :1]).any(axis=(1, 2)))
+    if len(inconsistent):
+        raise IntegrityError(
+            f"patient {pid}: location {location_ids[inconsistent[0]]} has inconsistent coordinates"
         )
-    return tuple(instances)
+    emb = np.ascontiguousarray(table[rows, 2:])
+    return emb, location_ids, np.ascontiguousarray(xy[:, 0])

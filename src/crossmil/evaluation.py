@@ -245,7 +245,9 @@ def score_patients(
         raise ConfigError("no trained models to evaluate")
     cfg = models[0].params.config
     bags = {
-        p.patient_id: assemble_bag(p, cluster_model, bag_size, patient_rng((seed,), p.patient_id))
+        p.patient_id: assemble_bag(
+            p, cluster_model.label(p), cluster_model.k, bag_size, patient_rng((seed,), p.patient_id)
+        )
         for p in dataset
     }
     ids = [p.patient_id for p in dataset]

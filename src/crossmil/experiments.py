@@ -6,21 +6,11 @@ from __future__ import annotations
 from dataclasses import replace
 from pathlib import Path
 
-from .clustering import ClusterModel, assign_dataset, cluster_dataset
+from .clustering import ClusterModel
 from .data import Dataset
 from .evaluation import EvalReport, ScoredPatient, evaluate
 from .models import ModelConfig
 from .training import TrainConfig, TrainedModel, train_all
-
-
-def fit_clusters(
-    train_dataset: Dataset, test_dataset: Dataset | None, scale_choice, k: int, seed: int
-) -> ClusterModel:
-    """Fit on training patients; test patients only get assignments."""
-    model = cluster_dataset(train_dataset, scale_choice, k, seed=seed)
-    if test_dataset is not None:
-        model = assign_dataset(model, test_dataset)
-    return model
 
 
 def train_and_evaluate(

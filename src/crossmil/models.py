@@ -18,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .clustering import Bag
-from .data import Dataset
+from .data import Dataset, PatientRecord
 from .errors import ConfigError, ContractError
 
 FUSIONS = ("cross_scale_attention", "concat", "add", "single_scale", "instance_pool")
@@ -206,6 +206,15 @@ class AttentionRecord:
     scores: tuple[float, ...]
 
 
+def _attention_record(patient: PatientRecord, i: int, scores: Tensor) -> AttentionRecord:
+    """Record for location i, in plain Python numbers so CSV output stays repr-stable."""
+    x, y = patient.xy[i].tolist()
+    return AttentionRecord(
+        patient.patient_id, int(patient.location_ids[i]), (x, y),
+        tuple(float(a) for a in scores.data[:, 0]),
+    )
+
+
 def _fuse_instance(
     vectors: list[Tensor], params: ModelParams, cfg: ModelConfig
 ) -> tuple[list[Tensor], Tensor | None]:
@@ -238,28 +247,22 @@ def forward_bag(
     """
     if params.config != cfg:
         raise ConfigError("params were initialized for a different ModelConfig")
-    dim = bag.instances[0].vectors[0].shape[0]
-    if dim != cfg.embed_dim:
-        raise ConfigError(f"bag embeddings have dim {dim}, config expects {cfg.embed_dim}")
-    if len(bag.instances[0].vectors) != cfg.n_scales:
+    emb = bag.patient.emb
+    if emb.shape[2] != cfg.embed_dim:
+        raise ConfigError(f"bag embeddings have dim {emb.shape[2]}, config expects {cfg.embed_dim}")
+    if emb.shape[1] != cfg.n_scales:
         raise ConfigError(
-            f"bag instances carry {len(bag.instances[0].vectors)} scales, "
-            f"config expects {cfg.n_scales}"
+            f"bag instances carry {emb.shape[1]} scales, config expects {cfg.n_scales}"
         )
 
     by_cluster: dict[int, list[Tensor]] = {c: [] for c in range(cfg.n_clusters)}
     records: list[AttentionRecord] = []
-    for inst, cluster in zip(bag.instances, bag.cluster_of):
-        vectors = [Tensor(v[:, None]) for v in inst.vectors]
+    for i, cluster in zip(bag.index.tolist(), bag.clusters.tolist()):
+        vectors = [Tensor(v[:, None]) for v in emb[i]]
         items, scores = _fuse_instance(vectors, params, cfg)
         by_cluster[cluster].extend(items)
         if scores is not None:
-            records.append(
-                AttentionRecord(
-                    bag.patient_id, inst.location_id, inst.xy,
-                    tuple(float(a) for a in scores.data[:, 0]),
-                )
-            )
+            records.append(_attention_record(bag.patient, i, scores))
 
     zero = Tensor(np.zeros((cfg.fused_dim, 1)))
     cluster_vecs = [
@@ -289,14 +292,9 @@ def attention_records(
     for p in dataset:
         if wanted is not None and p.patient_id not in wanted:
             continue
-        for inst in p.instances:
-            vectors = [Tensor(v[:, None]) for v in inst.vectors]
+        for i, per_scale in enumerate(p.emb):
+            vectors = [Tensor(v[:, None]) for v in per_scale]
             encodings = [mi_fcn_encode(x, s, params) for s, x in enumerate(vectors)]
             scores = cross_scale_attention(encodings, params, cfg).scores
-            out.append(
-                AttentionRecord(
-                    p.patient_id, inst.location_id, inst.xy,
-                    tuple(float(a) for a in scores.data[:, 0]),
-                )
-            )
+            out.append(_attention_record(p, i, scores))
     return out

@@ -147,7 +147,6 @@ def make_splits(dataset: Dataset, n_splits: int, seed: int = 0) -> SplitPlan:
 
 
 def _epoch_loss(
-    dataset: Dataset,
     ids: tuple[str, ...],
     params: ModelParams,
     cfg: ModelConfig,
@@ -156,7 +155,7 @@ def _epoch_loss(
     total = 0.0
     for pid in ids:
         log_probs, _ = forward_bag(bags[pid], params, cfg)
-        total += nll_loss(log_probs, dataset.patient(pid).label).item()
+        total += nll_loss(log_probs, bags[pid].label).item()
     return total / len(ids)
 
 
@@ -172,10 +171,14 @@ def train_one_split(
     params = init_params(model_cfg, seed=int(np.random.default_rng([cfg.seed, split_id]).integers(2**31)))
     opt = Adam(params, cfg)
     train_set = set(split.train_ids)
+    # nearest-centroid labels once per patient here, not once per bag
+    clusters = {
+        pid: cluster_model.label(dataset.patient(pid)) for pid in split.train_ids + split.val_ids
+    }
 
     def bag_for(pid: str, epoch_key: int) -> Bag:
         rng = patient_rng((cfg.seed, split_id, epoch_key), pid)
-        return assemble_bag(dataset.patient(pid), cluster_model, cfg.bag_size, rng)
+        return assemble_bag(dataset.patient(pid), clusters[pid], cluster_model.k, cfg.bag_size, rng)
 
     val_bags = {pid: bag_for(pid, _VAL_BAG_TAG) for pid in split.val_ids}
     fixed_bags = None
@@ -200,7 +203,7 @@ def train_one_split(
                 bag = epoch_bags[pid]
                 assert bag.patient_id in train_set  # validation data must never reach a gradient
                 log_probs, _ = forward_bag(bag, params, model_cfg)
-                loss = nll_loss(log_probs, dataset.patient(pid).label)
+                loss = nll_loss(log_probs, bag.label)
                 running += loss.item()
                 opt.zero_grad()
                 ad.backward(loss)
@@ -210,7 +213,7 @@ def train_one_split(
         train_loss = running / len(order)
         if not np.isfinite(train_loss):
             raise TrainingError("training loss is not finite", epoch)
-        val_loss = _epoch_loss(dataset, split.val_ids, params, model_cfg, val_bags)
+        val_loss = _epoch_loss(split.val_ids, params, model_cfg, val_bags)
         train_curve.append(train_loss)
         val_curve.append(val_loss)
         if val_loss < best_val:

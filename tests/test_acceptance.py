@@ -16,7 +16,7 @@ import pytest
 from crossmil import autodiff as ad
 from crossmil.autodiff import Tensor
 from crossmil.cli import main
-from crossmil.clustering import kmeans
+from crossmil.clustering import cluster_dataset, kmeans
 from crossmil.data import SyntheticSpec, generate_synthetic, split_train_test
 from crossmil.errors import ContractError
 from crossmil.evaluation import (
@@ -25,7 +25,7 @@ from crossmil.evaluation import (
     average_precision,
     delong_test,
 )
-from crossmil.experiments import bag_size_ablation, fit_clusters, train_and_evaluate, write_ablation_csv
+from crossmil.experiments import bag_size_ablation, train_and_evaluate, write_ablation_csv
 from crossmil.models import (
     ModelConfig,
     attention_records,
@@ -61,7 +61,7 @@ def signal_runs():
             signal_strength=1.0, noise_level=0.2, seed=seed,
         )
         train, test = split_train_test(generate_synthetic(spec), 15)
-        cluster_model = fit_clusters(train, test, "5x", 8, seed=seed)
+        cluster_model = cluster_dataset(train, "5x", 8, seed=seed)
         model_cfg = ModelConfig(
             embed_dim=32, encoder_dim=64, attention_hidden=32,
             n_clusters=8, n_scales=3,
@@ -252,7 +252,7 @@ def test_c04_null_behavior():
             signal_strength=0.0, noise_level=0.2, seed=seed,
         )
         train, test = split_train_test(generate_synthetic(spec), 20)
-        cluster_model = fit_clusters(train, test, "5x", 8, seed=seed)
+        cluster_model = cluster_dataset(train, "5x", 8, seed=seed)
         model_cfg = ModelConfig(embed_dim=16, encoder_dim=32, attention_hidden=16,
                                 n_clusters=8, n_scales=3)
         train_cfg = TrainConfig(epochs=10, learning_rate=1e-3, bag_size=8,
@@ -337,7 +337,7 @@ def test_c07_ordering_reproduction(signal_runs):
 def test_c08_bag_size_ablation_harness(tmp_path):
     spec = SyntheticSpec(n_patients_per_class=7, n_locations=9, dim=8, seed=2)
     train, test = split_train_test(generate_synthetic(spec), 3)
-    cluster_model = fit_clusters(train, test, "5x", 3, seed=2)
+    cluster_model = cluster_dataset(train, "5x", 3, seed=2)
     model_cfg = ModelConfig(embed_dim=8, encoder_dim=8, attention_hidden=4,
                             n_clusters=3, n_scales=3)
     train_cfg = TrainConfig(epochs=2, learning_rate=1e-3, bag_size=8, n_splits=2, seed=2)

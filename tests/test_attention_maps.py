@@ -127,20 +127,19 @@ class TestRendering:
         ds = generate_synthetic(spec)
         positive = [p for p in ds if p.label == 1][0]
         records = []
-        for inst in positive.instances:
-            planted = inst.location_id in positive.signal_locations
+        for loc, xy in zip(positive.location_ids.tolist(), positive.xy.tolist()):
+            planted = loc in positive.signal_locations
             high = 0.8 if planted else 0.3
             rest = (1.0 - high) / 2
-            records.append(record(positive.patient_id, inst.location_id, inst.xy,
-                                  [rest, high, rest]))
+            records.append(record(positive.patient_id, loc, tuple(xy), [rest, high, rest]))
         records = normalize_per_scale(records)
         geometry = geometry_for(records, 256.0)
         maps = render_heatmaps(records, geometry, ["20x", "10x", "5x"])
         signal_cells = []
-        for inst in positive.instances:
-            if inst.location_id in positive.signal_locations:
-                col = int((inst.xy[0] - geometry.origin_x) // 256)
-                row = int((inst.xy[1] - geometry.origin_y) // 256)
+        for loc, (x, y) in zip(positive.location_ids.tolist(), positive.xy.tolist()):
+            if loc in positive.signal_locations:
+                col = int((x - geometry.origin_x) // 256)
+                row = int((y - geometry.origin_y) // 256)
                 signal_cells.append((row, col))
         mean_at = lambda m: np.mean([m.values[r, c] for r, c in signal_cells])
         assert mean_at(maps[1]) > mean_at(maps[0])

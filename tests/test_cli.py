@@ -70,6 +70,26 @@ class TestGenData:
         assert "typo_key" in capsys.readouterr().err
 
 
+class TestCluster:
+    def test_non_finite_embedding_exits_2_naming_patient(self, workspace, tmp_path, capsys):
+        import shutil
+
+        root, c = workspace
+        data = tmp_path / "train"
+        shutil.copytree(root / "data/train", data)
+        csv = data / "pos001.csv"
+        lines = csv.read_text().splitlines()
+        lines[3] = lines[3].rsplit(",", 1)[0] + ",nan"
+        csv.write_text("\n".join(lines) + "\n")
+        code = main([
+            "cluster", "--config", c, "--data", str(data / "manifest.json"),
+            "--out-dir", str(tmp_path / "clust"), "--seed", "3",
+        ])
+        assert code == 2
+        assert "pos001: row 4" in capsys.readouterr().err
+        assert not (tmp_path / "clust/cluster_model.json").exists()
+
+
 class TestTrain:
     def test_one_checkpoint_and_curve_per_split(self, workspace):
         root, _ = workspace
@@ -115,6 +135,23 @@ class TestEval:
         assert (out / "roc.csv").read_text().startswith("fpr,tpr")
         assert (out / "pr.csv").read_text().startswith("recall,precision")
         assert (out / "scores.csv").exists()
+
+    def test_cluster_model_of_other_width_exits_2(self, workspace, tmp_path, capsys):
+        root, c = workspace
+        wide = tmp_path / "wide.json"
+        wide.write_text(json.dumps({**TINY, "data": {**TINY["data"], "dim": 16}}))
+        assert main(["gen-data", "--config", str(wide), "--out-dir", str(tmp_path / "d16")]) == 0
+        assert main([
+            "cluster", "--config", str(wide), "--data", str(tmp_path / "d16/train/manifest.json"),
+            "--out-dir", str(tmp_path / "clust16"),
+        ]) == 0
+        code = main([
+            "eval", "--config", c, "--data", str(root / "data/test/manifest.json"),
+            "--cluster", str(tmp_path / "clust16/cluster_model.json"),
+            "--ckpt-dir", str(root / "ckpt"), "--out-dir", str(tmp_path / "out"), "--seed", "3",
+        ])
+        assert code == 2
+        assert "width 8" in capsys.readouterr().err
 
     def test_eval_without_checkpoints_exits_2(self, workspace, tmp_path):
         root, c = workspace

@@ -6,7 +6,6 @@ import pytest
 from crossmil.data import (
     background_prototypes,
     Dataset,
-    MultiScaleInstance,
     PatientRecord,
     SyntheticSpec,
     default_scales,
@@ -29,15 +28,17 @@ def datasets_equal(a: Dataset, b: Dataset) -> bool:
             pb.signal_locations,
         ):
             return False
-        if len(pa.instances) != len(pb.instances):
+        if not all(
+            np.array_equal(getattr(pa, f), getattr(pb, f)) for f in ("emb", "location_ids", "xy")
+        ):
             return False
-        for ia, ib in zip(pa.instances, pb.instances):
-            if ia.location_id != ib.location_id or ia.xy != ib.xy:
-                return False
-            for va, vb in zip(ia.vectors, ib.vectors):
-                if not np.array_equal(va, vb):
-                    return False
     return True
+
+
+def patient(pid, label, n=1, n_scales=3, dim=2):
+    return PatientRecord(
+        pid, label, np.zeros((n, n_scales, dim)), np.arange(n), np.full((n, 2), 128.0)
+    )
 
 
 class TestSyntheticGenerator:
@@ -52,10 +53,10 @@ class TestSyntheticGenerator:
         flat = generate_synthetic(SyntheticSpec(signal_strength=0.0, **base))
         signalled = generate_synthetic(SyntheticSpec(signal_strength=1.0, **base))
         for p0, p1 in zip(flat, signalled):
-            for i0, i1 in zip(p0.instances, p1.instances):
-                for s, (v0, v1) in enumerate(zip(i0.vectors, i1.vectors)):
-                    planted = p0.label == 1 and s == 1 and i0.location_id in p1.signal_locations
-                    assert np.array_equal(v0, v1) != planted
+            for i, loc in enumerate(p0.location_ids):
+                for s in range(3):
+                    planted = p0.label == 1 and s == 1 and loc in p1.signal_locations
+                    assert np.array_equal(p0.emb[i, s], p1.emb[i, s]) != planted
 
     def test_noise_free_full_fraction_separates_exactly(self):
         spec = SyntheticSpec(
@@ -74,8 +75,8 @@ class TestSyntheticGenerator:
         # prototype plus the planted vector, so the nearest-prototype
         # residual is exactly 0 vs exactly signal_strength
         for p in ds:
-            for inst in p.instances:
-                residual = np.linalg.norm(protos - inst.vectors[2], axis=1).min()
+            for vector in p.emb[:, 2]:
+                residual = np.linalg.norm(protos - vector, axis=1).min()
                 expected = 2.0 if p.label == 1 else 0.0
                 assert residual == pytest.approx(expected, abs=1e-9)
 
@@ -101,8 +102,7 @@ class TestSyntheticGenerator:
         u = signal_direction(spec)
         proj = {0: [], 1: []}
         for p in ds:
-            for inst in p.instances:
-                proj[p.label].append(float(inst.vectors[spec.informative_scale] @ u))
+            proj[p.label].extend((p.emb[:, spec.informative_scale] @ u).tolist())
         pos, neg = np.asarray(proj[1]), np.asarray(proj[0])
         pooled_se = np.sqrt(pos.var(ddof=1) / len(pos) + neg.var(ddof=1) / len(neg))
         assert pos.mean() - neg.mean() >= 3 * pooled_se
@@ -124,14 +124,10 @@ class TestSyntheticGenerator:
 
     def test_scale_completeness(self):
         ds = generate_synthetic(SyntheticSpec(n_patients_per_class=2, n_locations=5, seed=0))
-        triples = {
-            (p.patient_id, i.location_id, s)
-            for p in ds
-            for i in p.instances
-            for s in range(len(i.vectors))
-        }
-        pairs = {(p.patient_id, i.location_id) for p in ds for i in p.instances}
-        assert len(triples) == ds.n_scales * len(pairs)
+        for p in ds:
+            assert p.emb.shape == (5, ds.n_scales, 32)
+            assert sorted(p.location_ids.tolist()) == list(range(5))
+            assert p.xy.shape == (5, 2)
 
     def test_split_train_test_partitions_each_class(self):
         ds = generate_synthetic(SyntheticSpec(n_patients_per_class=5, n_locations=4, seed=2))
@@ -228,12 +224,8 @@ class TestDiskFormat:
 
     def test_clinical_shaped_width_loads(self, tmp_path):
         # 2048-channel rows, the width real embedding extractors emit
-        inst = MultiScaleInstance(0, (128.0, 128.0), tuple(np.zeros(2048) for _ in range(3)))
         ds = Dataset(
-            (
-                PatientRecord("case0", 0, (inst,)),
-                PatientRecord("case1", 1, (inst,)),
-            ),
+            (patient("case0", 0, dim=2048), patient("case1", 1, dim=2048)),
             default_scales(3),
         )
         manifest = save_dataset(ds, tmp_path)
@@ -245,3 +237,42 @@ class TestDiskFormat:
         loaded = load_dataset(save_dataset(ds, tmp_path))
         for p, q in zip(ds, loaded):
             assert p.signal_locations == q.signal_locations
+
+    @pytest.mark.parametrize("column, value", [(2, "nan"), (3, "inf"), (6, "-inf")])
+    def test_non_finite_value_names_patient_and_row(self, dataset, tmp_path, column, value):
+        manifest = save_dataset(dataset, tmp_path)
+        csv = tmp_path / "pos001.csv"
+        lines = csv.read_text().splitlines()
+        parts = lines[4].split(",")
+        parts[column] = value
+        lines[4] = ",".join(parts)
+        csv.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=r"pos001: row 5 .*non-finite"):
+            load_dataset(manifest)
+
+    def test_duplicate_patient_id_in_manifest_rejected(self, dataset, tmp_path):
+        manifest = save_dataset(dataset, tmp_path)
+        doc = json.loads(manifest.read_text())
+        doc["patients"][1]["patient_id"] = doc["patients"][0]["patient_id"]
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="neg000.*more than once"):
+            load_dataset(manifest)
+
+
+class TestDatasetIndex:
+    def test_duplicate_patient_id_rejected(self):
+        with pytest.raises(ContractError, match="case0"):
+            Dataset((patient("case0", 0), patient("case0", 1)), default_scales(3))
+
+    def test_lookup_by_id(self):
+        ds = generate_synthetic(SyntheticSpec(n_patients_per_class=3, n_locations=4, seed=1))
+        for p in ds:
+            assert ds.patient(p.patient_id) is p
+        with pytest.raises(ContractError, match="nobody"):
+            ds.patient("nobody")
+
+    def test_patient_arrays_must_agree(self):
+        with pytest.raises(ContractError, match="case0"):
+            PatientRecord("case0", 0, np.zeros((3, 2, 4)), np.arange(2), np.zeros((3, 2)))
+        with pytest.raises(ContractError, match="case1"):
+            PatientRecord("case1", 0, np.zeros((0, 2, 4)), np.arange(0), np.zeros((0, 2)))

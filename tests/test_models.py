@@ -7,7 +7,7 @@ from crossmil import autodiff as ad
 from crossmil.autodiff import Tensor
 from crossmil.checkpoint import load_checkpoint, save_checkpoint
 from crossmil.clustering import Bag
-from crossmil.data import MultiScaleInstance
+from crossmil.data import PatientRecord
 from crossmil.errors import ConfigError, ContractError, FormatError
 from crossmil.models import (
     ModelConfig,
@@ -21,13 +21,12 @@ from crossmil.training import nll_loss
 from helpers import assert_grads_close, central_difference
 
 
-def make_bag(vectors, clusters, label=1, n_scales=None, patient_id="p0"):
-    """vectors: list per instance of per-scale arrays."""
-    instances = tuple(
-        MultiScaleInstance(i, (float(i), 0.0), tuple(np.asarray(v) for v in vs))
-        for i, vs in enumerate(vectors)
-    )
-    return Bag(patient_id, label, instances, tuple(clusters), len(instances))
+def make_bag(vectors, clusters, label=1, patient_id="p0"):
+    """vectors: list per instance of per-scale arrays; the bag holds every instance once."""
+    n = len(vectors)
+    xy = np.stack([np.arange(n, dtype=float), np.zeros(n)], axis=1)
+    patient = PatientRecord(patient_id, label, np.array(vectors, dtype=float), np.arange(n), xy)
+    return Bag(patient, np.arange(n), np.array(clusters))
 
 
 def small_config(**overrides):
