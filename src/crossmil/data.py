@@ -254,6 +254,9 @@ def save_dataset(dataset: Dataset, out_dir: str | Path) -> Path:
     return manifest
 
 
+_MANIFEST_KEYS = ("patient_id", "label", "file", "n_locations", "n_scales", "dim", "scale_labels")
+
+
 def load_dataset(manifest_path: str | Path) -> Dataset:
     manifest_path = Path(manifest_path)
     if not manifest_path.exists():
@@ -272,7 +275,15 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
     seen: set[str] = set()
     scales: tuple[ScaleId, ...] | None = None
     first_dim: int | None = None
-    for entry in doc["patients"]:
+    if not isinstance(doc["patients"], list):
+        raise FormatError("manifest 'patients' must be a list")
+    for index, entry in enumerate(doc["patients"]):
+        if not isinstance(entry, dict):
+            raise FormatError(f"manifest entry {index} is not an object")
+        missing = [key for key in _MANIFEST_KEYS if key not in entry]
+        if missing:
+            who = f"patient {entry['patient_id']}" if "patient_id" in entry else f"entry {index}"
+            raise FormatError(f"manifest {who} lacks key(s) {', '.join(map(repr, missing))}")
         pid, label = entry["patient_id"], entry["label"]
         if pid in seen:
             raise FormatError(f"manifest lists patient {pid} more than once")

@@ -1,9 +1,15 @@
 """Model zoo: per-scale instance encoders, cross-scale attention fusion,
 baseline fusion schemes, attention pooling, and the bag classifier.
 
-Vectors travel through the graph as column matrices (dim, 1); instances
-are processed one at a time, which keeps the restricted broadcasting
-rules of the tensor layer sufficient.
+A bag travels through the graph as feature-major matrices, one column
+per instance: each scale's n instances form an (E, n) input, so every
+encoder is one matmul over the whole bag plus a bias broadcast;
+cross-scale attention softmaxes (S, n) logits over the scale axis into
+fused (L, n) columns; and per-cluster pooling is one softmax of a (1, n)
+logits row within each row of a (K, n) cluster-membership mask, whose
+weights pool the columns into one (F, 1) vector per cluster (zeros for an
+empty cluster). A single (dim, 1) column is the n = 1 case. Attention
+maps run the same fusion over all of a patient's locations at once.
 """
 
 from __future__ import annotations
@@ -146,25 +152,27 @@ def init_params(cfg: ModelConfig, seed: int = 0) -> ModelParams:
 
 
 def mi_fcn_encode(x: Tensor, scale: int, params: ModelParams) -> Tensor:
-    """Two fully-connected layers with a ReLU between (E -> L -> L)."""
+    """Two fully-connected layers with a ReLU between, (E, n) -> (L, n)."""
     t = params.tensors
-    h = ad.relu(t[f"encoder{scale}.w1"] @ x + t[f"encoder{scale}.b1"])
-    return t[f"encoder{scale}.w2"] @ h + t[f"encoder{scale}.b2"]
+    h = ad.relu(ad.add_bias(t[f"encoder{scale}.w1"] @ x, t[f"encoder{scale}.b1"]))
+    return ad.add_bias(t[f"encoder{scale}.w2"] @ h, t[f"encoder{scale}.b2"])
 
 
 @dataclass
 class CrossScaleAttentionOutput:
-    fused: Tensor  # (L, 1)
-    scores: Tensor  # (S, 1), positive, sums to 1
+    fused: Tensor  # (L, n)
+    scores: Tensor  # (S, n), positive, each column sums to 1
 
 
 def cross_scale_attention(
     encodings: list[Tensor], params: ModelParams, cfg: ModelConfig
 ) -> CrossScaleAttentionOutput:
-    """Softmax-weighted fusion of the same location's per-scale encodings.
+    """Softmax-weighted fusion of each location's per-scale encodings.
 
-    Per scale s: logit_s = w^T act(V f_s); the S logits are softmaxed into
-    scores a, and the fused vector is sum_s a_s f_s.
+    ``encodings[s]`` holds the (L, n) encodings of n locations at scale s.
+    Per scale, logit_s = w^T act(V f_s) is a (1, n) row; the (S, n) logits
+    are softmaxed over the scale axis into scores a, and location i's
+    fused column is sum_s a[s, i] f_s[:, i].
     """
     if len(encodings) < 1:
         raise ContractError("cross_scale_attention needs at least one scale encoding")
@@ -174,26 +182,33 @@ def cross_scale_attention(
         v, w = params.attention_pair(s)
         logits.append(ad.transpose(w) @ act(v @ f))
     scores = ad.softmax(ad.concat(logits, axis=0), axis=0)
-    fused = ad.concat(encodings, axis=1) @ scores
+    fused = None
+    for s, f in enumerate(encodings):
+        term = ad.mul_row(f, ad.take_row(scores, s))
+        fused = term if fused is None else fused + term
     return CrossScaleAttentionOutput(fused, scores)
 
 
 def instance_pool(
-    items: list[Tensor], params: ModelParams, pooling: str
+    items: Tensor, params: ModelParams, pooling: str, mask: np.ndarray | None = None
 ) -> tuple[Tensor, Tensor]:
-    """Attention pooling of n column vectors into one; returns (pooled, weights)."""
-    if not items:
-        raise ContractError("instance_pool needs at least one item")
+    """Attention pooling of the m columns of ``items`` (F, m) into K pools.
+
+    Row k of the boolean (K, m) ``mask`` marks the items pool k takes;
+    without a mask there is one pool of every item. Returns (pooled,
+    weights): pooled is (F, K), column k the attention-weighted sum of
+    pool k's items (zeros for an empty pool), and weights is (K, m).
+    """
+    if items.data.ndim != 2 or items.shape[1] == 0:
+        raise ContractError(f"instance_pool needs at least one (F, 1) item, got {items.shape}")
+    if mask is None:
+        mask = np.ones((1, items.shape[1]), dtype=bool)
     t = params.tensors
-    logits = []
-    for h in items:
-        a = ad.tanh(t["pool.v"] @ h)
-        if pooling == "gated":
-            a = a * ad.sigmoid(t["pool.u"] @ h)
-        logits.append(ad.transpose(t["pool.w"]) @ a)
-    weights = ad.softmax(ad.concat(logits, axis=0), axis=0)
-    pooled = ad.concat(items, axis=1) @ weights
-    return pooled, weights
+    a = ad.tanh(t["pool.v"] @ items)
+    if pooling == "gated":
+        a = a * ad.sigmoid(t["pool.u"] @ items)
+    weights = ad.masked_softmax(ad.transpose(t["pool.w"]) @ a, mask)
+    return items @ ad.transpose(weights), weights
 
 
 @dataclass(frozen=True)
@@ -206,35 +221,50 @@ class AttentionRecord:
     scores: tuple[float, ...]
 
 
-def _attention_record(patient: PatientRecord, i: int, scores: Tensor) -> AttentionRecord:
-    """Record for location i, in plain Python numbers so CSV output stays repr-stable."""
-    x, y = patient.xy[i].tolist()
-    return AttentionRecord(
-        patient.patient_id, int(patient.location_ids[i]), (x, y),
-        tuple(float(a) for a in scores.data[:, 0]),
-    )
+def _attention_records(
+    patient: PatientRecord, index: np.ndarray, scores: Tensor
+) -> list[AttentionRecord]:
+    """Records for the locations ``index`` scored by the (S, n) ``scores``.
+
+    Values are plain Python numbers so CSV output stays repr-stable.
+    """
+    return [
+        AttentionRecord(patient.patient_id, loc, (x, y), tuple(col))
+        for loc, (x, y), col in zip(
+            patient.location_ids[index].tolist(), patient.xy[index].tolist(), scores.data.T.tolist()
+        )
+    ]
 
 
-def _fuse_instance(
-    vectors: list[Tensor], params: ModelParams, cfg: ModelConfig
-) -> tuple[list[Tensor], Tensor | None]:
-    """Returns (pooling items for this instance, attention scores or None)."""
-    if cfg.fusion == "single_scale":
-        f = mi_fcn_encode(vectors[cfg.scale_index], cfg.scale_index, params)
-        return [f], None
-    encodings = [mi_fcn_encode(x, s, params) for s, x in enumerate(vectors)]
+def _fuse_instances(
+    emb: np.ndarray, params: ModelParams, cfg: ModelConfig
+) -> tuple[Tensor, Tensor | None]:
+    """Encode and fuse n locations given as ``emb`` (n, S, E).
+
+    Returns the pooling items and, for cross-scale attention, the (S, n)
+    scores (else None). The items are (F, n), one column per location,
+    except for ``instance_pool``: there every scale's encoding is its own
+    item, giving (L, S*n) with the columns of scale s at s*n ... s*n + n-1.
+    """
+    if params.config != cfg:
+        raise ConfigError("params were initialized for a different ModelConfig")
+    if emb.shape[2] != cfg.embed_dim:
+        raise ConfigError(f"embeddings have dim {emb.shape[2]}, config expects {cfg.embed_dim}")
+    if emb.shape[1] != cfg.n_scales:
+        raise ConfigError(f"instances carry {emb.shape[1]} scales, config expects {cfg.n_scales}")
+    encodings = [mi_fcn_encode(Tensor(emb[:, s].T), s, params) for s in cfg.encoder_scales]
     if cfg.fusion == "cross_scale_attention":
         out = cross_scale_attention(encodings, params, cfg)
-        return [out.fused], out.scores
+        return out.fused, out.scores
     if cfg.fusion == "concat":
-        return [ad.concat(encodings, axis=0)], None
-    if cfg.fusion == "add":
-        total = encodings[0]
-        for f in encodings[1:]:
-            total = total + f
-        return [total], None
-    # instance_pool: every scale's encoding becomes its own pooling item
-    return encodings, None
+        return ad.concat(encodings, axis=0), None
+    if cfg.fusion == "instance_pool":
+        return ad.concat(encodings, axis=1), None
+    # add; single_scale has exactly one encoding, so it passes through
+    total = encodings[0]
+    for f in encodings[1:]:
+        total = total + f
+    return total, None
 
 
 def forward_bag(
@@ -245,32 +275,18 @@ def forward_bag(
     Returns log-probabilities over the two classes as a (2, 1) tensor and,
     for cross-scale attention models, one AttentionRecord per instance.
     """
-    if params.config != cfg:
-        raise ConfigError("params were initialized for a different ModelConfig")
-    emb = bag.patient.emb
-    if emb.shape[2] != cfg.embed_dim:
-        raise ConfigError(f"bag embeddings have dim {emb.shape[2]}, config expects {cfg.embed_dim}")
-    if emb.shape[1] != cfg.n_scales:
-        raise ConfigError(
-            f"bag instances carry {emb.shape[1]} scales, config expects {cfg.n_scales}"
-        )
-
-    by_cluster: dict[int, list[Tensor]] = {c: [] for c in range(cfg.n_clusters)}
-    records: list[AttentionRecord] = []
-    for i, cluster in zip(bag.index.tolist(), bag.clusters.tolist()):
-        vectors = [Tensor(v[:, None]) for v in emb[i]]
-        items, scores = _fuse_instance(vectors, params, cfg)
-        by_cluster[cluster].extend(items)
-        if scores is not None:
-            records.append(_attention_record(bag.patient, i, scores))
-
-    zero = Tensor(np.zeros((cfg.fused_dim, 1)))
-    cluster_vecs = [
-        instance_pool(by_cluster[c], params, cfg.pooling)[0] if by_cluster[c] else zero
-        for c in range(cfg.n_clusters)
-    ]
-    z = ad.concat(cluster_vecs, axis=0)
+    k = cfg.n_clusters
+    if bag.clusters.size and not 0 <= bag.clusters.min() <= bag.clusters.max() < k:
+        raise ConfigError(f"bag clusters fall outside the model's {k} clusters")
+    items, scores = _fuse_instances(bag.patient.emb[bag.index], params, cfg)
+    members = bag.clusters[None, :] == np.arange(k)[:, None]  # (K, n)
+    if cfg.fusion == "instance_pool":
+        members = np.tile(members, (1, cfg.n_scales))
+    pooled, _ = instance_pool(items, params, cfg.pooling, members)
+    # cluster k's pooled vector fills rows k*F ... k*F + F-1; empty clusters stay zero
+    z = ad.reshape(ad.transpose(pooled), (k * cfg.fused_dim, 1))
     logits = params.tensors["classifier.w"] @ z + params.tensors["classifier.b"]
+    records = [] if scores is None else _attention_records(bag.patient, bag.index, scores)
     return ad.log_softmax(logits, axis=0), records
 
 
@@ -282,19 +298,15 @@ def attention_records(
 ) -> list[AttentionRecord]:
     """Cross-scale attention scores for every location of the given patients.
 
-    Scores depend only on the instance itself, not on bag composition, so
-    this evaluates each location exactly once.
+    Scores depend only on the location itself, not on bag composition, so
+    each patient's locations go through one forward together. Patients
+    are looked up by id, in the order given (default: the whole dataset).
     """
     if cfg.fusion != "cross_scale_attention":
         raise ConfigError("no cross-scale attention in this variant")
-    wanted = set(patients) if patients is not None else None
+    chosen = dataset if patients is None else [dataset.patient(pid) for pid in patients]
     out = []
-    for p in dataset:
-        if wanted is not None and p.patient_id not in wanted:
-            continue
-        for i, per_scale in enumerate(p.emb):
-            vectors = [Tensor(v[:, None]) for v in per_scale]
-            encodings = [mi_fcn_encode(x, s, params) for s, x in enumerate(vectors)]
-            scores = cross_scale_attention(encodings, params, cfg).scores
-            out.append(_attention_record(p, i, scores))
+    for p in chosen:
+        _, scores = _fuse_instances(p.emb, params, cfg)
+        out.extend(_attention_records(p, np.arange(len(p.emb)), scores))
     return out

@@ -81,32 +81,59 @@ def nll_loss(log_probs: Tensor, label: int) -> Tensor:
 
 
 class Adam:
-    """First-order adaptive-moment updates over a named parameter dict."""
+    """First-order adaptive-moment updates over a named parameter dict.
+
+    The moments, the gradient and the update live in flat float64 buffers
+    over all parameters (in ``params.names()`` order), so a step is a few
+    whole-buffer operations instead of several per tensor. Each element
+    goes through the per-tensor formula's operations in the same order,
+    so results are the same to the bit. A tensor whose ``grad`` is None
+    keeps its value and moments.
+    """
 
     def __init__(self, params: ModelParams, cfg: TrainConfig):
-        self.params = params
         self.lr = cfg.learning_rate
         self.beta1, self.beta2, self.eps = cfg.beta1, cfg.beta2, cfg.eps
         self.t = 0
-        self.m = {n: np.zeros_like(t.data) for n, t in params.tensors.items()}
-        self.v = {n: np.zeros_like(t.data) for n, t in params.tensors.items()}
+        self._tensors = [params.tensors[n] for n in params.names()]
+        self._sizes = [t.data.size for t in self._tensors]
+        n = sum(self._sizes)
+        self.m, self.v = np.zeros(n), np.zeros(n)
+        self._g, self._upd, self._m_next, self._v_next = np.empty((4, n))
 
     def step(self) -> None:
         self.t += 1
         b1t = 1.0 - self.beta1**self.t
         b2t = 1.0 - self.beta2**self.t
-        for name in self.params.names():
-            p = self.params.tensors[name]
-            if p.grad is None:
-                continue
-            self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * p.grad
-            self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * p.grad**2
-            p.data = p.data - self.lr * (self.m[name] / b1t) / (
-                np.sqrt(self.v[name] / b2t) + self.eps
-            )
+        live = [t.grad is not None for t in self._tensors]
+        g, upd, m, v = self._g, self._upd, self._m_next, self._v_next
+        grads = [t.grad if ok else np.zeros(t.data.shape) for t, ok in zip(self._tensors, live)]
+        np.concatenate([x.reshape(-1) for x in grads], out=g)
+        # m = beta1 * m + (1 - beta1) * g;  v = beta2 * v + (1 - beta2) * g**2
+        np.multiply(g, 1 - self.beta1, out=upd)
+        np.add(np.multiply(self.m, self.beta1, out=m), upd, out=m)
+        np.multiply(np.square(g, out=upd), 1 - self.beta2, out=upd)
+        np.add(np.multiply(self.v, self.beta2, out=v), upd, out=v)
+        # upd = lr * (m / b1t) / (sqrt(v / b2t) + eps)
+        np.add(np.sqrt(np.divide(v, b2t, out=upd), out=upd), self.eps, out=upd)
+        np.divide(np.multiply(np.divide(m, b1t, out=g), self.lr, out=g), upd, out=upd)
+        if all(live):
+            self.m, self._m_next = m, self.m
+            self.v, self._v_next = v, self.v
+        else:
+            keep = np.repeat(live, self._sizes)
+            np.copyto(self.m, m, where=keep)
+            np.copyto(self.v, v, where=keep)
+        values = np.concatenate([t.data.reshape(-1) for t in self._tensors])
+        np.subtract(values, upd, out=values)
+        offset = 0
+        for t, ok, size in zip(self._tensors, live, self._sizes):
+            if ok:
+                t.data = values[offset : offset + size].reshape(t.data.shape)
+            offset += size
 
     def zero_grad(self) -> None:
-        for t in self.params.tensors.values():
+        for t in self._tensors:
             t.grad = None
 
 

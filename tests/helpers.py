@@ -1,6 +1,10 @@
-"""Shared test oracles: finite differences and gradient comparison."""
+"""Shared test oracles: finite differences, gradient comparison and the
+per-instance reference forward of the bag model."""
 
 import numpy as np
+
+from crossmil import autodiff as ad
+from crossmil.autodiff import Tensor
 
 
 def central_difference(f, tensors, h=1e-5):
@@ -28,3 +32,78 @@ def central_difference(f, tensors, h=1e-5):
 
 def assert_grads_close(analytic, numeric, rtol=1e-4, atol=1e-8):
     np.testing.assert_allclose(analytic, numeric, rtol=rtol, atol=atol)
+
+
+def _reference_encode(x, scale, params):
+    t = params.tensors
+    h = ad.relu(t[f"encoder{scale}.w1"] @ x + t[f"encoder{scale}.b1"])
+    return t[f"encoder{scale}.w2"] @ h + t[f"encoder{scale}.b2"]
+
+
+def _reference_cross_scale(encodings, params, cfg):
+    act = ad.tanh if cfg.attention_activation == "tanh" else ad.relu
+    logits = []
+    for s, f in enumerate(encodings):
+        v, w = params.attention_pair(s)
+        logits.append(ad.transpose(w) @ act(v @ f))
+    scores = ad.softmax(ad.concat(logits, axis=0), axis=0)
+    return ad.concat(encodings, axis=1) @ scores, scores
+
+
+def _reference_pool(items, params, pooling):
+    t = params.tensors
+    logits = []
+    for h in items:
+        a = ad.tanh(t["pool.v"] @ h)
+        if pooling == "gated":
+            a = a * ad.sigmoid(t["pool.u"] @ h)
+        logits.append(ad.transpose(t["pool.w"]) @ a)
+    weights = ad.softmax(ad.concat(logits, axis=0), axis=0)
+    return ad.concat(items, axis=1) @ weights
+
+
+def reference_scores(vectors, params, cfg):
+    """(S, 1) cross-scale scores of one location, per-scale (E,) arrays in."""
+    encodings = [_reference_encode(Tensor(v[:, None]), s, params) for s, v in enumerate(vectors)]
+    return _reference_cross_scale(encodings, params, cfg)[1]
+
+
+def reference_forward_bag(bag, params, cfg):
+    """Per-instance forward: every instance and scale is its own (dim, 1) column.
+
+    The model code batches a bag into feature-major matrices; this is the
+    straight loop it must agree with. Returns (log_probs, [per-instance
+    (S, 1) cross-scale scores]).
+    """
+    by_cluster = {c: [] for c in range(cfg.n_clusters)}
+    all_scores = []
+    for i, cluster in zip(bag.index.tolist(), bag.clusters.tolist()):
+        vectors = [Tensor(v[:, None]) for v in bag.patient.emb[i]]
+        if cfg.fusion == "single_scale":
+            items = [_reference_encode(vectors[cfg.scale_index], cfg.scale_index, params)]
+        else:
+            encodings = [_reference_encode(x, s, params) for s, x in enumerate(vectors)]
+            if cfg.fusion == "cross_scale_attention":
+                fused, scores = _reference_cross_scale(encodings, params, cfg)
+                items = [fused]
+                all_scores.append(scores)
+            elif cfg.fusion == "concat":
+                items = [ad.concat(encodings, axis=0)]
+            elif cfg.fusion == "add":
+                total = encodings[0]
+                for f in encodings[1:]:
+                    total = total + f
+                items = [total]
+            else:  # instance_pool: every scale's encoding is its own item
+                items = encodings
+        by_cluster[cluster].extend(items)
+    zero = Tensor(np.zeros((cfg.fused_dim, 1)))
+    z = ad.concat(
+        [
+            _reference_pool(by_cluster[c], params, cfg.pooling) if by_cluster[c] else zero
+            for c in range(cfg.n_clusters)
+        ],
+        axis=0,
+    )
+    logits = params.tensors["classifier.w"] @ z + params.tensors["classifier.b"]
+    return ad.log_softmax(logits, axis=0), all_scores

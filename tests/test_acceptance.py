@@ -141,7 +141,7 @@ def test_c01_gradient_suite_all_layers_20_seeds():
             pool_tensors = [pparams.tensors[n] for n in pparams.names() if n.startswith("pool")]
 
             def pool_loss():
-                pooled, _ = instance_pool(hs, pparams, pooling)
+                pooled, _ = instance_pool(ad.concat(hs, axis=1), pparams, pooling)
                 return (pooled * pprobe).sum()
 
             ad.zero_grads(pool_tensors)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -88,6 +92,25 @@ class TestCluster:
         assert code == 2
         assert "pos001: row 4" in capsys.readouterr().err
         assert not (tmp_path / "clust/cluster_model.json").exists()
+
+    @pytest.mark.parametrize("key", ["dim", "file", "patient_id"])
+    def test_manifest_entry_missing_key_exits_2_naming_it(self, workspace, tmp_path, capsys, key):
+        import shutil
+
+        root, c = workspace
+        data = tmp_path / "train"
+        shutil.copytree(root / "data/train", data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        del manifest["patients"][2][key]
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        code = main([
+            "cluster", "--config", c, "--data", str(data / "manifest.json"),
+            "--out-dir", str(tmp_path / "clust"), "--seed", "3",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"'{key}'" in err
+        assert ("entry 2" if key == "patient_id" else manifest["patients"][2]["patient_id"]) in err
 
 
 class TestTrain:
@@ -253,3 +276,51 @@ class TestAttnMap:
                 {f.name: f.read_bytes() for f in sorted(out.iterdir())}
             )
         assert outputs[0] == outputs[1]
+
+
+# Runs gen-data -> cluster -> train -> attn-map in one child process.
+PIPELINE_CHILD = """
+import sys
+from crossmil.cli import main
+config, out = sys.argv[1], sys.argv[2]
+common = ["--config", config, "--seed", "5"]
+steps = [
+    ["gen-data", *common, "--out-dir", out + "/data"],
+    ["cluster", *common, "--data", out + "/data/train/manifest.json", "--out-dir", out + "/clust"],
+    ["train", *common, "--data", out + "/data/train/manifest.json",
+     "--cluster", out + "/clust/cluster_model.json", "--out-dir", out + "/ckpt"],
+    ["attn-map", *common, "--data", out + "/data/test/manifest.json",
+     "--ckpt-dir", out + "/ckpt", "--out-dir", out + "/maps"],
+]
+for argv in steps:
+    if main(argv) != 0:
+        sys.exit(argv[0] + " failed")
+"""
+
+
+def test_outputs_identical_across_blas_thread_counts(tmp_path):
+    # widths and bags of 96 make the encoder matmuls (96, 64) @ (64, 96) and
+    # (96, 96) @ (96, 96), above the size at which BLAS splits work over threads
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "data": {"n_train_per_class": 4, "n_test_per_class": 1, "n_locations": 96, "dim": 64},
+        "cluster": {"k": 4},
+        "model": {"encoder_dim": 96, "attention_hidden": 32},
+        "train": {"epochs": 2, "learning_rate": 1e-3, "bag_size": 96, "n_splits": 2},
+    }))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = tmp_path / f"threads{threads}"
+        child = subprocess.run(
+            [sys.executable, "-c", PIPELINE_CHILD, str(config), str(out)],
+            env=env, capture_output=True, text=True, timeout=600,
+        )
+        assert child.returncode == 0, child.stderr
+        files = sorted(out.glob("ckpt/checkpoint_split*.bin"))
+        files.append(out / "maps/attention_records.csv")
+        outputs[threads] = {f.relative_to(out).as_posix(): f.read_bytes() for f in files}
+    assert len(outputs["1"]) == 3
+    assert outputs["1"] == outputs["2"]

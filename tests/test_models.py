@@ -7,10 +7,11 @@ from crossmil import autodiff as ad
 from crossmil.autodiff import Tensor
 from crossmil.checkpoint import load_checkpoint, save_checkpoint
 from crossmil.clustering import Bag
-from crossmil.data import PatientRecord
+from crossmil.data import Dataset, PatientRecord, default_scales
 from crossmil.errors import ConfigError, ContractError, FormatError
 from crossmil.models import (
     ModelConfig,
+    attention_records,
     cross_scale_attention,
     forward_bag,
     init_params,
@@ -18,7 +19,12 @@ from crossmil.models import (
     mi_fcn_encode,
 )
 from crossmil.training import nll_loss
-from helpers import assert_grads_close, central_difference
+from helpers import (
+    assert_grads_close,
+    central_difference,
+    reference_forward_bag,
+    reference_scores,
+)
 
 
 def make_bag(vectors, clusters, label=1, patient_id="p0"):
@@ -171,7 +177,7 @@ class TestInstancePool:
         cfg = small_config()
         params = init_params(cfg, seed=0)
         h = Tensor(np.array([[0.4], [0.5], [-0.1]]))
-        pooled, weights = instance_pool([h], params, "plain")
+        pooled, weights = instance_pool(h, params, "plain")
         assert weights.data[0, 0] == 1.0
         np.testing.assert_array_equal(pooled.data, h.data)
 
@@ -179,8 +185,8 @@ class TestInstancePool:
         cfg = small_config()
         params = init_params(cfg, seed=1)
         h = np.array([[0.4], [0.5], [-0.1]])
-        pooled, weights = instance_pool([Tensor(h) for _ in range(4)], params, "plain")
-        np.testing.assert_allclose(weights.data, np.full((4, 1), 0.25), atol=1e-12)
+        pooled, weights = instance_pool(Tensor(np.tile(h, (1, 4))), params, "plain")
+        np.testing.assert_allclose(weights.data, np.full((1, 4), 0.25), atol=1e-12)
         np.testing.assert_allclose(pooled.data, h, atol=1e-12)
 
     @pytest.mark.parametrize("pooling", ["plain", "gated"])
@@ -200,14 +206,28 @@ class TestInstancePool:
         e = np.exp(np.asarray(logits) - max(logits))
         alpha = e / e.sum()
         expected = sum(a * h for a, h in zip(alpha, hs))
-        pooled, weights = instance_pool([Tensor(h) for h in hs], params, pooling)
-        np.testing.assert_allclose(weights.data[:, 0], alpha, rtol=0, atol=1e-12)
+        pooled, weights = instance_pool(Tensor(np.hstack(hs)), params, pooling)
+        np.testing.assert_allclose(weights.data[0], alpha, rtol=0, atol=1e-12)
         np.testing.assert_allclose(pooled.data, expected, rtol=0, atol=1e-12)
 
     def test_empty_rejected(self):
         cfg = small_config()
         with pytest.raises(ContractError):
-            instance_pool([], init_params(cfg), "plain")
+            instance_pool(Tensor(np.zeros((3, 0))), init_params(cfg), "plain")
+
+    def test_mask_rows_pool_separately_and_empty_row_is_zero(self):
+        cfg = small_config()
+        params = init_params(cfg, seed=8)
+        items = np.random.default_rng(8).uniform(-1, 1, (3, 5))
+        mask = np.array([[1, 0, 1, 0, 0], [0, 0, 0, 0, 0], [0, 1, 0, 1, 1]], dtype=bool)
+        pooled, weights = instance_pool(Tensor(items), params, "plain", mask)
+        assert pooled.shape == (3, 3) and weights.shape == (3, 5)
+        for k in (0, 2):
+            alone, alone_w = instance_pool(Tensor(items[:, mask[k]]), params, "plain")
+            np.testing.assert_allclose(pooled.data[:, [k]], alone.data, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(weights.data[k, mask[k]], alone_w.data[0], atol=1e-12)
+        assert (pooled.data[:, 1] == 0.0).all() and (weights.data[1] == 0.0).all()
+        assert (weights.data[~mask] == 0.0).all()
 
 
 class TestForwardBag:
@@ -319,6 +339,92 @@ class TestForwardBag:
         log_probs, records = forward_bag(bag, params, cfg)
         assert records == []
         assert abs(np.exp(log_probs.data).sum() - 1.0) <= 1e-9
+
+
+ORACLE_CONFIGS = [
+    (fusion, pooling, sharing, activation)
+    for fusion in ("cross_scale_attention", "concat", "add", "single_scale", "instance_pool")
+    for pooling in ("plain", "gated")
+    for sharing in ("shared", "per_scale")
+    for activation in ("relu", "tanh")
+]
+
+
+def oracle_config(fusion, pooling, sharing, activation):
+    return ModelConfig(
+        fusion=fusion, pooling=pooling, attention_sharing=sharing,
+        attention_activation=activation, embed_dim=5, encoder_dim=4, attention_hidden=3,
+        n_clusters=4, n_scales=3, scale_index=1 if fusion == "single_scale" else None,
+    )
+
+
+class TestBatchedForwardOracle:
+    """The batched forward against the per-instance reference in helpers."""
+
+    @pytest.mark.parametrize("bag_size", [1, 8, 64])
+    @pytest.mark.parametrize("fusion,pooling,sharing,activation", ORACLE_CONFIGS)
+    def test_outputs_and_gradients_match_per_instance_path(
+        self, fusion, pooling, sharing, activation, bag_size
+    ):
+        cfg = oracle_config(fusion, pooling, sharing, activation)
+        params = init_params(cfg, seed=bag_size)
+        rng = np.random.default_rng([bag_size, len(fusion)])
+        n = 70
+        emb = rng.uniform(-2, 2, (n, cfg.n_scales, cfg.embed_dim))
+        xy = rng.uniform(0, 100, (n, 2))
+        patient = PatientRecord("p0", 1, emb, np.arange(100, 100 + n), xy)
+        # cluster 1 is never used, so every bag has at least one empty cluster
+        bag = Bag(patient, rng.choice(n, bag_size, replace=False), rng.choice([0, 2, 3], bag_size))
+        tensors = [params.tensors[name] for name in params.names()]
+
+        def run(forward):
+            ad.zero_grads(tensors)
+            log_probs, extra = forward(bag, params, cfg)
+            ad.backward(nll_loss(log_probs, bag.label))
+            return log_probs.data, extra, [t.grad.copy() for t in tensors]
+
+        lp, records, grads = run(forward_bag)
+        ref_lp, ref_scores, ref_grads = run(reference_forward_bag)
+        np.testing.assert_allclose(lp, ref_lp, rtol=0, atol=1e-12)
+        for name, g, ref in zip(params.names(), grads, ref_grads):
+            np.testing.assert_allclose(g, ref, rtol=0, atol=1e-10, err_msg=name)
+        assert len(records) == len(ref_scores)
+        for i, rec, ref in zip(bag.index, records, ref_scores):
+            assert rec.location_id == 100 + i and rec.xy == tuple(xy[i])
+            np.testing.assert_allclose(rec.scores, ref.data[:, 0], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("sharing", ["shared", "per_scale"])
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_attention_records_match_per_location_scores(self, sharing, activation):
+        cfg = oracle_config("cross_scale_attention", "plain", sharing, activation)
+        params = init_params(cfg, seed=4)
+        rng = np.random.default_rng(4)
+        patients = tuple(
+            PatientRecord(
+                f"p{j}", j % 2, rng.uniform(-2, 2, (n, 3, 5)), np.arange(n) * 3,
+                rng.uniform(0, 50, (n, 2)),
+            )
+            for j, n in enumerate((1, 7, 30))
+        )
+        dataset = Dataset(patients, default_scales(3))
+        records = attention_records(dataset, params, cfg, patients=["p2", "p0"])
+        expected = [(p, i) for p in (patients[2], patients[0]) for i in range(len(p.emb))]
+        assert len(records) == len(expected)
+        for rec, (p, i) in zip(records, expected):
+            assert (rec.patient_id, rec.location_id) == (p.patient_id, int(p.location_ids[i]))
+            assert rec.xy == tuple(p.xy[i])
+            assert all(type(v) is float for v in rec.scores) and type(rec.location_id) is int
+            ref = reference_scores(p.emb[i], params, cfg).data[:, 0]
+            np.testing.assert_allclose(rec.scores, ref, rtol=0, atol=1e-12)
+            assert abs(sum(rec.scores) - 1.0) <= 1e-9
+        assert len(attention_records(dataset, params, cfg)) == 38
+
+    def test_clusters_outside_the_model_rejected(self):
+        cfg = small_config()
+        bag = random_bag(np.random.default_rng(3), cfg)
+        bad = Bag(bag.patient, bag.index, np.full(len(bag.index), cfg.n_clusters))
+        with pytest.raises(ConfigError):
+            forward_bag(bad, init_params(cfg, seed=0), cfg)
 
 
 class TestCheckpoint:

@@ -8,7 +8,7 @@ from crossmil.checkpoint import save_checkpoint
 from crossmil.clustering import cluster_dataset
 from crossmil.data import SyntheticSpec, generate_synthetic
 from crossmil.errors import ContractError, TrainingError
-from crossmil.models import ModelConfig
+from crossmil.models import ModelConfig, init_params
 from crossmil.training import (
     Adam,
     TrainConfig,
@@ -115,6 +115,51 @@ class TestMakeSplits:
             assert sum(labels) == 2 and len(labels) == 4
 
 
+def per_tensor_adam_step(params, m, v, t, cfg):
+    """The per-tensor update the flat Adam must reproduce bit for bit."""
+    b1t = 1.0 - cfg.beta1**t
+    b2t = 1.0 - cfg.beta2**t
+    for name in params.names():
+        p = params.tensors[name]
+        if p.grad is None:
+            continue
+        m[name] = cfg.beta1 * m[name] + (1 - cfg.beta1) * p.grad
+        v[name] = cfg.beta2 * v[name] + (1 - cfg.beta2) * p.grad**2
+        p.data = p.data - cfg.learning_rate * (m[name] / b1t) / (np.sqrt(v[name] / b2t) + cfg.eps)
+
+
+class TestAdam:
+    def test_flat_step_matches_per_tensor_loop_bytes(self, tmp_path):
+        mc = small_model(small_dataset(seed=13))
+        tc = TrainConfig(learning_rate=1e-2)
+        flat, loop = init_params(mc, seed=5), init_params(mc, seed=5)
+        opt = Adam(flat, tc)
+        m = {n: np.zeros_like(t.data) for n, t in loop.tensors.items()}
+        v = {n: np.zeros_like(t.data) for n, t in loop.tensors.items()}
+        rng = np.random.default_rng(13)
+        for step in range(1, 7):
+            grads = {n: rng.normal(size=t.data.shape) for n, t in loop.tensors.items()}
+            if step == 4:
+                grads["pool.w"] = None
+                kept = flat.tensors["pool.w"].data.copy()
+                lo = sum(t.data.size for n, t in flat.tensors.items() if n < "pool.w")
+                hi = lo + kept.size
+                kept_m, kept_v = opt.m[lo:hi].copy(), opt.v[lo:hi].copy()
+            for params in (flat, loop):
+                for n, t in params.tensors.items():
+                    t.grad = None if grads[n] is None else grads[n].copy()
+            opt.step()
+            per_tensor_adam_step(loop, m, v, step, tc)
+            if step == 4:
+                np.testing.assert_array_equal(flat.tensors["pool.w"].data, kept)
+                np.testing.assert_array_equal(opt.m[lo:hi], kept_m)
+                np.testing.assert_array_equal(opt.v[lo:hi], kept_v)
+        a = save_checkpoint(flat, tmp_path / "flat.bin").read_bytes()
+        b = save_checkpoint(loop, tmp_path / "loop.bin").read_bytes()
+        assert a == b
+        assert a != save_checkpoint(init_params(mc, seed=5), tmp_path / "init.bin").read_bytes()
+
+
 class TestTrainOneSplit:
     def test_zero_learning_rate_changes_nothing(self):
         ds = small_dataset(seed=5)
@@ -124,8 +169,6 @@ class TestTrainOneSplit:
         plan = make_splits(ds, 2, seed=5)
         trained = train_one_split(ds, plan.splits[0], cm, tc, mc)
         assert len(set(trained.val_curve)) == 1  # constant validation loss
-        from crossmil.models import init_params
-
         fresh = init_params(mc, seed=int(np.random.default_rng([5, 0]).integers(2**31)))
         for name in fresh.names():
             np.testing.assert_array_equal(
