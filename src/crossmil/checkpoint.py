@@ -1,12 +1,16 @@
-"""Versioned binary checkpoint for model parameters.
+"""Versioned, self-describing binary checkpoint for model parameters.
 
-Layout: 8-byte magic, u32 version, 32-byte sha256 of the canonical
-config JSON, u32 tensor count, then per tensor: u16 name length, utf-8
-name, u8 rank, u32 dims, float64 little-endian values.
+Layout (version 2): 8-byte magic, u32 version, 32-byte sha256 of the
+config text, u32 config length, the canonical ``ModelConfig.to_json()``
+text (utf-8), u32 tensor count, then per tensor: u16 name length, utf-8
+name, u8 rank, u32 dims, float64 little-endian values. All integers are
+little-endian and the file ends after the last tensor.
 """
 
 from __future__ import annotations
 
+import hashlib
+import math
 import struct
 from pathlib import Path
 
@@ -16,12 +20,14 @@ from .errors import ConfigError, FormatError
 from .models import ModelConfig, ModelParams, init_params
 
 MAGIC = b"CMILCKPT"
-VERSION = 1
+VERSION = 2
 
 
 def save_checkpoint(params: ModelParams, path: str | Path) -> Path:
     path = Path(path)
+    text = params.config.to_json().encode()
     chunks = [MAGIC, struct.pack("<I", VERSION), params.config.digest()]
+    chunks += [struct.pack("<I", len(text)), text]
     names = params.names()
     chunks.append(struct.pack("<I", len(names)))
     for name in names:
@@ -36,33 +42,59 @@ def save_checkpoint(params: ModelParams, path: str | Path) -> Path:
     return path
 
 
-def load_checkpoint(path: str | Path, cfg: ModelConfig) -> ModelParams:
+def load_checkpoint(path: str | Path) -> ModelParams:
+    """Parameters and the model config they were saved with.
+
+    Any file that is not exactly a well-formed version 2 checkpoint is a
+    FormatError naming the path.
+    """
     raw = Path(path).read_bytes()
-    if raw[:8] != MAGIC:
+    offset = 0
+
+    def take(n: int) -> bytes:
+        nonlocal offset
+        if offset + n > len(raw):
+            raise FormatError(f"{path}: truncated checkpoint ({len(raw)} bytes)")
+        offset += n
+        return raw[offset - n : offset]
+
+    def unpack(fmt: str) -> tuple:
+        return struct.unpack(fmt, take(struct.calcsize(fmt)))
+
+    if take(8) != MAGIC:
         raise FormatError(f"{path}: not a checkpoint file (bad magic)")
-    (version,) = struct.unpack_from("<I", raw, 8)
+    (version,) = unpack("<I")
+    if version == 1:
+        raise FormatError(
+            f"{path}: checkpoint version 1 carries no model config; retrain to write version {VERSION}"
+        )
     if version != VERSION:
         raise FormatError(f"{path}: unsupported checkpoint version {version}")
-    digest = raw[12:44]
-    if digest != cfg.digest():
-        raise ConfigError(f"{path}: checkpoint was written for a different model config")
-    (count,) = struct.unpack_from("<I", raw, 44)
-    offset = 48
+    digest = take(32)
+    (text_len,) = unpack("<I")
+    text = take(text_len)
+    if hashlib.sha256(text).digest() != digest:
+        raise FormatError(f"{path}: model config does not match its digest")
+    try:
+        cfg = ModelConfig.from_json(text.decode())
+    except (UnicodeDecodeError, ConfigError) as e:
+        raise FormatError(f"{path}: bad model config: {e}") from None
+    if cfg.to_json().encode() != text:
+        raise FormatError(f"{path}: model config is not in canonical form")
+    (count,) = unpack("<I")
     values: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", raw, offset)
-        offset += 2
-        name = raw[offset : offset + name_len].decode()
-        offset += name_len
-        (rank,) = struct.unpack_from("<B", raw, offset)
-        offset += 1
-        shape = struct.unpack_from(f"<{rank}I", raw, offset)
-        offset += 4 * rank
-        n = int(np.prod(shape)) if rank else 1
-        values[name] = np.frombuffer(raw, dtype="<f8", count=n, offset=offset).reshape(shape).copy()
-        offset += 8 * n
+        (name_len,) = unpack("<H")
+        name = take(name_len).decode(errors="replace")  # a mangled name fails the match below
+        (rank,) = unpack("<B")
+        shape = unpack(f"<{rank}I")
+        data = take(8 * math.prod(shape))
+        values[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
+    if offset != len(raw):
+        raise FormatError(f"{path}: {len(raw) - offset} bytes after the last tensor")
     params = init_params(cfg, seed=0)
-    if set(values) != set(params.tensors):
-        raise FormatError(f"{path}: tensor names do not match the model config")
+    expected = {n: t.data.shape for n, t in params.tensors.items()}
+    if len(values) != count or {n: v.shape for n, v in values.items()} != expected:
+        raise FormatError(f"{path}: tensors do not match the model config")
     params.load_values(values)
     return params

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -36,8 +37,8 @@ from .evaluation import (
     write_report,
     write_scores,
 )
-from .models import ModelConfig, attention_records
-from .training import TrainConfig, TrainedModel, train_all, write_loss_curves
+from .models import ModelConfig, ModelParams, attention_records
+from .training import TrainConfig, train_all, write_loss_curves
 
 DEFAULT_CONFIG = {
     "seed": 0,
@@ -165,14 +166,25 @@ def train_config(config: dict) -> TrainConfig:
     )
 
 
-def _load_checkpoints(ckpt_dir: Path, cfg: ModelConfig) -> list[TrainedModel]:
-    paths = sorted(ckpt_dir.glob("checkpoint_split*.bin"))
-    if not paths:
+def _load_checkpoints(ckpt_dir: Path) -> list[ModelParams]:
+    """The checkpoint_split<digits>.bin files of a directory, in split order.
+
+    All must hold the same model config.
+    """
+    numbered = []
+    for path in ckpt_dir.glob("checkpoint_split*.bin"):
+        match = re.fullmatch(r"checkpoint_split(\d+)\.bin", path.name)
+        if match is None:
+            raise ConfigError(f"{path}: not a checkpoint_split<digits>.bin name")
+        numbered.append((int(match.group(1)), path))
+    if not numbered:
         raise ConfigError(f"no checkpoints found in {ckpt_dir}")
-    return [
-        TrainedModel(load_checkpoint(p, cfg), split_id=i, selection_epoch=-1)
-        for i, p in enumerate(paths)
-    ]
+    paths = [path for _, path in sorted(numbered)]
+    models = [load_checkpoint(p) for p in paths]
+    for path, params in zip(paths[1:], models[1:]):
+        if params.config != models[0].config:
+            raise ConfigError(f"{paths[0]} and {path} hold different model configs")
+    return models
 
 
 def cmd_gen_data(args) -> int:
@@ -206,14 +218,14 @@ def cmd_cluster(args) -> int:
 
 
 def _apply_model_overrides(config: dict, args) -> None:
-    if getattr(args, "fusion", None) is not None:
+    if args.fusion is not None:
         try:
             config["model"]["fusion"] = FUSION_ALIASES[args.fusion]
         except KeyError:
             raise ConfigError(
                 f"unknown fusion {args.fusion!r}; expected one of {sorted(FUSION_ALIASES)}"
             ) from None
-    if getattr(args, "scale_index", None) is not None:
+    if args.scale_index is not None:
         config["model"]["scale_index"] = args.scale_index
 
 
@@ -240,11 +252,9 @@ def cmd_eval(args) -> int:
     config = load_config(args.config)
     if args.seed is not None:
         config["seed"] = args.seed
-    _apply_model_overrides(config, args)
     dataset = load_dataset(args.data)
     cluster = load_cluster_model(args.cluster)
-    cfg = model_config(config, dataset, cluster.k)
-    models = _load_checkpoints(Path(args.ckpt_dir), cfg)
+    models = _load_checkpoints(Path(args.ckpt_dir))
     report, scored = evaluate(
         models,
         dataset,
@@ -312,8 +322,7 @@ def cmd_attn_map(args) -> int:
     if args.seed is not None:
         config["seed"] = args.seed
     dataset = load_dataset(args.data)
-    cfg = model_config(config, dataset, config["cluster"]["k"])
-    models = _load_checkpoints(Path(args.ckpt_dir), cfg)
+    models = _load_checkpoints(Path(args.ckpt_dir))
     known = {p.patient_id for p in dataset}
     wanted = args.patients.split(",") if args.patients else [p.patient_id for p in dataset]
     unknown = [pid for pid in wanted if pid not in known]
@@ -324,7 +333,7 @@ def cmd_attn_map(args) -> int:
     all_records = []
     labels = [s.label for s in dataset.scales]
     for pid in wanted:
-        per_model = [attention_records(dataset, m.params, cfg, patients=[pid]) for m in models]
+        per_model = [attention_records(dataset, params, patients=[pid]) for params in models]
         records = aggregate_records([r for recs in per_model for r in recs])
         records = normalize_per_scale(records)
         geometry = geometry_for(records, config["render"]["cell_size"])
@@ -371,8 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="score a test dataset with trained checkpoints")
     common(p, data=True, cluster=True, ckpt=True)
-    p.add_argument("--fusion", help="override model.fusion (must match the checkpoints)")
-    p.add_argument("--scale-index", type=int, dest="scale_index")
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("compare", help="pairwise significance tests over score CSVs")

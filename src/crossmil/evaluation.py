@@ -16,8 +16,7 @@ import numpy as np
 from .clustering import ClusterModel, assemble_bag, patient_rng
 from .data import Dataset
 from .errors import ConfigError, ContractError, MetricError
-from .models import forward_bag
-from .training import TrainedModel
+from .models import ModelParams, forward_bag
 
 
 def _validate_scores(scores, labels) -> tuple[np.ndarray, np.ndarray]:
@@ -231,7 +230,7 @@ class EvalReport:
 
 
 def score_patients(
-    models: list[TrainedModel],
+    models: list[ModelParams],
     dataset: Dataset,
     cluster_model: ClusterModel,
     bag_size: int = 8,
@@ -239,11 +238,17 @@ def score_patients(
 ) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """Per-model P(class=1) for every patient; bags are fixed by the eval seed.
 
-    Returns (scores[model, patient], labels, patient_ids).
+    Each model runs with its own config. Returns (scores[model, patient],
+    labels, patient_ids).
     """
     if not models:
         raise ConfigError("no trained models to evaluate")
-    cfg = models[0].params.config
+    for params in models:
+        if params.config.n_clusters != cluster_model.k:
+            raise ConfigError(
+                f"model has {params.config.n_clusters} clusters, "
+                f"cluster model has {cluster_model.k}"
+            )
     bags = {
         p.patient_id: assemble_bag(
             p, cluster_model.label(p), cluster_model.k, bag_size, patient_rng((seed,), p.patient_id)
@@ -253,9 +258,9 @@ def score_patients(
     ids = [p.patient_id for p in dataset]
     labels = np.array([p.label for p in dataset], dtype=np.int64)
     scores = np.empty((len(models), len(ids)))
-    for mi, model in enumerate(models):
+    for mi, params in enumerate(models):
         for pi, pid in enumerate(ids):
-            log_probs, _ = forward_bag(bags[pid], model.params, cfg)
+            log_probs = forward_bag(bags[pid], params)
             scores[mi, pi] = math.exp(float(log_probs.data.reshape(-1)[1]))
     return scores, labels, ids
 
@@ -275,7 +280,7 @@ def report_from_scores(scores, labels) -> EvalReport:
 
 
 def evaluate(
-    models: list[TrainedModel],
+    models: list[ModelParams],
     dataset: Dataset,
     cluster_model: ClusterModel,
     bag_size: int = 8,

@@ -24,7 +24,7 @@ def train_and_evaluate(
 ) -> tuple[EvalReport, list[ScoredPatient], list[TrainedModel]]:
     models = train_all(train_dataset, cluster_model, train_cfg, model_cfg)
     report, scored = evaluate(
-        models, test_dataset, cluster_model,
+        [m.params for m in models], test_dataset, cluster_model,
         bag_size=train_cfg.bag_size, seed=eval_seed, mode=eval_mode,
     )
     return report, scored, models

@@ -24,7 +24,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .clustering import Bag
-from .data import Dataset, PatientRecord
+from .data import Dataset
 from .errors import ConfigError, ContractError
 
 FUSIONS = ("cross_scale_attention", "concat", "add", "single_scale", "instance_pool")
@@ -55,15 +55,18 @@ class ModelConfig:
             raise ConfigError(f"attention_activation must be one of {tuple(ACTIVATIONS)}")
         if self.pooling not in POOLINGS:
             raise ConfigError(f"pooling must be one of {POOLINGS}")
+        for name in ("embed_dim", "encoder_dim", "attention_hidden", "n_clusters", "n_scales"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+        if self.scale_index is not None and type(self.scale_index) is not int:
+            raise ConfigError(f"scale_index must be an integer or null, got {self.scale_index!r}")
         if self.fusion == "single_scale":
             if self.scale_index is None or not 0 <= self.scale_index < self.n_scales:
                 raise ConfigError(
                     f"single_scale fusion needs scale_index in [0, {self.n_scales}), "
                     f"got {self.scale_index}"
                 )
-        for name in ("embed_dim", "encoder_dim", "attention_hidden", "n_clusters", "n_scales"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
 
     @property
     def fused_dim(self) -> int:
@@ -80,7 +83,11 @@ class ModelConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ModelConfig":
-        return cls(**json.loads(text))
+        try:
+            doc = json.loads(text)
+            return cls(**doc)
+        except (ValueError, TypeError) as e:
+            raise ConfigError(f"not a model config: {e}") from None
 
     def digest(self) -> bytes:
         return hashlib.sha256(self.to_json().encode()).digest()
@@ -221,24 +228,7 @@ class AttentionRecord:
     scores: tuple[float, ...]
 
 
-def _attention_records(
-    patient: PatientRecord, index: np.ndarray, scores: Tensor
-) -> list[AttentionRecord]:
-    """Records for the locations ``index`` scored by the (S, n) ``scores``.
-
-    Values are plain Python numbers so CSV output stays repr-stable.
-    """
-    return [
-        AttentionRecord(patient.patient_id, loc, (x, y), tuple(col))
-        for loc, (x, y), col in zip(
-            patient.location_ids[index].tolist(), patient.xy[index].tolist(), scores.data.T.tolist()
-        )
-    ]
-
-
-def _fuse_instances(
-    emb: np.ndarray, params: ModelParams, cfg: ModelConfig
-) -> tuple[Tensor, Tensor | None]:
+def _fuse_instances(emb: np.ndarray, params: ModelParams) -> tuple[Tensor, Tensor | None]:
     """Encode and fuse n locations given as ``emb`` (n, S, E).
 
     Returns the pooling items and, for cross-scale attention, the (S, n)
@@ -246,8 +236,7 @@ def _fuse_instances(
     except for ``instance_pool``: there every scale's encoding is its own
     item, giving (L, S*n) with the columns of scale s at s*n ... s*n + n-1.
     """
-    if params.config != cfg:
-        raise ConfigError("params were initialized for a different ModelConfig")
+    cfg = params.config
     if emb.shape[2] != cfg.embed_dim:
         raise ConfigError(f"embeddings have dim {emb.shape[2]}, config expects {cfg.embed_dim}")
     if emb.shape[1] != cfg.n_scales:
@@ -267,18 +256,16 @@ def _fuse_instances(
     return total, None
 
 
-def forward_bag(
-    bag: Bag, params: ModelParams, cfg: ModelConfig
-) -> tuple[Tensor, list[AttentionRecord]]:
+def forward_bag(bag: Bag, params: ModelParams) -> Tensor:
     """Full bag pass: encode, fuse, pool per cluster, classify.
 
-    Returns log-probabilities over the two classes as a (2, 1) tensor and,
-    for cross-scale attention models, one AttentionRecord per instance.
+    Returns log-probabilities over the two classes as a (2, 1) tensor.
     """
+    cfg = params.config
     k = cfg.n_clusters
     if bag.clusters.size and not 0 <= bag.clusters.min() <= bag.clusters.max() < k:
         raise ConfigError(f"bag clusters fall outside the model's {k} clusters")
-    items, scores = _fuse_instances(bag.patient.emb[bag.index], params, cfg)
+    items, _ = _fuse_instances(bag.patient.emb[bag.index], params)
     members = bag.clusters[None, :] == np.arange(k)[:, None]  # (K, n)
     if cfg.fusion == "instance_pool":
         members = np.tile(members, (1, cfg.n_scales))
@@ -286,27 +273,29 @@ def forward_bag(
     # cluster k's pooled vector fills rows k*F ... k*F + F-1; empty clusters stay zero
     z = ad.reshape(ad.transpose(pooled), (k * cfg.fused_dim, 1))
     logits = params.tensors["classifier.w"] @ z + params.tensors["classifier.b"]
-    records = [] if scores is None else _attention_records(bag.patient, bag.index, scores)
-    return ad.log_softmax(logits, axis=0), records
+    return ad.log_softmax(logits, axis=0)
 
 
 def attention_records(
-    dataset: Dataset,
-    params: ModelParams,
-    cfg: ModelConfig,
-    patients: Iterable[str] | None = None,
+    dataset: Dataset, params: ModelParams, patients: Iterable[str] | None = None
 ) -> list[AttentionRecord]:
     """Cross-scale attention scores for every location of the given patients.
 
     Scores depend only on the location itself, not on bag composition, so
     each patient's locations go through one forward together. Patients
     are looked up by id, in the order given (default: the whole dataset).
+    Values are plain Python numbers so CSV output stays repr-stable.
     """
-    if cfg.fusion != "cross_scale_attention":
+    if params.config.fusion != "cross_scale_attention":
         raise ConfigError("no cross-scale attention in this variant")
     chosen = dataset if patients is None else [dataset.patient(pid) for pid in patients]
     out = []
     for p in chosen:
-        _, scores = _fuse_instances(p.emb, params, cfg)
-        out.extend(_attention_records(p, np.arange(len(p.emb)), scores))
+        _, scores = _fuse_instances(p.emb, params)
+        out += [
+            AttentionRecord(p.patient_id, loc, (x, y), tuple(col))
+            for loc, (x, y), col in zip(
+                p.location_ids.tolist(), p.xy.tolist(), scores.data.T.tolist()
+            )
+        ]
     return out

@@ -174,14 +174,11 @@ def make_splits(dataset: Dataset, n_splits: int, seed: int = 0) -> SplitPlan:
 
 
 def _epoch_loss(
-    ids: tuple[str, ...],
-    params: ModelParams,
-    cfg: ModelConfig,
-    bags: dict[str, Bag],
+    ids: tuple[str, ...], params: ModelParams, bags: dict[str, Bag]
 ) -> float:
     total = 0.0
     for pid in ids:
-        log_probs, _ = forward_bag(bags[pid], params, cfg)
+        log_probs = forward_bag(bags[pid], params)
         total += nll_loss(log_probs, bags[pid].label).item()
     return total / len(ids)
 
@@ -229,7 +226,7 @@ def train_one_split(
             for pid in order:
                 bag = epoch_bags[pid]
                 assert bag.patient_id in train_set  # validation data must never reach a gradient
-                log_probs, _ = forward_bag(bag, params, model_cfg)
+                log_probs = forward_bag(bag, params)
                 loss = nll_loss(log_probs, bag.label)
                 running += loss.item()
                 opt.zero_grad()
@@ -240,7 +237,7 @@ def train_one_split(
         train_loss = running / len(order)
         if not np.isfinite(train_loss):
             raise TrainingError("training loss is not finite", epoch)
-        val_loss = _epoch_loss(split.val_ids, params, model_cfg, val_bags)
+        val_loss = _epoch_loss(split.val_ids, params, val_bags)
         train_curve.append(train_loss)
         val_curve.append(val_loss)
         if val_loss < best_val:

@@ -292,7 +292,7 @@ def test_c06_scale_localization(signal_runs):
         }
         per_model = []
         for model in run["models"]:
-            records = attention_records(test, model.params, run["model_cfg"], patients=positives)
+            records = attention_records(test, model.params, patients=positives)
             rows = [r.scores for r in records if (r.patient_id, r.location_id) in planted]
             per_model.append(np.mean(rows, axis=0))
         means = np.mean(per_model, axis=0)

@@ -1,12 +1,19 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from crossmil.cli import main
+from crossmil.checkpoint import load_checkpoint, save_checkpoint
+from crossmil.cli import _load_checkpoints, main, model_config
+from crossmil.clustering import load_cluster_model
+from crossmil.data import load_dataset
+from crossmil.evaluation import evaluate, write_scores
+from crossmil.models import init_params
 
 TINY = {
     "data": {
@@ -39,6 +46,26 @@ def workspace(tmp_path_factory):
         "--out-dir", str(root / "ckpt"), "--seed", "3",
     ]) == 0
     return root, c
+
+
+@pytest.fixture(scope="module")
+def concat_ckpt(workspace):
+    root, c = workspace
+    out = root / "ckpt_concat"
+    assert main([
+        "train", "--config", c, "--data", str(root / "data/train/manifest.json"),
+        "--cluster", str(root / "clust/cluster_model.json"),
+        "--out-dir", str(out), "--seed", "3", "--fusion", "concat",
+    ]) == 0
+    return out
+
+
+def run_eval(root, c, ckpt_dir, out, cluster=None):
+    return main([
+        "eval", "--config", c, "--data", str(root / "data/test/manifest.json"),
+        "--cluster", str(cluster or root / "clust/cluster_model.json"),
+        "--ckpt-dir", str(ckpt_dir), "--out-dir", str(out), "--seed", "3",
+    ])
 
 
 class TestGenData:
@@ -176,6 +203,95 @@ class TestEval:
         assert code == 2
         assert "width 8" in capsys.readouterr().err
 
+    def test_concat_checkpoints_evaluate_without_model_flags(self, workspace, concat_ckpt, tmp_path):
+        root, c = workspace
+        assert run_eval(root, c, concat_ckpt, tmp_path / "eval") == 0
+        # what `eval --fusion concat` computed when the config came from flags
+        config = json.loads((concat_ckpt / "resolved_config.json").read_text())
+        test = load_dataset(root / "data/test/manifest.json")
+        cluster = load_cluster_model(root / "clust/cluster_model.json")
+        cfg = model_config(config, test, cluster.k)
+        assert cfg.fusion == "concat"
+        models = []
+        for path in sorted(concat_ckpt.glob("checkpoint_split*.bin")):
+            params = init_params(cfg, seed=0)
+            params.load_values(load_checkpoint(path).copy_values())
+            models.append(params)
+        _, scored = evaluate(models, test, cluster, bag_size=4, seed=3)
+        expected = write_scores(scored, tmp_path / "expected.csv")
+        assert (tmp_path / "eval/scores.csv").read_bytes() == expected.read_bytes()
+
+    def test_single_scale_checkpoints_evaluate_without_model_flags(self, workspace, tmp_path):
+        root, c = workspace
+        assert main([
+            "train", "--config", c, "--data", str(root / "data/train/manifest.json"),
+            "--cluster", str(root / "clust/cluster_model.json"), "--out-dir", str(tmp_path / "t"),
+            "--seed", "3", "--fusion", "single-scale", "--scale-index", "2",
+        ]) == 0
+        assert run_eval(root, c, tmp_path / "t", tmp_path / "eval") == 0
+        assert (tmp_path / "eval/scores.csv").exists()
+
+    @pytest.mark.parametrize("flag", [["--fusion", "concat"], ["--scale-index", "1"]])
+    def test_model_flags_are_train_only(self, workspace, tmp_path, flag):
+        root, c = workspace
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "eval", "--config", c, "--data", str(root / "data/test/manifest.json"),
+                "--cluster", str(root / "clust/cluster_model.json"),
+                "--ckpt-dir", str(root / "ckpt"), "--out-dir", str(tmp_path / "out"), *flag,
+            ])
+        assert exc.value.code == 2
+
+    def test_cluster_model_with_other_k_exits_2(self, workspace, tmp_path, capsys):
+        root, c = workspace
+        config = tmp_path / "k4.json"
+        config.write_text(json.dumps({**TINY, "cluster": {"k": 4}}))
+        assert main([
+            "cluster", "--config", str(config), "--data", str(root / "data/train/manifest.json"),
+            "--out-dir", str(tmp_path / "clust4"), "--seed", "3",
+        ]) == 0
+        code = run_eval(root, c, root / "ckpt", tmp_path / "out", tmp_path / "clust4/cluster_model.json")
+        assert code == 2
+        assert "model has 3 clusters, cluster model has 4" in capsys.readouterr().err
+
+    def test_truncated_checkpoint_exits_2_naming_it(self, workspace, tmp_path, capsys):
+        root, c = workspace
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(root / "ckpt", ckpt)
+        path = ckpt / "checkpoint_split01.bin"
+        path.write_bytes(path.read_bytes()[:200])
+        assert run_eval(root, c, ckpt, tmp_path / "out") == 2
+        assert str(path) in capsys.readouterr().err
+
+    def test_checkpoint_name_without_split_number_exits_2(self, workspace, tmp_path, capsys):
+        root, c = workspace
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(root / "ckpt", ckpt)
+        shutil.copy(ckpt / "checkpoint_split01.bin", ckpt / "checkpoint_split01-old.bin")
+        assert run_eval(root, c, ckpt, tmp_path / "out") == 2
+        assert "checkpoint_split01-old.bin" in capsys.readouterr().err
+
+    def test_checkpoints_of_different_configs_exit_2_naming_both(
+        self, workspace, concat_ckpt, tmp_path, capsys
+    ):
+        root, c = workspace
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(root / "ckpt", ckpt)
+        shutil.copy(concat_ckpt / "checkpoint_split00.bin", ckpt / "checkpoint_split02.bin")
+        assert run_eval(root, c, ckpt, tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert "checkpoint_split00.bin" in err and "checkpoint_split02.bin" in err
+
+    def test_checkpoints_load_in_split_number_order(self, workspace, tmp_path):
+        root, _ = workspace
+        cfg = load_checkpoint(root / "ckpt/checkpoint_split00.bin").config
+        for split in (10, 9, 100):
+            save_checkpoint(init_params(cfg, seed=split), tmp_path / f"checkpoint_split{split}.bin")
+        loaded = _load_checkpoints(tmp_path)
+        for params, split in zip(loaded, (9, 10, 100), strict=True):
+            expected = init_params(cfg, seed=split)
+            np.testing.assert_array_equal(params["classifier.w"].data, expected["classifier.w"].data)
+
     def test_eval_without_checkpoints_exits_2(self, workspace, tmp_path):
         root, c = workspace
         code = main([
@@ -251,6 +367,22 @@ class TestAttnMap:
         ])
         assert code == 2
         assert "no cross-scale attention" in capsys.readouterr().err
+
+    def test_model_comes_from_the_checkpoints_not_the_config(self, workspace, tmp_path):
+        root, c = workspace
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps({
+            **TINY, "cluster": {"k": 5}, "model": {"encoder_dim": 16, "attention_hidden": 4},
+        }))
+        outputs = []
+        for tag, config in (("train_config", c), ("other_config", str(other))):
+            out = tmp_path / tag
+            assert main([
+                "attn-map", "--config", config, "--data", str(root / "data/test/manifest.json"),
+                "--ckpt-dir", str(root / "ckpt"), "--out-dir", str(out), "--seed", "3",
+            ]) == 0
+            outputs.append((out / "attention_records.csv").read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_unknown_patient_named_in_error(self, workspace, tmp_path, capsys):
         root, c = workspace

@@ -23,7 +23,6 @@ from crossmil.evaluation import (
     write_scores,
 )
 from crossmil.models import ModelConfig, init_params
-from crossmil.training import TrainedModel
 
 
 def pair_counting_auc(scores, labels):
@@ -244,7 +243,7 @@ class TestEvaluate:
         cm = cluster_dataset(ds, "5x", k=3, seed=20)
         cfg = ModelConfig(embed_dim=8, encoder_dim=6, attention_hidden=4,
                           n_clusters=3, n_scales=3)
-        models = [TrainedModel(init_params(cfg, seed=s), s, 0) for s in range(2)]
+        models = [init_params(cfg, seed=s) for s in range(2)]
         report, scored = evaluate(models, ds, cm, bag_size=4, seed=20)
         assert 0.0 <= report.auc <= 1.0
         assert 0.0 <= report.ap <= 1.0
@@ -261,7 +260,7 @@ class TestEvaluate:
         cm = cluster_dataset(ds, "5x", k=3, seed=21)
         cfg = ModelConfig(embed_dim=8, encoder_dim=6, attention_hidden=4,
                           n_clusters=3, n_scales=3)
-        models = [TrainedModel(init_params(cfg, seed=0), 0, 0)]
+        models = [init_params(cfg, seed=0)]
         _, a = evaluate(models, ds, cm, bag_size=4, seed=5)
         _, b = evaluate(models, ds, cm, bag_size=4, seed=5)
         assert [(s.patient_id, s.score) for s in a] == [(s.patient_id, s.score) for s in b]
@@ -273,7 +272,7 @@ class TestEvaluate:
         cm = cluster_dataset(ds, "5x", k=3, seed=22)
         cfg = ModelConfig(embed_dim=8, encoder_dim=6, attention_hidden=4,
                           n_clusters=3, n_scales=3)
-        models = [TrainedModel(init_params(cfg, seed=s), s, 0) for s in range(3)]
+        models = [init_params(cfg, seed=s) for s in range(3)]
         report, _ = evaluate(models, ds, cm, bag_size=4, seed=22, mode="per_split")
         assert 0.0 <= report.auc <= 1.0
 

@@ -1,4 +1,7 @@
+import hashlib
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -235,7 +238,7 @@ class TestForwardBag:
         cfg = small_config()
         params = init_params(cfg, seed=13)
         bag = random_bag(np.random.default_rng(13), cfg, n_instances=5)
-        log_probs, _ = forward_bag(bag, params, cfg)
+        log_probs = forward_bag(bag, params)
         assert abs(np.exp(log_probs.data).sum() - 1.0) <= 1e-9
 
     def test_add_equals_single_scale_when_one_scale(self):
@@ -244,8 +247,8 @@ class TestForwardBag:
         params_add = init_params(cfg_add, seed=21)
         params_single = init_params(cfg_single, seed=21)
         bag = random_bag(np.random.default_rng(21), cfg_add)
-        lp_add, _ = forward_bag(bag, params_add, cfg_add)
-        lp_single, _ = forward_bag(bag, params_single, cfg_single)
+        lp_add = forward_bag(bag, params_add)
+        lp_single = forward_bag(bag, params_single)
         np.testing.assert_array_equal(lp_add.data, lp_single.data)
 
     def test_straight_line_oracle_two_instances(self):
@@ -282,8 +285,9 @@ class TestForwardBag:
         shifted = logits - logits.max()
         expected = shifted - np.log(np.exp(shifted).sum())
 
-        log_probs, records = forward_bag(bag, params, cfg)
+        log_probs = forward_bag(bag, params)
         np.testing.assert_allclose(log_probs.data, expected, rtol=0, atol=1e-10)
+        records = attention_records(Dataset((bag.patient,), default_scales(2)), params)
         assert len(records) == 2
         assert records[0].patient_id == "p0" and records[0].location_id == 0
 
@@ -292,9 +296,9 @@ class TestForwardBag:
         params = init_params(cfg, seed=17)
         rng = np.random.default_rng(17)
         vectors = [[rng.uniform(-1, 1, 4) for _ in range(3)] for _ in range(5)]
-        lp1, _ = forward_bag(make_bag(vectors, [0] * 5), params, cfg)
+        lp1 = forward_bag(make_bag(vectors, [0] * 5), params)
         perm = [3, 1, 4, 0, 2]
-        lp2, _ = forward_bag(make_bag([vectors[i] for i in perm], [0] * 5), params, cfg)
+        lp2 = forward_bag(make_bag([vectors[i] for i in perm], [0] * 5), params)
         np.testing.assert_allclose(lp1.data, lp2.data, rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize(
@@ -308,8 +312,7 @@ class TestForwardBag:
         bag = random_bag(np.random.default_rng(23), cfg, n_instances=4)
 
         def loss_value():
-            log_probs, _ = forward_bag(bag, params, cfg)
-            return nll_loss(log_probs, bag.label)
+            return nll_loss(forward_bag(bag, params), bag.label)
 
         ad.backward(loss_value())
         tensors = [params.tensors[n] for n in params.names()]
@@ -318,27 +321,21 @@ class TestForwardBag:
         for t, num in zip(tensors, numeric):
             assert_grads_close(t.grad, num, rtol=1e-4, atol=1e-6)
 
-    def test_config_mismatch_rejected(self):
-        cfg = small_config()
-        other = small_config(attention_activation="relu")
-        bag = random_bag(np.random.default_rng(1), cfg)
-        with pytest.raises(ConfigError):
-            forward_bag(bag, init_params(other, seed=0), cfg)
-
     def test_wrong_embedding_dim_rejected(self):
         cfg = small_config()
         params = init_params(cfg, seed=0)
         bad = make_bag([[np.zeros(7) for _ in range(3)]], [0])
         with pytest.raises(ConfigError):
-            forward_bag(bad, params, cfg)
+            forward_bag(bad, params)
 
     def test_gated_pooling_variant_runs(self):
         cfg = small_config(pooling="gated", fusion="instance_pool")
         params = init_params(cfg, seed=2)
         bag = random_bag(np.random.default_rng(2), cfg)
-        log_probs, records = forward_bag(bag, params, cfg)
-        assert records == []
+        log_probs = forward_bag(bag, params)
         assert abs(np.exp(log_probs.data).sum() - 1.0) <= 1e-9
+        with pytest.raises(ConfigError, match="no cross-scale attention"):
+            attention_records(Dataset((bag.patient,), default_scales(3)), params)
 
 
 ORACLE_CONFIGS = [
@@ -377,21 +374,25 @@ class TestBatchedForwardOracle:
         bag = Bag(patient, rng.choice(n, bag_size, replace=False), rng.choice([0, 2, 3], bag_size))
         tensors = [params.tensors[name] for name in params.names()]
 
-        def run(forward):
-            ad.zero_grads(tensors)
-            log_probs, extra = forward(bag, params, cfg)
+        def run(log_probs):
             ad.backward(nll_loss(log_probs, bag.label))
-            return log_probs.data, extra, [t.grad.copy() for t in tensors]
+            grads = [t.grad.copy() for t in tensors]
+            ad.zero_grads(tensors)
+            return log_probs.data, grads
 
-        lp, records, grads = run(forward_bag)
-        ref_lp, ref_scores, ref_grads = run(reference_forward_bag)
+        lp, grads = run(forward_bag(bag, params))
+        ref_log_probs, ref_scores = reference_forward_bag(bag, params, cfg)
+        ref_lp, ref_grads = run(ref_log_probs)
         np.testing.assert_allclose(lp, ref_lp, rtol=0, atol=1e-12)
         for name, g, ref in zip(params.names(), grads, ref_grads):
             np.testing.assert_allclose(g, ref, rtol=0, atol=1e-10, err_msg=name)
-        assert len(records) == len(ref_scores)
-        for i, rec, ref in zip(bag.index, records, ref_scores):
-            assert rec.location_id == 100 + i and rec.xy == tuple(xy[i])
-            np.testing.assert_allclose(rec.scores, ref.data[:, 0], rtol=0, atol=1e-12)
+        if fusion == "cross_scale_attention":
+            records = attention_records(Dataset((patient,), default_scales(3)), params)
+            assert len(ref_scores) == bag_size
+            for i, ref in zip(bag.index, ref_scores):
+                rec = records[i]
+                assert rec.location_id == 100 + i and rec.xy == tuple(xy[i])
+                np.testing.assert_allclose(rec.scores, ref.data[:, 0], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("sharing", ["shared", "per_scale"])
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
@@ -407,7 +408,7 @@ class TestBatchedForwardOracle:
             for j, n in enumerate((1, 7, 30))
         )
         dataset = Dataset(patients, default_scales(3))
-        records = attention_records(dataset, params, cfg, patients=["p2", "p0"])
+        records = attention_records(dataset, params, patients=["p2", "p0"])
         expected = [(p, i) for p in (patients[2], patients[0]) for i in range(len(p.emb))]
         assert len(records) == len(expected)
         for rec, (p, i) in zip(records, expected):
@@ -417,14 +418,21 @@ class TestBatchedForwardOracle:
             ref = reference_scores(p.emb[i], params, cfg).data[:, 0]
             np.testing.assert_allclose(rec.scores, ref, rtol=0, atol=1e-12)
             assert abs(sum(rec.scores) - 1.0) <= 1e-9
-        assert len(attention_records(dataset, params, cfg)) == 38
+        assert len(attention_records(dataset, params)) == 38
 
     def test_clusters_outside_the_model_rejected(self):
         cfg = small_config()
         bag = random_bag(np.random.default_rng(3), cfg)
         bad = Bag(bag.patient, bag.index, np.full(len(bag.index), cfg.n_clusters))
         with pytest.raises(ConfigError):
-            forward_bag(bad, init_params(cfg, seed=0), cfg)
+            forward_bag(bad, init_params(cfg, seed=0))
+
+
+def _with_config_text(raw: bytes, text: bytes, digest: bytes | None = None) -> bytes:
+    """A v2 checkpoint with its config text swapped (digest recomputed unless given)."""
+    (old_len,) = struct.unpack_from("<I", raw, 44)
+    digest = hashlib.sha256(text).digest() if digest is None else digest
+    return raw[:12] + digest + struct.pack("<I", len(text)) + text + raw[48 + old_len :]
 
 
 class TestCheckpoint:
@@ -432,19 +440,98 @@ class TestCheckpoint:
         cfg = small_config()
         params = init_params(cfg, seed=42)
         path = save_checkpoint(params, tmp_path / "model.bin")
-        loaded = load_checkpoint(path, cfg)
+        loaded = load_checkpoint(path)
+        assert loaded.config == cfg
         assert loaded.names() == params.names()
         for name in params.names():
             np.testing.assert_array_equal(loaded.tensors[name].data, params.tensors[name].data)
 
-    def test_config_digest_mismatch(self, tmp_path):
-        cfg = small_config()
+    @pytest.mark.parametrize(
+        "overrides",
+        [dict(fusion="concat"), dict(fusion="single_scale", scale_index=2), dict(pooling="gated")],
+    )
+    def test_config_travels_with_the_parameters(self, tmp_path, overrides):
+        cfg = small_config(**overrides)
         path = save_checkpoint(init_params(cfg, seed=1), tmp_path / "model.bin")
-        with pytest.raises(ConfigError):
-            load_checkpoint(path, small_config(attention_activation="relu"))
+        assert load_checkpoint(path).config == cfg
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOTACKPT" + b"\x00" * 64)
         with pytest.raises(FormatError):
-            load_checkpoint(path, small_config())
+            load_checkpoint(path)
+
+    def test_truncation_anywhere_is_a_format_error(self, tmp_path):
+        raw = save_checkpoint(init_params(small_config(), seed=3), tmp_path / "model.bin").read_bytes()
+        cut = tmp_path / "cut.bin"
+        for n in range(len(raw)):
+            cut.write_bytes(raw[:n])
+            with pytest.raises(FormatError, match="cut.bin"):
+                load_checkpoint(cut)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = save_checkpoint(init_params(small_config(), seed=3), tmp_path / "model.bin")
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(FormatError, match="1 bytes after the last tensor"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("version", [0, 1, 3])
+    def test_other_versions_rejected(self, tmp_path, version):
+        path = save_checkpoint(init_params(small_config(), seed=3), tmp_path / "model.bin")
+        raw = path.read_bytes()
+        path.write_bytes(raw[:8] + struct.pack("<I", version) + raw[12:])
+        match = "carries no model config" if version == 1 else f"version {version}"
+        with pytest.raises(FormatError, match=match):
+            load_checkpoint(path)
+
+    def test_config_digest_mismatch(self, tmp_path):
+        cfg = small_config(attention_activation="tanh")
+        path = save_checkpoint(init_params(cfg, seed=1), tmp_path / "model.bin")
+        raw = path.read_bytes()
+        text = cfg.to_json().encode()
+        # same length, other activation, old digest kept
+        swapped = text.replace(b'"tanh"', b'"relu"')
+        path.write_bytes(_with_config_text(raw, swapped, digest=raw[12:44]))
+        with pytest.raises(FormatError, match="digest"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: doc.pop("pooling"),  # missing key
+            lambda doc: doc.update(dropout=0.5),  # unknown key
+            lambda doc: doc.update(encoder_dim=0),  # invalid value
+            lambda doc: doc.update(encoder_dim=3.0),  # not an integer
+            lambda doc: doc.update(fusion="gru"),  # unknown fusion
+        ],
+        ids=["missing-key", "unknown-key", "zero-width", "float-width", "unknown-fusion"],
+    )
+    def test_config_that_does_not_round_trip_rejected(self, tmp_path, edit):
+        cfg = small_config()
+        path = save_checkpoint(init_params(cfg, seed=1), tmp_path / "model.bin")
+        doc = json.loads(cfg.to_json())
+        edit(doc)
+        text = json.dumps(doc, sort_keys=True).encode()
+        path.write_bytes(_with_config_text(path.read_bytes(), text))
+        with pytest.raises(FormatError, match="model.bin"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "text", [b"not json", b"[1, 2]", b"\xff\xfe", None], ids=["junk", "list", "utf8", "spaced"]
+    )
+    def test_config_text_not_canonical_rejected(self, tmp_path, text):
+        cfg = small_config()
+        path = save_checkpoint(init_params(cfg, seed=1), tmp_path / "model.bin")
+        if text is None:  # the same config, not in canonical form
+            text = json.dumps(json.loads(cfg.to_json()), sort_keys=True, indent=1).encode()
+        path.write_bytes(_with_config_text(path.read_bytes(), text))
+        with pytest.raises(FormatError, match="model.bin"):
+            load_checkpoint(path)
+
+    def test_tensors_must_fit_the_config(self, tmp_path):
+        params = init_params(small_config(encoder_dim=3), seed=1)
+        path = save_checkpoint(params, tmp_path / "model.bin")
+        wider = small_config(encoder_dim=4).to_json().encode()
+        path.write_bytes(_with_config_text(path.read_bytes(), wider))
+        with pytest.raises(FormatError, match="do not match the model config"):
+            load_checkpoint(path)

@@ -234,9 +234,9 @@ class TestTrainOneSplit:
         real_forward = training.forward_bag
         real_step = Adam.step
 
-        def spy_forward(bag, params, cfg):
+        def spy_forward(bag, params):
             last_bag["pid"] = bag.patient_id
-            return real_forward(bag, params, cfg)
+            return real_forward(bag, params)
 
         def spy_step(self):
             stepped_pids.append(last_bag["pid"])
