@@ -187,6 +187,12 @@ def _load_checkpoints(ckpt_dir: Path) -> list[ModelParams]:
     return models
 
 
+def _archive_model(config: dict, cfg: ModelConfig, k: int) -> None:
+    """Replace the config file's model section and cluster k with what a stage used."""
+    config["model"] = {key: getattr(cfg, key) for key in config["model"]}
+    config["cluster"]["k"] = k
+
+
 def cmd_gen_data(args) -> int:
     config = load_config(args.config)
     if args.seed is not None:
@@ -264,6 +270,7 @@ def cmd_eval(args) -> int:
         mode=config["eval"]["mode"],
     )
     out = Path(args.out_dir)
+    _archive_model(config, models[0].config, cluster.k)
     write_resolved_config(config, out)
     write_report(report, out / "report.txt")
     write_curves(report, out)
@@ -329,6 +336,7 @@ def cmd_attn_map(args) -> int:
     if unknown:
         raise ConfigError(f"patient(s) not in this dataset: {', '.join(unknown)}")
     out = Path(args.out_dir)
+    _archive_model(config, models[0].config, models[0].config.n_clusters)
     write_resolved_config(config, out)
     all_records = []
     labels = [s.label for s in dataset.scales]

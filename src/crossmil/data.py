@@ -204,14 +204,16 @@ def split_train_test(dataset: Dataset, n_test_per_class: int) -> tuple[Dataset, 
 #
 # manifest.json: {"patients": [{patient_id, label, file, n_locations,
 #                               n_scales, dim, scale_labels}, ...]}
-# one CSV per patient: location_id,scale,x,y,e0,...,e{E-1}; one row per
-# (location, scale), locations ascending, so row (i, s) holds emb[i, s]
-# floats written with 17 significant digits (exact float64 round-trip)
+# one table per patient, columns location_id, scale, x, y, e0, ..., e{E-1};
+# one row per (location, scale), locations ascending, then scales 0..S-1,
+# so row i*S + s holds emb[i, s]. save_dataset writes it as a float64
+# <patient_id>.npy; load_dataset reads by the file's suffix: .npy, or .csv
+# with a header line naming the columns (the interchange format for
+# embeddings written by outside tools). Errors name .npy rows by array
+# index and CSV rows by file line.
 # signal_locations.json: {patient_id: [location_id, ...]}, synthetic only
 
-
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
+_EXACT_INT = 2.0**53  # ids are stored as float64, exact below this
 
 
 def save_dataset(dataset: Dataset, out_dir: str | Path) -> Path:
@@ -221,16 +223,19 @@ def save_dataset(dataset: Dataset, out_dir: str | Path) -> Path:
     labels = [s.label for s in dataset.scales]
     signal = {}
     for p in dataset:
-        fname = f"{p.patient_id}.csv"
+        fname = f"{p.patient_id}.npy"
         n, n_scales, dim = p.emb.shape
-        header = "location_id,scale,x,y," + ",".join(f"e{i}" for i in range(dim))
-        lines = [header]
-        for i in np.argsort(p.location_ids, kind="stable"):
-            x, y = p.xy[i].tolist()
-            for s in range(n_scales):
-                coords = f"{p.location_ids[i]},{s},{_fmt(x)},{_fmt(y)}"
-                lines.append(coords + "," + ",".join(_fmt(v) for v in p.emb[i, s].tolist()))
-        (out / fname).write_text("\n".join(lines) + "\n")
+        if np.abs(p.location_ids).max() >= _EXACT_INT:
+            raise ContractError(
+                f"patient {p.patient_id}: location ids must be below 2**53 in magnitude"
+            )
+        order = np.argsort(p.location_ids, kind="stable")
+        table = np.empty((n, n_scales, 4 + dim))
+        table[:, :, 0] = p.location_ids[order, None]
+        table[:, :, 1] = np.arange(n_scales)
+        table[:, :, 2:4] = p.xy[order, None]
+        table[:, :, 4:] = p.emb[order]
+        np.save(out / fname, table.reshape(n * n_scales, 4 + dim))
         entries.append(
             {
                 "patient_id": p.patient_id,
@@ -294,18 +299,23 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
         elif dim != first_dim:
             raise FormatError(f"patient {pid}: dim {dim} differs from dataset dim {first_dim}")
         entry_scales = tuple(ScaleId(i, lab) for i, lab in enumerate(entry["scale_labels"]))
+        if n_scales != len(entry_scales):
+            raise FormatError(
+                f"patient {pid}: n_scales {n_scales} but {len(entry_scales)} scale_labels"
+            )
         if scales is None:
             scales = entry_scales
         elif scales != entry_scales:
             raise FormatError(f"patient {pid}: scale_labels differ from previous patients")
         path = base / entry["file"]
+        if path.suffix not in _READERS:
+            raise FormatError(f"patient {pid}: {path.name} is neither a .npy nor a .csv file")
         if not path.exists():
             raise IntegrityError(f"patient {pid}: embedding file missing: {path}")
-        emb, location_ids, xy = _read_patient_csv(path, pid, dim, n_scales, len(entry_scales))
-        if len(emb) != entry["n_locations"]:
-            raise IntegrityError(
-                f"patient {pid}: manifest says {entry['n_locations']} locations, file has {len(emb)}"
-            )
+        read, first_row = _READERS[path.suffix]
+        table = read(path, pid, dim, n_scales)
+        n_locations = entry["n_locations"]
+        emb, location_ids, xy = _patient_arrays(table, pid, first_row, n_scales, n_locations)
         patients.append(
             PatientRecord(pid, label, emb, location_ids, xy, frozenset(signal.get(pid, ())))
         )
@@ -314,50 +324,110 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
     return Dataset(tuple(patients), scales)
 
 
-def _read_patient_csv(
-    path: Path, pid: str, dim: int, n_scales: int, n_scale_labels: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Parse one patient CSV into ``(emb (n, S, E), location_ids (n,), xy (n, 2))``."""
+def _read_npy(path: Path, pid: str, dim: int, n_scales: int) -> np.ndarray:
+    """One patient's ``(rows, 4 + dim)`` float64 table from a .npy file."""
+    with path.open("rb") as f:
+        try:
+            table = np.lib.format.read_array(f, allow_pickle=False)
+        except (ValueError, EOFError) as e:
+            raise FormatError(f"patient {pid}: {path.name} is not a readable .npy: {e}") from e
+        if f.read(1):
+            raise FormatError(f"patient {pid}: {path.name} has bytes after its array")
+    if table.dtype.str != "<f8" or table.shape[1:] != (4 + dim,):
+        raise FormatError(
+            f"patient {pid}: {path.name} holds a {table.dtype.str} array of shape {table.shape}, "
+            f"expected <f8 of shape (rows, {4 + dim})"
+        )
+    return table
+
+
+def _read_csv(path: Path, pid: str, dim: int, n_scales: int) -> np.ndarray:
+    """One patient's ``(rows, 4 + dim)`` float64 table parsed from a CSV file."""
     lines = path.read_text().splitlines()
     expected = "location_id,scale,x,y," + ",".join(f"e{i}" for i in range(dim))
     if not lines or lines[0] != expected:
         raise FormatError(f"patient {pid}: unexpected CSV header in {path.name}")
-    # row_of[location][scale] = index of that row in ``table`` (columns x, y, e0, ...)
-    row_of: dict[int, dict[int, int]] = {}
-    table = np.empty((len(lines) - 1, 2 + dim))
+    table = np.empty((len(lines) - 1, 4 + dim))
     for r, line in enumerate(lines[1:]):
-        ln = r + 2
         parts = line.split(",")
+        problem = None
         if len(parts) != 4 + dim:
-            raise FormatError(f"patient {pid}: row {ln} has {len(parts)} fields, expected {4 + dim}")
-        try:
-            loc, s = int(parts[0]), int(parts[1])
-            table[r] = [float(v) for v in parts[2:]]
-        except ValueError as e:
-            raise FormatError(f"patient {pid}: row {ln} does not parse: {e}") from e
-        if not 0 <= s < n_scale_labels:
-            raise IntegrityError(f"patient {pid}: row {ln} names unknown scale {s}")
-        slot = row_of.setdefault(loc, {})
-        if s in slot:
-            raise IntegrityError(f"patient {pid}: duplicate entry for (location {loc}, scale {s})")
-        slot[s] = r
-    bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
-    if len(bad):
-        raise FormatError(f"patient {pid}: row {bad[0] + 2} holds a non-finite value")
+            problem = f"has {len(parts)} fields, expected {4 + dim}"
+        else:
+            try:
+                table[r, :2] = int(parts[0]), int(parts[1])
+                table[r, 2:] = [float(v) for v in parts[2:]]
+            except (ValueError, OverflowError) as e:
+                problem = f"does not parse: {e}"
+        if problem is not None:
+            # earlier rows' id errors come first, so the first bad row is the one named
+            _row_ids(table[:r], pid, _CSV_FIRST_ROW, n_scales)
+            raise FormatError(f"patient {pid}: row {r + _CSV_FIRST_ROW} {problem}")
+    return table
 
-    location_ids = np.array(sorted(row_of), dtype=np.int64)
-    for loc in location_ids.tolist():
-        missing = [s for s in range(n_scales) if s not in row_of[loc]]
-        if missing:
-            raise IntegrityError(f"patient {pid}: location {loc} is missing scale(s) {missing}")
-    rows = np.array(
-        [[row_of[loc][s] for s in range(n_scales)] for loc in location_ids.tolist()], dtype=np.int64
-    ).reshape(len(location_ids), n_scales)
-    xy = table[rows, :2]  # (n, S, 2): one coordinate pair per scale row
+
+_CSV_FIRST_ROW = 2  # line 1 is the header
+_READERS = {".npy": (_read_npy, 0), ".csv": (_read_csv, _CSV_FIRST_ROW)}
+
+
+def _row_ids(table: np.ndarray, pid: str, first_row: int, n_scales: int) -> np.ndarray:
+    """The ``(rows, 2)`` int64 (location, scale) ids of a table.
+
+    Rejects, at the first offending row, ids that are not integers, an
+    unknown scale and a repeated (location, scale) pair.
+    """
+    ids = table[:, :2]
+    exact = np.isfinite(ids) & (ids == np.trunc(ids)) & (np.abs(ids) < _EXACT_INT)
+    bad = np.flatnonzero(~exact.all(axis=1))
+    if len(bad):
+        raise FormatError(
+            f"patient {pid}: row {bad[0] + first_row} has a location id or scale that is "
+            "not an integer below 2**53"
+        )
+    ids = ids.astype(np.int64)
+    unknown = (ids[:, 1] < 0) | (ids[:, 1] >= n_scales)
+    order = np.lexsort((ids[:, 1], ids[:, 0]))  # stable: a repeat sorts after its first row
+    repeat = np.zeros(len(ids), dtype=bool)
+    repeat[order[1:][(ids[order[1:]] == ids[order[:-1]]).all(axis=1)]] = True
+    bad = np.flatnonzero(unknown | repeat)
+    if len(bad):
+        loc, s = ids[bad[0]].tolist()
+        problem = f"names unknown scale {s}" if unknown[bad[0]] else "is a duplicate entry"
+        raise IntegrityError(
+            f"patient {pid}: row {bad[0] + first_row} {problem} for (location {loc}, scale {s})"
+        )
+    return ids
+
+
+def _patient_arrays(
+    table: np.ndarray, pid: str, first_row: int, n_scales: int, n_locations: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Check one patient's table and build ``(emb (n, S, E), location_ids (n,), xy (n, 2))``.
+
+    Both readers end here, so a .npy and a CSV face the same checks.
+    """
+    ids = _row_ids(table, pid, first_row, n_scales)
+    bad = np.flatnonzero(~np.isfinite(table[:, 2:]).all(axis=1))
+    if len(bad):
+        raise FormatError(f"patient {pid}: row {bad[0] + first_row} holds a non-finite value")
+    location_ids, location = np.unique(ids[:, 0], return_inverse=True)
+    rows = np.full((len(location_ids), n_scales), -1, dtype=np.int64)
+    rows[location, ids[:, 1]] = np.arange(len(ids))
+    incomplete = np.flatnonzero((rows < 0).any(axis=1))
+    if len(incomplete):
+        i = incomplete[0]
+        raise IntegrityError(
+            f"patient {pid}: location {location_ids[i]} is missing scale(s) "
+            f"{np.flatnonzero(rows[i] < 0).tolist()}"
+        )
+    xy = table[rows, 2:4]  # (n, S, 2): one coordinate pair per scale row
     inconsistent = np.flatnonzero((xy != xy[:, :1]).any(axis=(1, 2)))
     if len(inconsistent):
         raise IntegrityError(
             f"patient {pid}: location {location_ids[inconsistent[0]]} has inconsistent coordinates"
         )
-    emb = np.ascontiguousarray(table[rows, 2:])
-    return emb, location_ids, np.ascontiguousarray(xy[:, 0])
+    if len(location_ids) != n_locations:
+        raise IntegrityError(
+            f"patient {pid}: manifest says {n_locations} locations, file has {len(location_ids)}"
+        )
+    return np.ascontiguousarray(table[rows, 4:]), location_ids, np.ascontiguousarray(xy[:, 0])

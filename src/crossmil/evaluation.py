@@ -63,31 +63,20 @@ def average_precision(scores, labels) -> float:
     n_pos = int(y.sum())
     if n_pos == 0:
         raise MetricError("average precision needs at least one positive")
-    ap = 0.0
-    prev_recall = 0.0
-    for _, tp, fp in _threshold_counts(s, y):
-        precision = tp / (tp + fp)
-        recall = tp / n_pos
-        ap += (recall - prev_recall) * precision
-        prev_recall = recall
-    return ap
+    tp, fp = _threshold_counts(s, y)
+    recall = tp / n_pos
+    terms = np.diff(recall, prepend=0.0) * (tp / (tp + fp))
+    # a running sum adds the terms in threshold order, as a loop would
+    return float(np.cumsum(terms)[-1])
 
 
-def _threshold_counts(s: np.ndarray, y: np.ndarray):
-    """Yield (threshold, tp, fp) at each distinct descending score."""
+def _threshold_counts(s: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cumulative (tp, fp) at each distinct score, scores descending."""
     order = np.argsort(-s, kind="stable")
-    tp = fp = 0
-    i = 0
-    while i < len(s):
-        j = i
-        while j < len(s) and s[order[j]] == s[order[i]]:
-            if y[order[j]] == 1:
-                tp += 1
-            else:
-                fp += 1
-            j += 1
-        yield float(s[order[i]]), tp, fp
-        i = j
+    ranked = s[order]
+    ends = np.flatnonzero(np.append(ranked[1:] != ranked[:-1], True))  # last of each tie group
+    tp = np.cumsum(y[order])[ends]
+    return tp, ends + 1 - tp
 
 
 def roc_points(scores, labels) -> list[tuple[float, float]]:
@@ -96,10 +85,8 @@ def roc_points(scores, labels) -> list[tuple[float, float]]:
     n_neg = len(y) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise MetricError("ROC needs both classes present")
-    points = [(0.0, 0.0)]
-    for _, tp, fp in _threshold_counts(s, y):
-        points.append((fp / n_neg, tp / n_pos))
-    return points
+    tp, fp = _threshold_counts(s, y)
+    return [(0.0, 0.0), *zip((fp / n_neg).tolist(), (tp / n_pos).tolist())]
 
 
 def pr_points(scores, labels) -> list[tuple[float, float]]:
@@ -107,7 +94,8 @@ def pr_points(scores, labels) -> list[tuple[float, float]]:
     n_pos = int(y.sum())
     if n_pos == 0:
         raise MetricError("PR curve needs at least one positive")
-    return [(tp / n_pos, tp / (tp + fp)) for _, tp, fp in _threshold_counts(s, y)]
+    tp, fp = _threshold_counts(s, y)
+    return list(zip((tp / n_pos).tolist(), (tp / (tp + fp)).tolist()))
 
 
 @dataclass(frozen=True)

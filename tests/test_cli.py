@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import to_csv_store
 
 from crossmil.checkpoint import load_checkpoint, save_checkpoint
 from crossmil.cli import _load_checkpoints, main, model_config
@@ -108,16 +109,15 @@ class TestCluster:
         root, c = workspace
         data = tmp_path / "train"
         shutil.copytree(root / "data/train", data)
-        csv = data / "pos001.csv"
-        lines = csv.read_text().splitlines()
-        lines[3] = lines[3].rsplit(",", 1)[0] + ",nan"
-        csv.write_text("\n".join(lines) + "\n")
+        table = np.load(data / "pos001.npy")
+        table[3, -1] = np.nan
+        np.save(data / "pos001.npy", table)
         code = main([
             "cluster", "--config", c, "--data", str(data / "manifest.json"),
             "--out-dir", str(tmp_path / "clust"), "--seed", "3",
         ])
         assert code == 2
-        assert "pos001: row 4" in capsys.readouterr().err
+        assert "pos001: row 3" in capsys.readouterr().err
         assert not (tmp_path / "clust/cluster_model.json").exists()
 
     @pytest.mark.parametrize("key", ["dim", "file", "patient_id"])
@@ -220,6 +220,15 @@ class TestEval:
         _, scored = evaluate(models, test, cluster, bag_size=4, seed=3)
         expected = write_scores(scored, tmp_path / "expected.csv")
         assert (tmp_path / "eval/scores.csv").read_bytes() == expected.read_bytes()
+
+    def test_resolved_config_archives_the_checkpoints_model(self, workspace, concat_ckpt, tmp_path):
+        root, c = workspace
+        assert run_eval(root, c, concat_ckpt, tmp_path / "eval") == 0
+        archived = json.loads((tmp_path / "eval/resolved_config.json").read_text())
+        trained = json.loads((concat_ckpt / "resolved_config.json").read_text())
+        assert archived["model"]["fusion"] == "concat"
+        assert archived["model"] == trained["model"]
+        assert archived["cluster"]["k"] == 3
 
     def test_single_scale_checkpoints_evaluate_without_model_flags(self, workspace, tmp_path):
         root, c = workspace
@@ -382,6 +391,8 @@ class TestAttnMap:
                 "--ckpt-dir", str(root / "ckpt"), "--out-dir", str(out), "--seed", "3",
             ]) == 0
             outputs.append((out / "attention_records.csv").read_bytes())
+            archived = json.loads((out / "resolved_config.json").read_text())
+            assert archived["model"]["encoder_dim"] == 8 and archived["cluster"]["k"] == 3
         assert outputs[0] == outputs[1]
 
     def test_unknown_patient_named_in_error(self, workspace, tmp_path, capsys):
@@ -408,6 +419,32 @@ class TestAttnMap:
                 {f.name: f.read_bytes() for f in sorted(out.iterdir())}
             )
         assert outputs[0] == outputs[1]
+
+
+def test_csv_dataset_and_its_npy_twin_give_identical_outputs(workspace, tmp_path):
+    root, c = workspace
+    shutil.copytree(root / "data", tmp_path / "csv")
+    for part in ("train", "test"):
+        to_csv_store(tmp_path / "csv" / part / "manifest.json")
+    assert {f.suffix for f in (tmp_path / "csv/train").iterdir()} == {".csv", ".json"}
+    trees = {}
+    for store, data in (("npy", root / "data"), ("csv", tmp_path / "csv")):
+        out = tmp_path / f"out_{store}"
+        common = ["--config", c, "--seed", "3"]
+        train, test = str(data / "train/manifest.json"), str(data / "test/manifest.json")
+        clust, ckpt = str(out / "cluster/cluster_model.json"), str(out / "train")
+        for argv in (
+            ["cluster", "--data", train, "--out-dir", str(out / "cluster")],
+            ["train", "--data", train, "--cluster", clust, "--out-dir", ckpt],
+            ["eval", "--data", test, "--cluster", clust, "--ckpt-dir", ckpt,
+             "--out-dir", str(out / "eval")],
+            ["attn-map", "--data", test, "--ckpt-dir", ckpt, "--out-dir", str(out / "maps")],
+        ):
+            assert main([*argv, *common]) == 0
+        files = [f for f in out.rglob("*") if f.is_file()]
+        trees[store] = {f.relative_to(out).as_posix(): f.read_bytes() for f in files}
+    assert len(trees["npy"]) > 10
+    assert trees["csv"] == trees["npy"]
 
 
 # Runs gen-data -> cluster -> train -> attn-map in one child process.

@@ -1,7 +1,9 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
+from helpers import to_csv_store
 
 from crossmil.data import (
     background_prototypes,
@@ -145,6 +147,10 @@ class TestDiskFormat:
             SyntheticSpec(n_patients_per_class=2, n_locations=4, dim=5, seed=21)
         )
 
+    @pytest.fixture
+    def csv_manifest(self, dataset, tmp_path):
+        return to_csv_store(save_dataset(dataset, tmp_path))
+
     def test_round_trip(self, dataset, tmp_path):
         manifest = save_dataset(dataset, tmp_path / "ds")
         assert datasets_equal(load_dataset(manifest), dataset)
@@ -161,24 +167,14 @@ class TestDiskFormat:
         manifest = save_dataset(Dataset((), default_scales(3)), tmp_path)
         assert json.loads(manifest.read_text()) == {"patients": []}
 
-    def test_per_scale_row_counts_equal(self, dataset, tmp_path):
-        save_dataset(dataset, tmp_path)
-        for p in dataset:
-            rows = (tmp_path / f"{p.patient_id}.csv").read_text().splitlines()[1:]
-            counts = {}
-            for row in rows:
-                s = row.split(",")[1]
-                counts[s] = counts.get(s, 0) + 1
-            assert len(set(counts.values())) == 1 and len(counts) == 3
-
-    def test_missing_embedding_file(self, dataset, tmp_path):
-        manifest = save_dataset(dataset, tmp_path)
+    def test_missing_embedding_file(self, csv_manifest, tmp_path):
+        manifest = csv_manifest
         (tmp_path / "neg001.csv").unlink()
         with pytest.raises(IntegrityError, match="neg001"):
             load_dataset(manifest)
 
-    def test_missing_scale_names_patient_and_location(self, dataset, tmp_path):
-        manifest = save_dataset(dataset, tmp_path)
+    def test_missing_scale_names_patient_and_location(self, csv_manifest, tmp_path):
+        manifest = csv_manifest
         csv = tmp_path / "pos000.csv"
         lines = csv.read_text().splitlines()
         # drop the scale-1 row of location 2
@@ -195,8 +191,8 @@ class TestDiskFormat:
         with pytest.raises(FormatError):
             load_dataset(manifest)
 
-    def test_unparseable_row_is_a_format_error(self, dataset, tmp_path):
-        manifest = save_dataset(dataset, tmp_path)
+    def test_unparseable_row_is_a_format_error(self, csv_manifest, tmp_path):
+        manifest = csv_manifest
         csv = tmp_path / "neg000.csv"
         lines = csv.read_text().splitlines()
         lines[1] = lines[1].replace(",", ",oops,", 1).rsplit(",", 1)[0]
@@ -214,23 +210,30 @@ class TestDiskFormat:
         with pytest.raises(FormatError, match="pos001"):
             load_dataset(manifest)
 
-    def test_duplicate_row_rejected(self, dataset, tmp_path):
-        manifest = save_dataset(dataset, tmp_path)
+    def test_duplicate_row_rejected(self, csv_manifest, tmp_path):
+        manifest = csv_manifest
         csv = tmp_path / "neg000.csv"
         lines = csv.read_text().splitlines()
         csv.write_text("\n".join(lines + [lines[1]]) + "\n")
         with pytest.raises(IntegrityError, match="duplicate"):
             load_dataset(manifest)
 
-    def test_clinical_shaped_width_loads(self, tmp_path):
+    @pytest.mark.parametrize("store", ["npy", "csv"])
+    def test_clinical_shaped_width_loads(self, tmp_path, store):
         # 2048-channel rows, the width real embedding extractors emit
         ds = Dataset(
             (patient("case0", 0, dim=2048), patient("case1", 1, dim=2048)),
             default_scales(3),
         )
         manifest = save_dataset(ds, tmp_path)
+        if store == "csv":
+            to_csv_store(manifest)
         loaded = load_dataset(manifest)
         assert loaded.dim == 2048 and datasets_equal(loaded, ds)
+        if store == "npy":
+            save_dataset(loaded, tmp_path / "again")
+            for name in ("case0.npy", "case1.npy", "manifest.json"):
+                assert (tmp_path / name).read_bytes() == (tmp_path / "again" / name).read_bytes()
 
     def test_signal_ground_truth_round_trips(self, tmp_path):
         ds = generate_synthetic(SyntheticSpec(n_patients_per_class=2, n_locations=6, seed=9))
@@ -239,8 +242,8 @@ class TestDiskFormat:
             assert p.signal_locations == q.signal_locations
 
     @pytest.mark.parametrize("column, value", [(2, "nan"), (3, "inf"), (6, "-inf")])
-    def test_non_finite_value_names_patient_and_row(self, dataset, tmp_path, column, value):
-        manifest = save_dataset(dataset, tmp_path)
+    def test_non_finite_value_names_patient_and_row(self, csv_manifest, tmp_path, column, value):
+        manifest = csv_manifest
         csv = tmp_path / "pos001.csv"
         lines = csv.read_text().splitlines()
         parts = lines[4].split(",")
@@ -256,6 +259,155 @@ class TestDiskFormat:
         doc["patients"][1]["patient_id"] = doc["patients"][0]["patient_id"]
         manifest.write_text(json.dumps(doc))
         with pytest.raises(FormatError, match="neg000.*more than once"):
+            load_dataset(manifest)
+
+
+def _edit_table(fn):
+    """A file edit that saves fn(table) back as pos001's .npy."""
+
+    def edit(path):
+        np.save(path, fn(np.load(path)))
+
+    return edit
+
+
+def _set(row, column, value):
+    def fn(table):
+        table[row, column] = value
+        return table
+
+    return _edit_table(fn)
+
+
+def _write_bytes(fn):
+    return lambda path: path.write_bytes(fn(path.read_bytes()))
+
+
+def _save_object_array(path):
+    np.save(path, np.load(path).astype(object), allow_pickle=True)
+
+
+MALFORMED_NPY = {
+    "truncated data": (_write_bytes(lambda b: b[:-8]), FormatError, "not a readable .npy"),
+    "truncated header": (_write_bytes(lambda b: b[:20]), FormatError, "not a readable .npy"),
+    "trailing bytes": (_write_bytes(lambda b: b + b"\0"), FormatError, "bytes after"),
+    "pickle": (_write_bytes(pickle.dumps), FormatError, "not a readable .npy"),
+    "object array": (_save_object_array, FormatError, "not a readable .npy"),
+    "int64": (_edit_table(lambda t: t.astype(np.int64)), FormatError, "<i8"),
+    "float32": (_edit_table(lambda t: t.astype(np.float32)), FormatError, "<f4"),
+    "big-endian": (_edit_table(lambda t: t.astype(">f8")), FormatError, ">f8"),
+    "1-D": (_edit_table(lambda t: t.ravel()), FormatError, r"shape \(108,\)"),
+    "wrong width": (_edit_table(lambda t: t[:, :-1]), FormatError, r"shape \(12, 8\)"),
+    "fractional location id": (_set(2, 0, 1.5), FormatError, "row 2 .*not an integer"),
+    "nan scale": (_set(2, 1, np.nan), FormatError, "row 2 .*not an integer"),
+    "huge location id": (_set(2, 0, 2.0**60), FormatError, "row 2 .*not an integer"),
+    "non-finite value": (_set(5, 7, np.inf), FormatError, "row 5 holds a non-finite"),
+    "non-finite coordinate": (_set(6, 2, np.nan), FormatError, "row 6 holds a non-finite"),
+    "unknown scale": (_set(4, 1, 3.0), IntegrityError, "row 4 names unknown scale 3"),
+    "negative scale": (_set(4, 1, -1.0), IntegrityError, "row 4 names unknown scale -1"),
+    "duplicate": (
+        _set(3, 0, 0.0), IntegrityError, r"row 3 is a duplicate .*\(location 0, scale 0\)"
+    ),
+    "missing scale": (_edit_table(lambda t: np.delete(t, 4, axis=0)), IntegrityError,
+                      r"location 1 is missing scale\(s\) \[1\]"),
+    "inconsistent coordinates": (_set(4, 3, 0.0), IntegrityError, "location 1 has inconsistent"),
+    "fewer locations than the manifest": (_edit_table(lambda t: t[:-3]), IntegrityError,
+                                          "manifest says 4 locations, file has 3"),
+}
+
+
+class TestNpyStore:
+    @pytest.fixture
+    def dataset(self):
+        return generate_synthetic(
+            SyntheticSpec(n_patients_per_class=2, n_locations=4, dim=5, seed=21)
+        )
+
+    def test_table_holds_the_csv_rows_in_csv_order(self, dataset, tmp_path):
+        save_dataset(dataset, tmp_path)
+        p = dataset.patient("pos001")
+        table = np.load(tmp_path / "pos001.npy", allow_pickle=False)
+        assert table.dtype.str == "<f8" and table.shape == (4 * 3, 4 + 5)
+        np.testing.assert_array_equal(table[:, 0], np.repeat(p.location_ids, 3))
+        np.testing.assert_array_equal(table[:, 1], np.tile(np.arange(3), 4))
+        np.testing.assert_array_equal(table[:, 2:4], np.repeat(p.xy, 3, axis=0))
+        np.testing.assert_array_equal(table[:, 4:], p.emb.reshape(12, 5))
+
+    def test_locations_saved_ascending(self, tmp_path):
+        emb = np.arange(3 * 2 * 2, dtype=np.float64).reshape(3, 2, 2)
+        xy = np.array([[0.0, 5.0], [1.0, 2.0], [2.0, 9.0]])
+        ds = Dataset(
+            (PatientRecord("case0", 0, emb, np.array([5, 2, 9]), xy),), default_scales(2)
+        )
+        loaded = load_dataset(save_dataset(ds, tmp_path)).patient("case0")
+        np.testing.assert_array_equal(loaded.location_ids, [2, 5, 9])
+        np.testing.assert_array_equal(loaded.emb, emb[[1, 0, 2]])
+        np.testing.assert_array_equal(loaded.xy, xy[[1, 0, 2]])
+
+    def test_location_id_beyond_float64_integers_rejected_on_save(self, tmp_path):
+        ds = Dataset(
+            (PatientRecord("case0", 0, np.zeros((1, 3, 2)), np.array([2**60]), np.zeros((1, 2))),),
+            default_scales(3),
+        )
+        with pytest.raises(ContractError, match="case0"):
+            save_dataset(ds, tmp_path)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_NPY))
+    def test_malformed_table_is_a_typed_error_naming_the_patient(self, dataset, tmp_path, case):
+        edit, error, message = MALFORMED_NPY[case]
+        manifest = save_dataset(dataset, tmp_path)
+        edit(tmp_path / "pos001.npy")
+        with pytest.raises(error, match=f"patient pos001: .*{message}"):
+            load_dataset(manifest)
+
+    def test_unknown_suffix_is_a_format_error(self, dataset, tmp_path):
+        manifest = save_dataset(dataset, tmp_path)
+        (tmp_path / "pos001.npy").rename(tmp_path / "pos001.txt")
+        doc = json.loads(manifest.read_text())
+        for entry in doc["patients"]:
+            if entry["patient_id"] == "pos001":
+                entry["file"] = "pos001.txt"
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="patient pos001: pos001.txt"):
+            load_dataset(manifest)
+
+    def test_n_scales_must_match_scale_labels(self, dataset, tmp_path):
+        manifest = save_dataset(dataset, tmp_path)
+        doc = json.loads(manifest.read_text())
+        doc["patients"][0]["n_scales"] = 2
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="neg000: n_scales 2 but 3 scale_labels"):
+            load_dataset(manifest)
+
+    def test_mixed_csv_and_npy_manifest_loads_the_same_arrays(self, dataset, tmp_path):
+        npy_manifest = save_dataset(dataset, tmp_path / "npy")
+        csv_manifest = to_csv_store(save_dataset(dataset, tmp_path / "csv"))
+        doc = json.loads(npy_manifest.read_text())
+        for entry in doc["patients"]:
+            if entry["label"] == 1:
+                csv = entry["patient_id"] + ".csv"
+                (tmp_path / "npy" / csv).write_bytes((tmp_path / "csv" / csv).read_bytes())
+                entry["file"] = csv
+        mixed = tmp_path / "npy/mixed.json"
+        mixed.write_text(json.dumps(doc))
+        assert {e["file"][-4:] for e in doc["patients"]} == {".csv", ".npy"}
+        reference = load_dataset(npy_manifest)
+        assert datasets_equal(load_dataset(mixed), reference)
+        assert datasets_equal(load_dataset(csv_manifest), reference)
+
+    def test_csv_id_errors_in_earlier_rows_come_before_a_parse_error(self, dataset, tmp_path):
+        manifest = to_csv_store(save_dataset(dataset, tmp_path))
+        csv = tmp_path / "pos001.csv"
+        lines = csv.read_text().splitlines()
+        row4 = lines[3]
+        lines[3] = "0,7" + row4[3:]  # row 4: scale 7
+        lines[5] = lines[5] + ",extra"  # row 6: too many fields
+        csv.write_text("\n".join(lines) + "\n")
+        with pytest.raises(IntegrityError, match="pos001: row 4 names unknown scale 7"):
+            load_dataset(manifest)
+        lines[3] = row4
+        csv.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match="pos001: row 6 has 10 fields, expected 9"):
             load_dataset(manifest)
 
 

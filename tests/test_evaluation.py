@@ -108,6 +108,63 @@ class TestAveragePrecision:
         assert average_precision([0.5, 0.5], [1, 0]) == 0.5
 
 
+def threshold_loop(scores, labels):
+    """(tp, fp) at each distinct descending score, counted one item at a time."""
+    order = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
+    s = [float(scores[i]) for i in order]
+    y = [int(labels[i]) for i in order]
+    counts = []
+    tp = fp = 0
+    for i in range(len(s)):
+        tp, fp = tp + y[i], fp + 1 - y[i]
+        if i + 1 == len(s) or s[i + 1] != s[i]:
+            counts.append((tp, fp))
+    return counts
+
+
+def average_precision_loop(scores, labels):
+    """The step-interpolated AP as a loop over thresholds."""
+    n_pos = sum(int(v) for v in labels)
+    ap = prev_recall = 0.0
+    for tp, fp in threshold_loop(scores, labels):
+        ap += (tp / n_pos - prev_recall) * (tp / (tp + fp))
+        prev_recall = tp / n_pos
+    return ap
+
+
+# few distinct values make heavy ties; the floats cover sums that round
+tied_scores = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+any_scores = st.floats(0.0, 1.0, allow_nan=False)
+
+
+class TestAgainstLoops:
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_metrics_and_curves_match_the_loops_bit_for_bit(self, data):
+        n = data.draw(st.integers(2, 60))
+        drawn = st.lists(st.one_of(tied_scores, any_scores), min_size=n, max_size=n)
+        scores = np.array(data.draw(drawn))
+        labels = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+        labels[0], labels[1] = 1, 0
+        n_pos, n_neg = int(labels.sum()), int(n - labels.sum())
+        counts = threshold_loop(scores, labels)
+        assert average_precision(scores, labels) == average_precision_loop(scores, labels)
+        roc = [(0.0, 0.0)] + [(fp / n_neg, tp / n_pos) for tp, fp in counts]
+        assert roc_points(scores, labels) == roc
+        assert pr_points(scores, labels) == [(tp / n_pos, tp / (tp + fp)) for tp, fp in counts]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(tied_scores, min_size=1, max_size=40), st.data())
+    def test_all_tied_and_single_class_negatives(self, scores, data):
+        labels = data.draw(st.lists(st.integers(0, 1), min_size=len(scores), max_size=len(scores)))
+        labels[0] = 1
+        assert average_precision(scores, labels) == average_precision_loop(scores, labels)
+
+    def test_curve_points_are_python_floats(self):
+        pts = roc_points([0.9, 0.1, 0.5], [1, 0, 1]) + pr_points([0.9, 0.1, 0.5], [1, 0, 1])
+        assert all(type(v) is float for pt in pts for v in pt)
+
+
 class TestCurves:
     def test_roc_endpoints_and_monotonicity(self):
         rng = np.random.default_rng(2)
