@@ -5,9 +5,12 @@ eagerly, each operation records its parents plus a closure that maps the
 output gradient back onto them, and ``backward`` walks the recorded
 graph once in reverse topological order. Broadcasting is deliberately
 restricted to scalar-with-tensor and equal shapes so that shape bugs
-fail loudly instead of silently fanning out; the few broadcasts a batch
-of instances needs are named ops (``add_bias``, ``mul_row``,
-``masked_softmax``) that check their own shapes.
+fail loudly instead of silently fanning out.
+
+The primitives below serve small graphs and the tests' reference
+forward. A whole model layer is one ``custom_op`` instead: its caller
+computes the value with numpy kernels (``softmax_array`` and friends are
+shared with the primitives) and writes the backward by hand.
 """
 
 from __future__ import annotations
@@ -45,10 +48,7 @@ class Tensor:
         arr = np.asarray(data, dtype=np.float64)
         if not arr.flags.c_contiguous:
             arr = np.ascontiguousarray(arr)
-        # a single reduction: any NaN/Inf makes the sum non-finite
-        if not math.isfinite(arr.sum()):
-            raise DomainError(f"non-finite values in result of '{_op}'")
-        self.data = arr
+        self.data = check_finite(arr, _op)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in _parents)
         self.nid = next(_node_ids)
@@ -113,6 +113,29 @@ class Tensor:
     @property
     def T(self) -> "Tensor":
         return transpose(self)
+
+
+def check_finite(arr: np.ndarray, op: str) -> np.ndarray:
+    """Return ``arr``, or raise a DomainError naming ``op`` if it holds a NaN or Inf."""
+    # a single reduction: any NaN/Inf makes the sum non-finite
+    if not math.isfinite(np.add.reduce(arr, axis=None)):
+        raise DomainError(f"non-finite values in result of '{op}'")
+    return arr
+
+
+def custom_op(
+    op: str,
+    value: np.ndarray,
+    parents: tuple[Tensor, ...],
+    grad_fn: Callable[[np.ndarray], tuple[np.ndarray | None, ...]],
+) -> Tensor:
+    """One graph node whose value and backward the caller computes.
+
+    ``grad_fn(g)`` maps the gradient of ``value`` to one gradient per
+    parent, in order; it may return None for a parent whose
+    ``requires_grad`` is false.
+    """
+    return Tensor(value, _parents=parents, _grad_fn=grad_fn, _op=op)
 
 
 def _wrap(value) -> Tensor:
@@ -211,14 +234,19 @@ def relu(x) -> Tensor:
     return Tensor(np.maximum(x.data, 0.0), _parents=(x,), _grad_fn=grad_fn, _op="relu")
 
 
+def sigmoid_array(x: np.ndarray) -> np.ndarray:
+    # split on sign so neither branch exponentiates a large positive value
+    pos = x >= 0
+    y = np.empty_like(x)
+    y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ez = np.exp(x[~pos])
+    y[~pos] = ez / (1.0 + ez)
+    return y
+
+
 def sigmoid(x) -> Tensor:
     x = _wrap(x)
-    # split on sign so neither branch exponentiates a large positive value
-    pos = x.data >= 0
-    y = np.empty_like(x.data)
-    y[pos] = 1.0 / (1.0 + np.exp(-x.data[pos]))
-    ez = np.exp(x.data[~pos])
-    y[~pos] = ez / (1.0 + ez)
+    y = sigmoid_array(x.data)
 
     def grad_fn(g):
         return (g * y * (1.0 - y),)
@@ -258,12 +286,21 @@ def _check_axis(x: Tensor, axis: int, op: str) -> int:
     return axis
 
 
+def softmax_array(x: np.ndarray, axis: int) -> np.ndarray:
+    shifted = x - x.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def log_softmax_array(x: np.ndarray, axis: int) -> np.ndarray:
+    shifted = x - x.max(axis=axis, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+
+
 def softmax(x, axis: int = 0) -> Tensor:
     x = _wrap(x)
     axis = _check_axis(x, axis, "softmax")
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = softmax_array(x.data, axis)
 
     def grad_fn(g):
         inner = (g * y).sum(axis=axis, keepdims=True)
@@ -275,8 +312,7 @@ def softmax(x, axis: int = 0) -> Tensor:
 def log_softmax(x, axis: int = 0) -> Tensor:
     x = _wrap(x)
     axis = _check_axis(x, axis, "log_softmax")
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    y = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    y = log_softmax_array(x.data, axis)
 
     def grad_fn(g):
         return (g - np.exp(y) * g.sum(axis=axis, keepdims=True),)
@@ -350,88 +386,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         _grad_fn=grad_fn,
         _op="concat",
     )
-
-
-def add_bias(x, b) -> Tensor:
-    """x (r, c) plus the column b (r, 1) added to each of its c columns."""
-    x, b = _wrap(x), _wrap(b)
-    if x.data.ndim != 2 or b.shape != (x.shape[0], 1):
-        raise DimensionError(f"add_bias: bias {b.shape} is not an (r, 1) column for {x.shape}")
-
-    def grad_fn(g):
-        return g, g.sum(axis=1, keepdims=True)
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        return Tensor(x.data + b.data, _parents=(x, b), _grad_fn=grad_fn, _op="add_bias")
-
-
-def mul_row(x, a) -> Tensor:
-    """x (r, n) with column i scaled by a[0, i], for a row a of shape (1, n)."""
-    x, a = _wrap(x), _wrap(a)
-    if x.data.ndim != 2 or a.shape != (1, x.shape[1]):
-        raise DimensionError(f"mul_row: {a.shape} is not a (1, n) row for {x.shape}")
-
-    def grad_fn(g):
-        return g * a.data, (g * x.data).sum(axis=0, keepdims=True)
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        return Tensor(x.data * a.data, _parents=(x, a), _grad_fn=grad_fn, _op="mul_row")
-
-
-def take_row(x, i: int) -> Tensor:
-    """Row i of a 2-d tensor, as a (1, n) row."""
-    x = _wrap(x)
-    if x.data.ndim != 2 or not 0 <= i < x.shape[0]:
-        raise DimensionError(f"take_row: row {i} invalid for shape {x.shape}")
-
-    def grad_fn(g):
-        full = np.zeros_like(x.data)
-        full[i] = g[0]
-        return (full,)
-
-    return Tensor(x.data[i : i + 1], _parents=(x,), _grad_fn=grad_fn, _op="take_row")
-
-
-def masked_softmax(x, mask: np.ndarray) -> Tensor:
-    """Softmax of the logits row x (1, n) within each row of a (K, n) mask.
-
-    Row k of the (K, n) result holds the softmax of x over the columns
-    where ``mask[k]`` is true and zeros elsewhere; a row with no true
-    entry is all zeros and passes no gradient back.
-    """
-    x = _wrap(x)
-    mask = np.asarray(mask)
-    if mask.dtype != np.bool_:
-        raise ContractError(f"masked_softmax: mask must be boolean, got {mask.dtype}")
-    if x.data.ndim != 2 or x.shape[0] != 1 or mask.ndim != 2 or mask.shape[1] != x.shape[1]:
-        raise DimensionError(
-            f"masked_softmax: logits {x.shape} are not a (1, n) row for a (K, n) mask {mask.shape}"
-        )
-    masked = np.where(mask, x.data, -np.inf)
-    top = masked.max(axis=1, keepdims=True)
-    top[~mask.any(axis=1)] = 0.0  # empty rows: exp(-inf) below gives zeros, not NaN
-    e = np.exp(masked - top)
-    total = e.sum(axis=1, keepdims=True)
-    y = e / np.where(total > 0.0, total, 1.0)
-
-    def grad_fn(g):
-        inner = (g * y).sum(axis=1, keepdims=True)
-        return (((g - inner) * y).sum(axis=0, keepdims=True),)
-
-    return Tensor(y, _parents=(x,), _grad_fn=grad_fn, _op="masked_softmax")
-
-
-def reshape(x, shape: tuple[int, ...]) -> Tensor:
-    """Row-major reshape to a shape with the same number of entries."""
-    x = _wrap(x)
-    shape = tuple(int(d) for d in shape)
-    if any(d < 0 for d in shape) or math.prod(shape) != x.size:
-        raise DimensionError(f"reshape: cannot reshape {x.shape} to {shape}")
-
-    def grad_fn(g):
-        return (g.reshape(x.shape),)
-
-    return Tensor(x.data.reshape(shape), _parents=(x,), _grad_fn=grad_fn, _op="reshape")
 
 
 def backward(loss: Tensor) -> dict[int, np.ndarray]:

@@ -274,7 +274,7 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
         raise FormatError("manifest must be an object with a 'patients' list")
     base = manifest_path.parent
     gt_path = base / "signal_locations.json"
-    signal = json.loads(gt_path.read_text()) if gt_path.exists() else {}
+    signal = _read_ground_truth(gt_path)
 
     patients = []
     seen: set[str] = set()
@@ -316,12 +316,32 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
         table = read(path, pid, dim, n_scales)
         n_locations = entry["n_locations"]
         emb, location_ids, xy = _patient_arrays(table, pid, first_row, n_scales, n_locations)
-        patients.append(
-            PatientRecord(pid, label, emb, location_ids, xy, frozenset(signal.get(pid, ())))
-        )
+        planted = frozenset(signal.get(pid, ()))
+        unknown = sorted(planted.difference(location_ids.tolist()))
+        if unknown:
+            raise FormatError(f"{gt_path}: patient {pid} has no location(s) {unknown[:5]}")
+        patients.append(PatientRecord(pid, label, emb, location_ids, xy, planted))
     if scales is None:
         raise IntegrityError("manifest lists no patients")
+    strangers = sorted(set(signal) - seen)
+    if strangers:
+        raise FormatError(f"{gt_path}: patient(s) {strangers[:5]} are not in the manifest")
     return Dataset(tuple(patients), scales)
+
+
+def _read_ground_truth(path: Path) -> dict[str, list[int]]:
+    """signal_locations.json as {patient_id: [location_id, ...]}; {} if absent."""
+    if not path.exists():
+        return {}
+    try:
+        doc = json.loads(path.read_text())
+    except ValueError as e:  # not JSON, or not UTF-8
+        raise FormatError(f"{path}: not valid JSON: {e}") from e
+    if not isinstance(doc, dict) or not all(
+        isinstance(ids, list) and all(type(i) is int for i in ids) for ids in doc.values()
+    ):
+        raise FormatError(f"{path}: must map patient ids to lists of integer location ids")
+    return doc
 
 
 def _read_npy(path: Path, pid: str, dim: int, n_scales: int) -> np.ndarray:

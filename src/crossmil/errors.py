@@ -39,10 +39,11 @@ class MetricError(CrossmilError):
 
 
 class TrainingError(CrossmilError):
-    """Training diverged. Carries the epoch at which it happened."""
+    """Training diverged. Carries the split and epoch at which it happened."""
 
-    def __init__(self, message: str, epoch: int):
-        super().__init__(f"{message} (epoch {epoch})")
+    def __init__(self, message: str, split_id: int, epoch: int):
+        super().__init__(f"{message} (split {split_id}, epoch {epoch})")
+        self.split_id = split_id
         self.epoch = epoch
 
 

@@ -1,15 +1,29 @@
 """Model zoo: per-scale instance encoders, cross-scale attention fusion,
 baseline fusion schemes, attention pooling, and the bag classifier.
 
-A bag travels through the graph as feature-major matrices, one column
-per instance: each scale's n instances form an (E, n) input, so every
-encoder is one matmul over the whole bag plus a bias broadcast;
-cross-scale attention softmaxes (S, n) logits over the scale axis into
-fused (L, n) columns; and per-cluster pooling is one softmax of a (1, n)
-logits row within each row of a (K, n) cluster-membership mask, whose
-weights pool the columns into one (F, 1) vector per cluster (zeros for an
-empty cluster). A single (dim, 1) column is the n = 1 case. Attention
-maps run the same fusion over all of a patient's locations at once.
+A bag travels through the model as feature-major matrices, one column
+per instance: each scale's n instances form an (E, n) input. Each layer
+is one autodiff node whose forward is plain numpy on whole matrices and
+whose backward is written out by hand:
+
+- ``mi_fcn_encode``: two fully-connected layers with a ReLU between,
+  (E, n) -> (L, n);
+- ``cross_scale_attention``: per-scale logits w^T act(V f_s), softmaxed
+  over the scale axis into (S, n) scores that weight the fused (L, n)
+  columns;
+- ``instance_pool``: one attention-logit row over the items, softmaxed
+  within each row of a (K, n) cluster-membership mask into weights that
+  pool the columns into one (F, 1) vector per cluster (zeros for an
+  empty cluster);
+- ``classifier_head``: a linear map of the concatenated pools and a
+  log-softmax, (F, K) -> (2, 1).
+
+Parameters are views into one flat vector, so the optimizer steps them
+all in place. Training, validation, scoring and attention maps share this
+one forward; with cross-scale attention a bag is nine graph nodes,
+whatever its size. Every intermediate that can leave the finite range is
+checked, and the error names the layer. Each kernel fixes the order in
+which it adds terms, and checkpoints depend on that order to the bit.
 """
 
 from __future__ import annotations
@@ -25,11 +39,11 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .clustering import Bag
 from .data import Dataset
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, DimensionError
 
 FUSIONS = ("cross_scale_attention", "concat", "add", "single_scale", "instance_pool")
 SHARINGS = ("shared", "per_scale")
-ACTIVATIONS = {"tanh": ad.tanh, "relu": ad.relu}
+ACTIVATIONS = ("tanh", "relu")
 POOLINGS = ("plain", "gated")
 
 
@@ -52,7 +66,7 @@ class ModelConfig:
         if self.attention_sharing not in SHARINGS:
             raise ConfigError(f"attention_sharing must be one of {SHARINGS}")
         if self.attention_activation not in ACTIVATIONS:
-            raise ConfigError(f"attention_activation must be one of {tuple(ACTIVATIONS)}")
+            raise ConfigError(f"attention_activation must be one of {ACTIVATIONS}")
         if self.pooling not in POOLINGS:
             raise ConfigError(f"pooling must be one of {POOLINGS}")
         for name in ("embed_dim", "encoder_dim", "attention_hidden", "n_clusters", "n_scales"):
@@ -95,10 +109,17 @@ class ModelConfig:
 
 @dataclass
 class ModelParams:
-    """Named trainable tensors for one model instance."""
+    """Named trainable tensors for one model instance.
+
+    Every tensor's ``data`` is a view into ``flat``, which holds all
+    parameters in ``names()`` order, so an optimizer can step them all in
+    place. Write values through the views: a tensor whose ``data`` is
+    rebound no longer follows ``flat``.
+    """
 
     config: ModelConfig
     tensors: dict[str, Tensor]
+    flat: np.ndarray
 
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
@@ -118,7 +139,7 @@ class ModelParams:
         for n, t in self.tensors.items():
             if t.data.shape != values[n].shape:
                 raise ConfigError(f"parameter {n}: shape {values[n].shape} != {t.data.shape}")
-            t.data = np.ascontiguousarray(values[n], dtype=np.float64)
+            np.copyto(t.data, values[n])
 
 
 def _param_shapes(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], int]]:
@@ -151,24 +172,47 @@ def _param_shapes(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], int]]:
 def init_params(cfg: ModelConfig, seed: int = 0) -> ModelParams:
     """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) init, deterministic by seed."""
     rng = np.random.default_rng(seed)
-    tensors = {}
+    drawn = {}
     for name, shape, fan_in in _param_shapes(cfg):
         bound = 1.0 / np.sqrt(fan_in)
-        tensors[name] = Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
-    return ModelParams(cfg, tensors)
+        drawn[name] = rng.uniform(-bound, bound, size=shape)
+    names = sorted(drawn)
+    flat = np.concatenate([drawn[n].reshape(-1) for n in names])
+    tensors, start = {}, 0
+    for n in names:
+        size = drawn[n].size
+        tensors[n] = Tensor(flat[start : start + size].reshape(drawn[n].shape), requires_grad=True)
+        start += size
+    return ModelParams(cfg, tensors, flat)
 
 
 def mi_fcn_encode(x: Tensor, scale: int, params: ModelParams) -> Tensor:
     """Two fully-connected layers with a ReLU between, (E, n) -> (L, n)."""
-    t = params.tensors
-    h = ad.relu(ad.add_bias(t[f"encoder{scale}.w1"] @ x, t[f"encoder{scale}.b1"]))
-    return ad.add_bias(t[f"encoder{scale}.w2"] @ h, t[f"encoder{scale}.b2"])
+    w1, b1, w2, b2 = (params.tensors[f"encoder{scale}.{p}"] for p in ("w1", "b1", "w2", "b2"))
+    xd, w1d, w2d = x.data, w1.data, w2.data
+    with np.errstate(over="ignore", invalid="ignore"):
+        pre = ad.check_finite(w1d @ xd + b1.data, "mi_fcn_encode")
+        h = np.maximum(pre, 0.0)
+        out = w2d @ h + b2.data
+
+    def grad_fn(g):
+        g_pre = (w2d.T @ g) * (pre > 0.0)
+        g_x = w1d.T @ g_pre if x.requires_grad else None
+        return (
+            g_x,
+            g_pre @ xd.T,
+            g_pre.sum(axis=1, keepdims=True),
+            g @ h.T,
+            g.sum(axis=1, keepdims=True),
+        )
+
+    return ad.custom_op("mi_fcn_encode", out, (x, w1, b1, w2, b2), grad_fn)
 
 
 @dataclass
 class CrossScaleAttentionOutput:
     fused: Tensor  # (L, n)
-    scores: Tensor  # (S, n), positive, each column sums to 1
+    scores: np.ndarray  # (S, n), positive, each column sums to 1; no gradient
 
 
 def cross_scale_attention(
@@ -179,43 +223,137 @@ def cross_scale_attention(
     ``encodings[s]`` holds the (L, n) encodings of n locations at scale s.
     Per scale, logit_s = w^T act(V f_s) is a (1, n) row; the (S, n) logits
     are softmaxed over the scale axis into scores a, and location i's
-    fused column is sum_s a[s, i] f_s[:, i].
+    fused column is sum_s a[s, i] f_s[:, i]. Gradients reach the encodings
+    and the attention parameters through ``fused``.
     """
     if len(encodings) < 1:
         raise ContractError("cross_scale_attention needs at least one scale encoding")
-    act = ACTIVATIONS[cfg.attention_activation]
-    logits = []
-    for s, f in enumerate(encodings):
-        v, w = params.attention_pair(s)
-        logits.append(ad.transpose(w) @ act(v @ f))
-    scores = ad.softmax(ad.concat(logits, axis=0), axis=0)
-    fused = None
-    for s, f in enumerate(encodings):
-        term = ad.mul_row(f, ad.take_row(scores, s))
-        fused = term if fused is None else fused + term
-    return CrossScaleAttentionOutput(fused, scores)
+    op = "cross_scale_attention"
+    tanh = cfg.attention_activation == "tanh"
+    shared = cfg.attention_sharing == "shared"
+    pairs = [params.attention_pair(s) for s in range(len(encodings))]
+    attn_params = list(dict.fromkeys(t for pair in pairs for t in pair))
+    # Scales are stacked on a leading axis. A 3-d matmul makes, per scale,
+    # the same BLAS call on the same strides as a 2-d one, so results match
+    # a per-scale loop to the bit. w^T is copied to a C-contiguous row, as
+    # the primitive transpose does.
+    f = np.stack([e.data for e in encodings])  # (S, L, n)
+    if shared:
+        v, w_rows = pairs[0][0].data, pairs[0][1].data.T.copy()  # (D, L), (1, D)
+    else:
+        v = np.stack([v.data for v, _ in pairs])  # (S, D, L)
+        w_rows = np.stack([w.data.T.copy() for _, w in pairs])  # (S, 1, D)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pre = ad.check_finite(v @ f, op)  # (S, D, n)
+        act = np.tanh(pre) if tanh else np.maximum(pre, 0.0)
+        logits = ad.check_finite(w_rows @ act, op)[:, 0]  # (S, n)
+        scores = ad.softmax_array(logits, 0)
+        # summed over scales in scale order
+        fused = (f * scores[:, None]).sum(axis=0)
+
+    def grad_fn(g):
+        g_logits = (g * f).sum(axis=1)
+        g_logits = (g_logits - (g_logits * scores).sum(axis=0, keepdims=True)) * scores
+        g_act = w_rows.swapaxes(-1, -2) @ g_logits[:, None]
+        g_pre = g_act * (1.0 - act * act) if tanh else g_act * (pre > 0.0)
+        g_f = g * scores[:, None] + v.swapaxes(-1, -2) @ g_pre
+        g_v = g_pre @ f.swapaxes(1, 2)
+        g_w = g_logits[:, None] @ act.swapaxes(1, 2)  # (S, 1, D)
+        if shared:  # the per-scale gradients summed in scale order
+            g_params = (g_v.sum(axis=0), g_w.sum(axis=0).T.copy())
+        else:
+            g_params = [gp for s in range(len(pairs)) for gp in (g_v[s], g_w[s].T.copy())]
+        return (*g_f, *g_params)
+
+    fused_t = ad.custom_op(op, fused, (*encodings, *attn_params), grad_fn)
+    return CrossScaleAttentionOutput(fused_t, scores)
 
 
 def instance_pool(
     items: Tensor, params: ModelParams, pooling: str, mask: np.ndarray | None = None
-) -> tuple[Tensor, Tensor]:
+) -> tuple[Tensor, np.ndarray]:
     """Attention pooling of the m columns of ``items`` (F, m) into K pools.
 
     Row k of the boolean (K, m) ``mask`` marks the items pool k takes;
     without a mask there is one pool of every item. Returns (pooled,
     weights): pooled is (F, K), column k the attention-weighted sum of
-    pool k's items (zeros for an empty pool), and weights is (K, m).
+    pool k's items (zeros for an empty pool), and weights is the (K, m)
+    array of attention weights, through which no gradient flows of its
+    own. Gradients reach the items and the pooling parameters through
+    ``pooled``.
     """
     if items.data.ndim != 2 or items.shape[1] == 0:
         raise ContractError(f"instance_pool needs at least one (F, 1) item, got {items.shape}")
     if mask is None:
         mask = np.ones((1, items.shape[1]), dtype=bool)
+    mask = np.asarray(mask)
+    if mask.dtype != np.bool_:
+        raise ContractError(f"instance_pool: mask must be boolean, got {mask.dtype}")
+    if mask.ndim != 2 or mask.shape[1] != items.shape[1]:
+        raise DimensionError(f"instance_pool: mask {mask.shape} does not fit items {items.shape}")
+    op = "instance_pool"
+    gated = pooling == "gated"
     t = params.tensors
-    a = ad.tanh(t["pool.v"] @ items)
-    if pooling == "gated":
-        a = a * ad.sigmoid(t["pool.u"] @ items)
-    weights = ad.masked_softmax(ad.transpose(t["pool.w"]) @ a, mask)
-    return items @ ad.transpose(weights), weights
+    v, w = t["pool.v"], t["pool.w"]
+    u = t["pool.u"] if gated else None
+    xd, vd = items.data, v.data
+    w_row = w.data.T.copy()  # C-contiguous, as the primitive transpose gives
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = np.tanh(ad.check_finite(vd @ xd, op))
+        gate = ad.sigmoid_array(ad.check_finite(u.data @ xd, op)) if gated else None
+        act = h * gate if gated else h
+        logits = ad.check_finite(w_row @ act, op)
+    # softmax of the logits row within each mask row; an empty row stays zero
+    masked = np.where(mask, logits, -np.inf)
+    top = masked.max(axis=1, keepdims=True)
+    top[~mask.any(axis=1)] = 0.0  # exp(-inf) below gives zeros, not NaN
+    e = np.exp(masked - top)
+    total = e.sum(axis=1, keepdims=True)
+    weights = e / np.where(total > 0.0, total, 1.0)
+    weights_t = weights.T.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        pooled = xd @ weights_t
+
+    def grad_fn(g):
+        g_weights = (xd.T @ g).T.copy()
+        inner = (g_weights * weights).sum(axis=1, keepdims=True)
+        g_logits = ((g_weights - inner) * weights).sum(axis=0, keepdims=True)
+        g_act = w_row.T @ g_logits
+        g_pre = (g_act * gate if gated else g_act) * (1.0 - h * h)
+        g_gate = g_act * h * gate * (1.0 - gate) if gated else None
+        g_items = None
+        if items.requires_grad:
+            # the three paths add in a fixed order: pooling, V, U
+            g_items = g @ weights_t.T + vd.T @ g_pre
+            if gated:
+                g_items = g_items + u.data.T @ g_gate
+        grads = (g_items, g_pre @ xd.T, (g_logits @ act.T).T.copy())
+        return grads + (g_gate @ xd.T,) if gated else grads
+
+    parents = (items, v, w, u) if gated else (items, v, w)
+    return ad.custom_op(op, pooled, parents, grad_fn), weights
+
+
+def classifier_head(pooled: Tensor, params: ModelParams) -> Tensor:
+    """Log-probabilities (2, 1) of a linear map of the K pooled columns (F, K).
+
+    Cluster k's pooled vector fills rows k*F ... k*F + F-1 of the
+    classifier's input.
+    """
+    op = "classifier_head"
+    w, b = params.tensors["classifier.w"], params.tensors["classifier.b"]
+    z = pooled.data.T.copy().reshape(-1, 1)
+    wd = w.data
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = ad.check_finite(wd @ z + b.data, op)
+    log_probs = ad.log_softmax_array(logits, 0)
+
+    def grad_fn(g):
+        g_logits = g - np.exp(log_probs) * g.sum(axis=0, keepdims=True)
+        g_pooled = (wd.T @ g_logits).reshape(pooled.shape[::-1]).T.copy()
+        return g_pooled, g_logits @ z.T, g_logits
+
+    return ad.custom_op(op, log_probs, (pooled, w, b), grad_fn)
 
 
 @dataclass(frozen=True)
@@ -228,7 +366,7 @@ class AttentionRecord:
     scores: tuple[float, ...]
 
 
-def _fuse_instances(emb: np.ndarray, params: ModelParams) -> tuple[Tensor, Tensor | None]:
+def _fuse_instances(emb: np.ndarray, params: ModelParams) -> tuple[Tensor, np.ndarray | None]:
     """Encode and fuse n locations given as ``emb`` (n, S, E).
 
     Returns the pooling items and, for cross-scale attention, the (S, n)
@@ -270,10 +408,7 @@ def forward_bag(bag: Bag, params: ModelParams) -> Tensor:
     if cfg.fusion == "instance_pool":
         members = np.tile(members, (1, cfg.n_scales))
     pooled, _ = instance_pool(items, params, cfg.pooling, members)
-    # cluster k's pooled vector fills rows k*F ... k*F + F-1; empty clusters stay zero
-    z = ad.reshape(ad.transpose(pooled), (k * cfg.fused_dim, 1))
-    logits = params.tensors["classifier.w"] @ z + params.tensors["classifier.b"]
-    return ad.log_softmax(logits, axis=0)
+    return classifier_head(pooled, params)
 
 
 def attention_records(
@@ -295,7 +430,7 @@ def attention_records(
         out += [
             AttentionRecord(p.patient_id, loc, (x, y), tuple(col))
             for loc, (x, y), col in zip(
-                p.location_ids.tolist(), p.xy.tolist(), scores.data.T.tolist()
+                p.location_ids.tolist(), p.xy.tolist(), scores.T.tolist()
             )
         ]
     return out

@@ -77,17 +77,24 @@ def nll_loss(log_probs: Tensor, label: int) -> Tensor:
         raise ContractError("log_probs are not log-probabilities (logsumexp != 0)")
     onehot = np.zeros_like(log_probs.data)
     onehot.reshape(-1)[label] = 1.0
-    return -(log_probs * Tensor(onehot)).sum()
+    # -(log_probs . onehot), rounded as a product, a sum and a negation
+    value = (log_probs.data * onehot).sum() * -1.0
+
+    def grad_fn(g):
+        return (np.broadcast_to(g * -1.0, onehot.shape) * onehot,)
+
+    return ad.custom_op("nll_loss", value, (log_probs,), grad_fn)
 
 
 class Adam:
-    """First-order adaptive-moment updates over a named parameter dict.
+    """First-order adaptive-moment updates over a model's parameters.
 
-    The moments, the gradient and the update live in flat float64 buffers
-    over all parameters (in ``params.names()`` order), so a step is a few
-    whole-buffer operations instead of several per tensor. Each element
-    goes through the per-tensor formula's operations in the same order,
-    so results are the same to the bit. A tensor whose ``grad`` is None
+    The values, the moments, the gradient and the update live in flat
+    float64 buffers over all parameters (in ``params.names()`` order);
+    the values buffer is ``params.flat``, which every tensor views, so a
+    step is a few whole-buffer operations in place. Each element goes
+    through the per-tensor formula's operations in the same order, so
+    results are the same to the bit. A tensor whose ``grad`` is None
     keeps its value and moments.
     """
 
@@ -95,6 +102,7 @@ class Adam:
         self.lr = cfg.learning_rate
         self.beta1, self.beta2, self.eps = cfg.beta1, cfg.beta2, cfg.eps
         self.t = 0
+        self._values = params.flat
         self._tensors = [params.tensors[n] for n in params.names()]
         self._sizes = [t.data.size for t in self._tensors]
         n = sum(self._sizes)
@@ -120,17 +128,12 @@ class Adam:
         if all(live):
             self.m, self._m_next = m, self.m
             self.v, self._v_next = v, self.v
+            np.subtract(self._values, upd, out=self._values)
         else:
             keep = np.repeat(live, self._sizes)
             np.copyto(self.m, m, where=keep)
             np.copyto(self.v, v, where=keep)
-        values = np.concatenate([t.data.reshape(-1) for t in self._tensors])
-        np.subtract(values, upd, out=values)
-        offset = 0
-        for t, ok, size in zip(self._tensors, live, self._sizes):
-            if ok:
-                t.data = values[offset : offset + size].reshape(t.data.shape)
-            offset += size
+            np.subtract(self._values, upd, out=self._values, where=keep)
 
     def zero_grad(self) -> None:
         for t in self._tensors:
@@ -232,12 +235,13 @@ def train_one_split(
                 opt.zero_grad()
                 ad.backward(loss)
                 opt.step()
+            # the last step's parameters reach a forward pass first here
+            val_loss = _epoch_loss(split.val_ids, params, val_bags)
         except DomainError as e:
-            raise TrainingError(f"training diverged: {e}", epoch) from e
+            raise TrainingError(f"training diverged: {e}", split_id, epoch) from e
         train_loss = running / len(order)
         if not np.isfinite(train_loss):
-            raise TrainingError("training loss is not finite", epoch)
-        val_loss = _epoch_loss(split.val_ids, params, val_bags)
+            raise TrainingError("training loss is not finite", split_id, epoch)
         train_curve.append(train_loss)
         val_curve.append(val_loss)
         if val_loss < best_val:

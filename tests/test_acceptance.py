@@ -182,7 +182,7 @@ def test_c02_attention_scores_normalize():
     worst = 0.0
     for _ in range(1000):
         fs = [Tensor(rng.uniform(-2, 2, (6, 1))) for _ in range(3)]
-        scores = cross_scale_attention(fs, params, cfg).scores.data
+        scores = cross_scale_attention(fs, params, cfg).scores
         worst = max(worst, abs(scores.sum() - 1.0))
         assert (scores > 0).all()
     assert worst <= 1e-9
@@ -190,7 +190,7 @@ def test_c02_attention_scores_normalize():
     params.tensors["attn.w"].data = np.zeros((4, 1))
     for _ in range(100):
         fs = [Tensor(rng.uniform(-2, 2, (6, 1))) for _ in range(3)]
-        scores = cross_scale_attention(fs, params, cfg).scores.data
+        scores = cross_scale_attention(fs, params, cfg).scores
         assert np.abs(scores - 1.0 / 3.0).max() <= 1e-12
     _pass(2, f"1000 instances sum to 1 within {worst:.1e}; zero kernel is uniform to 1e-12")
 

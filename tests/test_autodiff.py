@@ -239,141 +239,6 @@ class TestConcatAndTranspose:
             ad.concat([Tensor([1.0]), Tensor([[1.0]])], axis=0)
 
 
-class TestBatchOps:
-    """Named broadcasts for instance matrices: each checks its own shapes."""
-
-    def test_add_bias_adds_column_to_every_column(self):
-        out = ad.add_bias(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[10.0], [20.0]]))
-        np.testing.assert_array_equal(out.data, [[11.0, 12.0], [23.0, 24.0]])
-
-    def test_add_bias_gradients(self):
-        rng = np.random.default_rng(11)
-        x = Tensor(rng.uniform(-2, 2, (3, 4)), requires_grad=True)
-        b = Tensor(rng.uniform(-2, 2, (3, 1)), requires_grad=True)
-        w = rng.uniform(-1, 1, (3, 4))
-
-        def f():
-            return (ad.add_bias(x, b) * Tensor(w)).sum()
-
-        ad.backward(f())
-        numeric = central_difference(lambda: f().item(), [x, b])
-        assert_grads_close(x.grad, numeric[0])
-        assert_grads_close(b.grad, numeric[1])
-
-    @pytest.mark.parametrize("bias_shape", [(3, 2), (1, 4), (2, 1), (3,)])
-    def test_add_bias_shape_mismatch(self, bias_shape):
-        with pytest.raises(DimensionError):
-            ad.add_bias(Tensor(np.ones((3, 4))), Tensor(np.ones(bias_shape)))
-
-    def test_add_bias_overflow_is_an_error(self):
-        with pytest.raises(DomainError):
-            ad.add_bias(Tensor([[1e308, 0.0]]), Tensor([[1e308]]))
-
-    def test_mul_row_scales_columns(self):
-        out = ad.mul_row(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[10.0, -1.0]]))
-        np.testing.assert_array_equal(out.data, [[10.0, -2.0], [30.0, -4.0]])
-
-    def test_mul_row_gradients(self):
-        rng = np.random.default_rng(12)
-        x = Tensor(rng.uniform(-2, 2, (3, 4)), requires_grad=True)
-        a = Tensor(rng.uniform(-2, 2, (1, 4)), requires_grad=True)
-        w = rng.uniform(-1, 1, (3, 4))
-
-        def f():
-            return (ad.mul_row(x, a) * Tensor(w)).sum()
-
-        ad.backward(f())
-        numeric = central_difference(lambda: f().item(), [x, a])
-        assert_grads_close(x.grad, numeric[0])
-        assert_grads_close(a.grad, numeric[1])
-
-    @pytest.mark.parametrize("row_shape", [(1, 3), (3, 4), (4, 1), (4,)])
-    def test_mul_row_shape_mismatch(self, row_shape):
-        with pytest.raises(DimensionError):
-            ad.mul_row(Tensor(np.ones((3, 4))), Tensor(np.ones(row_shape)))
-
-    def test_take_row_values_and_gradient(self):
-        rng = np.random.default_rng(13)
-        x = Tensor(rng.uniform(-2, 2, (3, 4)), requires_grad=True)
-        np.testing.assert_array_equal(ad.take_row(x, 1).data, x.data[1:2])
-        w = rng.uniform(-1, 1, (1, 4))
-
-        def f():
-            return (ad.take_row(x, 2) * Tensor(w)).sum()
-
-        ad.backward(f())
-        assert_grads_close(x.grad, central_difference(lambda: f().item(), [x])[0])
-
-    @pytest.mark.parametrize("shape,row", [((3, 4), 3), ((3, 4), -1), ((4,), 0)])
-    def test_take_row_out_of_range(self, shape, row):
-        with pytest.raises(DimensionError):
-            ad.take_row(Tensor(np.ones(shape)), row)
-
-    def test_masked_softmax_rows_against_plain_softmax(self):
-        x = np.array([[0.5, -1.0, 2.0, 0.0]])
-        mask = np.array([[True, False, True, True], [False, True, False, False]])
-        out = ad.masked_softmax(Tensor(x), mask).data
-        np.testing.assert_allclose(
-            out[0, [0, 2, 3]], ad.softmax(Tensor(x[0, [0, 2, 3]]), axis=0).data, atol=1e-15
-        )
-        assert out[0, 1] == 0.0
-        np.testing.assert_array_equal(out[1], [0.0, 1.0, 0.0, 0.0])
-
-    def test_masked_softmax_shifts_each_row_by_its_own_max(self):
-        mask = np.array([[True, False], [False, True]])
-        out = ad.masked_softmax(Tensor([[0.0, -2000.0]]), mask)
-        np.testing.assert_array_equal(out.data, np.eye(2))
-
-    def test_masked_softmax_gradient(self):
-        rng = np.random.default_rng(14)
-        x = Tensor(rng.uniform(-2, 2, (1, 6)), requires_grad=True)
-        mask = rng.uniform(size=(4, 6)) < 0.5
-        mask[2] = False
-        w = rng.uniform(-1, 1, (4, 6))
-
-        def f():
-            return (ad.masked_softmax(x, mask) * Tensor(w)).sum()
-
-        ad.backward(f())
-        assert_grads_close(x.grad, central_difference(lambda: f().item(), [x])[0])
-
-    def test_fully_masked_rows_give_zeros_and_no_gradient(self):
-        x = Tensor([[0.3, -0.7, 1.1]], requires_grad=True)
-        out = ad.masked_softmax(x, np.zeros((2, 3), dtype=bool))
-        assert np.isfinite(out.data).all() and (out.data == 0.0).all()
-        ad.backward((out * Tensor(np.arange(6.0).reshape(2, 3))).sum())
-        np.testing.assert_array_equal(x.grad, np.zeros((1, 3)))
-
-    @pytest.mark.parametrize(
-        "logits_shape,mask_shape",
-        [((1, 3), (2, 4)), ((2, 3), (2, 3)), ((3,), (2, 3)), ((1, 3), (3,))],
-    )
-    def test_masked_softmax_shape_mismatch(self, logits_shape, mask_shape):
-        with pytest.raises(DimensionError):
-            ad.masked_softmax(Tensor(np.zeros(logits_shape)), np.ones(mask_shape, dtype=bool))
-
-    def test_masked_softmax_needs_boolean_mask(self):
-        with pytest.raises(ContractError):
-            ad.masked_softmax(Tensor([[0.0, 1.0]]), np.ones((1, 2)))
-
-    def test_reshape_is_row_major_with_gradient(self):
-        rng = np.random.default_rng(15)
-        x = Tensor(rng.uniform(-2, 2, (3, 4)), requires_grad=True)
-        np.testing.assert_array_equal(ad.reshape(x, (12, 1)).data[:, 0], x.data.reshape(-1))
-        w = rng.uniform(-1, 1, (2, 6))
-
-        def f():
-            return (ad.reshape(x, (2, 6)) * Tensor(w)).sum()
-
-        ad.backward(f())
-        assert_grads_close(x.grad, central_difference(lambda: f().item(), [x])[0])
-
-    @pytest.mark.parametrize("shape", [(5, 2), (13, 1), (-3, -4)])
-    def test_reshape_size_mismatch(self, shape):
-        with pytest.raises(DimensionError):
-            ad.reshape(Tensor(np.ones((3, 4))), shape)
-
-
 class TestBackward:
     def test_square_at_three(self):
         x = Tensor([3.0], requires_grad=True)

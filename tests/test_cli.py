@@ -120,6 +120,20 @@ class TestCluster:
         assert "pos001: row 3" in capsys.readouterr().err
         assert not (tmp_path / "clust/cluster_model.json").exists()
 
+    def test_malformed_ground_truth_exits_2_naming_the_file(self, workspace, tmp_path, capsys):
+        root, c = workspace
+        data = tmp_path / "train"
+        shutil.copytree(root / "data/train", data)
+        assert (data / "signal_locations.json").exists()
+        (data / "signal_locations.json").write_text("{oops")
+        code = main([
+            "cluster", "--config", c, "--data", str(data / "manifest.json"),
+            "--out-dir", str(tmp_path / "clust"), "--seed", "3",
+        ])
+        assert code == 2
+        assert "signal_locations.json: not valid JSON" in capsys.readouterr().err
+        assert not (tmp_path / "clust/cluster_model.json").exists()
+
     @pytest.mark.parametrize("key", ["dim", "file", "patient_id"])
     def test_manifest_entry_missing_key_exits_2_naming_it(self, workspace, tmp_path, capsys, key):
         import shutil
@@ -467,14 +481,19 @@ for argv in steps:
 """
 
 
-def test_outputs_identical_across_blas_thread_counts(tmp_path):
+@pytest.mark.parametrize(
+    "variant",
+    [{}, {"attention_sharing": "per_scale", "attention_activation": "tanh", "pooling": "gated"}],
+    ids=["default", "per_scale-tanh-gated"],
+)
+def test_outputs_identical_across_blas_thread_counts(tmp_path, variant):
     # widths and bags of 96 make the encoder matmuls (96, 64) @ (64, 96) and
     # (96, 96) @ (96, 96), above the size at which BLAS splits work over threads
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "data": {"n_train_per_class": 4, "n_test_per_class": 1, "n_locations": 96, "dim": 64},
         "cluster": {"k": 4},
-        "model": {"encoder_dim": 96, "attention_hidden": 32},
+        "model": {"encoder_dim": 96, "attention_hidden": 32, **variant},
         "train": {"epochs": 2, "learning_rate": 1e-3, "bag_size": 96, "n_splits": 2},
     }))
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -493,3 +512,5 @@ def test_outputs_identical_across_blas_thread_counts(tmp_path):
         outputs[threads] = {f.relative_to(out).as_posix(): f.read_bytes() for f in files}
     assert len(outputs["1"]) == 3
     assert outputs["1"] == outputs["2"]
+    trained = load_checkpoint(sorted(tmp_path.glob("threads1/ckpt/checkpoint_split*.bin"))[0])
+    assert all(getattr(trained.config, key) == value for key, value in variant.items())

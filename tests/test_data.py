@@ -241,6 +241,26 @@ class TestDiskFormat:
         for p, q in zip(ds, loaded):
             assert p.signal_locations == q.signal_locations
 
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            ("{oops", "not valid JSON"),
+            ("[[0, 1]]", "must map patient ids"),
+            ('{"pos000": 4}', "must map patient ids"),
+            ('{"pos000": [0, "1"]}', "must map patient ids"),
+            ('{"pos000": [0, 1.5]}', "must map patient ids"),
+            ('{"pos000": [true]}', "must map patient ids"),
+            ('{"pos000": [0, 6, 9]}', r"patient pos000 has no location\(s\) \[6, 9\]"),
+            ('{"pos000": [0], "pos999": [1]}', r"\['pos999'\] are not in the manifest"),
+        ],
+    )
+    def test_malformed_ground_truth_is_a_format_error_naming_it(self, tmp_path, text, problem):
+        ds = generate_synthetic(SyntheticSpec(n_patients_per_class=2, n_locations=6, seed=9))
+        manifest = save_dataset(ds, tmp_path)
+        (tmp_path / "signal_locations.json").write_text(text)
+        with pytest.raises(FormatError, match=r"signal_locations\.json: .*" + problem):
+            load_dataset(manifest)
+
     @pytest.mark.parametrize("column, value", [(2, "nan"), (3, "inf"), (6, "-inf")])
     def test_non_finite_value_names_patient_and_row(self, csv_manifest, tmp_path, column, value):
         manifest = csv_manifest

@@ -11,10 +11,11 @@ from crossmil.autodiff import Tensor
 from crossmil.checkpoint import load_checkpoint, save_checkpoint
 from crossmil.clustering import Bag
 from crossmil.data import Dataset, PatientRecord, default_scales
-from crossmil.errors import ConfigError, ContractError, FormatError
+from crossmil.errors import ConfigError, ContractError, DimensionError, DomainError, FormatError
 from crossmil.models import (
     ModelConfig,
     attention_records,
+    classifier_head,
     cross_scale_attention,
     forward_bag,
     init_params,
@@ -96,6 +97,18 @@ class TestMiFcn:
         out = mi_fcn_encode(Tensor(x), 1, params)
         np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-12)
 
+    def test_input_gradient_matches_finite_differences(self):
+        params = init_params(small_config(), seed=2)
+        rng = np.random.default_rng(2)
+        x = Tensor(rng.uniform(-1, 1, (4, 3)), requires_grad=True)
+        probe = Tensor(rng.uniform(-1, 1, (3, 3)))
+
+        def loss():
+            return (mi_fcn_encode(x, 0, params) * probe).sum()
+
+        ad.backward(loss())
+        assert_grads_close(x.grad, central_difference(lambda: loss().item(), [x])[0])
+
 
 class TestCrossScaleAttention:
     def test_zero_kernel_gives_uniform_scores_and_mean_fusion(self):
@@ -105,7 +118,7 @@ class TestCrossScaleAttention:
         rng = np.random.default_rng(2)
         fs = [Tensor(rng.uniform(-1, 1, (3, 1))) for _ in range(3)]
         out = cross_scale_attention(fs, params, cfg)
-        np.testing.assert_allclose(out.scores.data, np.full((3, 1), 1 / 3), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out.scores, np.full((3, 1), 1 / 3), rtol=0, atol=1e-12)
         mean = sum(f.data for f in fs) / 3
         np.testing.assert_allclose(out.fused.data, mean, rtol=0, atol=1e-12)
 
@@ -114,7 +127,7 @@ class TestCrossScaleAttention:
         params = init_params(cfg, seed=4)
         f = Tensor(np.array([[0.7], [-0.2], [1.1]]))
         out = cross_scale_attention([f], params, cfg)
-        assert out.scores.data[0, 0] == 1.0
+        assert out.scores[0, 0] == 1.0
         np.testing.assert_array_equal(out.fused.data, f.data)
 
     @pytest.mark.parametrize("sharing", ["shared", "per_scale"])
@@ -143,7 +156,7 @@ class TestCrossScaleAttention:
         )
 
         out = cross_scale_attention([Tensor(f) for f in f_arrays], params, cfg)
-        np.testing.assert_allclose(out.scores.data[:, 0], a, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out.scores[:, 0], a, rtol=0, atol=1e-12)
         np.testing.assert_allclose(out.fused.data[:, 0], fused, rtol=0, atol=1e-12)
 
     def test_scores_sum_to_one_and_positive(self):
@@ -152,7 +165,7 @@ class TestCrossScaleAttention:
         rng = np.random.default_rng(9)
         for _ in range(50):
             fs = [Tensor(rng.uniform(-2, 2, (3, 1))) for _ in range(3)]
-            scores = cross_scale_attention(fs, params, cfg).scores.data
+            scores = cross_scale_attention(fs, params, cfg).scores
             assert abs(scores.sum() - 1.0) <= 1e-9
             assert (scores > 0).all()
 
@@ -165,7 +178,7 @@ class TestCrossScaleAttention:
         perm = [2, 0, 1]
         permuted = cross_scale_attention([Tensor(fs[i]) for i in perm], params, cfg)
         np.testing.assert_allclose(
-            permuted.scores.data[:, 0], base.scores.data[perm, 0], atol=1e-9
+            permuted.scores[:, 0], base.scores[perm, 0], atol=1e-9
         )
         np.testing.assert_allclose(permuted.fused.data, base.fused.data, atol=1e-9)
 
@@ -181,7 +194,7 @@ class TestInstancePool:
         params = init_params(cfg, seed=0)
         h = Tensor(np.array([[0.4], [0.5], [-0.1]]))
         pooled, weights = instance_pool(h, params, "plain")
-        assert weights.data[0, 0] == 1.0
+        assert weights[0, 0] == 1.0
         np.testing.assert_array_equal(pooled.data, h.data)
 
     def test_identical_items_pool_uniformly(self):
@@ -189,7 +202,7 @@ class TestInstancePool:
         params = init_params(cfg, seed=1)
         h = np.array([[0.4], [0.5], [-0.1]])
         pooled, weights = instance_pool(Tensor(np.tile(h, (1, 4))), params, "plain")
-        np.testing.assert_allclose(weights.data, np.full((1, 4), 0.25), atol=1e-12)
+        np.testing.assert_allclose(weights, np.full((1, 4), 0.25), atol=1e-12)
         np.testing.assert_allclose(pooled.data, h, atol=1e-12)
 
     @pytest.mark.parametrize("pooling", ["plain", "gated"])
@@ -210,7 +223,7 @@ class TestInstancePool:
         alpha = e / e.sum()
         expected = sum(a * h for a, h in zip(alpha, hs))
         pooled, weights = instance_pool(Tensor(np.hstack(hs)), params, pooling)
-        np.testing.assert_allclose(weights.data[0], alpha, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(weights[0], alpha, rtol=0, atol=1e-12)
         np.testing.assert_allclose(pooled.data, expected, rtol=0, atol=1e-12)
 
     def test_empty_rejected(self):
@@ -228,9 +241,59 @@ class TestInstancePool:
         for k in (0, 2):
             alone, alone_w = instance_pool(Tensor(items[:, mask[k]]), params, "plain")
             np.testing.assert_allclose(pooled.data[:, [k]], alone.data, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(weights.data[k, mask[k]], alone_w.data[0], atol=1e-12)
-        assert (pooled.data[:, 1] == 0.0).all() and (weights.data[1] == 0.0).all()
-        assert (weights.data[~mask] == 0.0).all()
+            np.testing.assert_allclose(weights[k, mask[k]], alone_w[0], atol=1e-12)
+        assert (pooled.data[:, 1] == 0.0).all() and (weights[1] == 0.0).all()
+        assert (weights[~mask] == 0.0).all()
+
+    @pytest.mark.parametrize(
+        "mask, error",
+        [
+            (np.ones((2, 3)), ContractError),
+            (np.ones((2, 4), dtype=bool), DimensionError),
+            (np.ones(3, dtype=bool), DimensionError),
+        ],
+    )
+    def test_mask_must_be_boolean_with_one_column_per_item(self, mask, error):
+        params = init_params(small_config(), seed=0)
+        with pytest.raises(error):
+            instance_pool(Tensor(np.ones((3, 3))), params, "plain", mask)
+
+    def test_each_pool_shifts_its_logits_by_its_own_max(self):
+        params = init_params(small_config(), seed=0)
+        params.tensors["pool.v"].data[...] = [[100.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+        params.tensors["pool.w"].data[...] = [[1000.0], [0.0]]
+        items = np.array([[1.0, -1.0], [0.2, 0.3], [0.5, -0.5]])
+        # logits +1000 and -1000: shifting both pools by one max would
+        # underflow the second pool's only weight to zero
+        pooled, weights = instance_pool(Tensor(items), params, "plain", np.eye(2, dtype=bool))
+        np.testing.assert_array_equal(weights, np.eye(2))
+        np.testing.assert_array_equal(pooled.data, items)
+
+
+class TestLayerDomain:
+    """An overflow inside a layer is an error naming the layer, also where
+    the activation after it would squash the overflow to a finite value."""
+
+    @pytest.mark.parametrize(
+        "layer", ["mi_fcn_encode", "cross_scale_attention", "instance_pool", "classifier_head"]
+    )
+    def test_overflow_is_a_domain_error_naming_the_layer(self, layer):
+        cfg = small_config()  # tanh attention: saturates at +-1
+        params = init_params(cfg, seed=0)
+        x, big = Tensor(np.full((4, 2), 10.0)), Tensor(np.full((3, 2), 10.0))
+        calls = {
+            "mi_fcn_encode": ("encoder0.w1", lambda: mi_fcn_encode(x, 0, params)),
+            "cross_scale_attention": (
+                "attn.v", lambda: cross_scale_attention([big] * 3, params, cfg)
+            ),
+            "instance_pool": ("pool.v", lambda: instance_pool(big, params, "plain")),
+            "classifier_head": ("classifier.w", lambda: classifier_head(big, params)),
+        }
+        name, call = calls[layer]
+        call()  # finite before the overflow
+        params.tensors[name].data[...] = -1e308 if layer == "mi_fcn_encode" else 1e308
+        with pytest.raises(DomainError, match=f"'{layer}'"):
+            call()
 
 
 class TestForwardBag:
@@ -419,6 +482,22 @@ class TestBatchedForwardOracle:
             np.testing.assert_allclose(rec.scores, ref, rtol=0, atol=1e-12)
             assert abs(sum(rec.scores) - 1.0) <= 1e-9
         assert len(attention_records(dataset, params)) == 38
+
+    def test_graph_size_per_bag_does_not_grow_with_the_bag(self):
+        """One node per layer: three inputs, three encoders, fusion, pooling,
+        head and loss, whatever the bag size."""
+        cfg = ModelConfig()
+        params = init_params(cfg, seed=0)
+        rng = np.random.default_rng(0)
+        emb = rng.uniform(-1, 1, (64, cfg.n_scales, cfg.embed_dim))
+        patient = PatientRecord("p0", 1, emb, np.arange(64), rng.uniform(0, 9, (64, 2)))
+        counts = []
+        for bag_size in (8, 64):
+            bag = Bag(patient, np.arange(bag_size), rng.integers(0, cfg.n_clusters, bag_size))
+            before = next(ad._node_ids)
+            nll_loss(forward_bag(bag, params), bag.label)
+            counts.append(next(ad._node_ids) - before - 1)
+        assert counts[0] == counts[1] <= 10, counts
 
     def test_clusters_outside_the_model_rejected(self):
         cfg = small_config()

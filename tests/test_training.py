@@ -159,6 +159,18 @@ class TestAdam:
         assert a == b
         assert a != save_checkpoint(init_params(mc, seed=5), tmp_path / "init.bin").read_bytes()
 
+    def test_loaded_values_stay_views_that_a_step_moves(self):
+        mc = small_model(small_dataset(seed=14))
+        params, other = init_params(mc, seed=1), init_params(mc, seed=2)
+        params.load_values(other.copy_values())
+        opt = Adam(params, TrainConfig(learning_rate=1e-2))
+        for t in params.tensors.values():
+            t.grad = np.ones_like(t.data)
+        opt.step()
+        for name, t in params.tensors.items():
+            assert np.shares_memory(t.data, params.flat)
+            assert (t.data < other.tensors[name].data).all()
+
 
 class TestTrainOneSplit:
     def test_zero_learning_rate_changes_nothing(self):
@@ -220,6 +232,28 @@ class TestTrainOneSplit:
         with pytest.raises(TrainingError) as err:
             train_one_split(ds, plan.splits[0], cm, tc, small_model(ds))
         assert err.value.epoch in (0, 1, 2)
+        assert err.value.split_id == 0
+
+    def test_training_error_names_the_split_and_the_layer(self, monkeypatch):
+        import crossmil.training as training
+
+        ds = small_dataset(seed=7)
+        cm = cluster_dataset(ds, "5x", k=4, seed=7)
+        tc = TrainConfig(epochs=2, learning_rate=1e-3, bag_size=4, n_splits=2, seed=7)
+        split1_seed = int(np.random.default_rng([tc.seed, 1]).integers(2**31))
+
+        def poisoned_init(cfg, seed=0):
+            params = init_params(cfg, seed)
+            if seed == split1_seed:
+                params.tensors["attn.v"].data[0, 0] = np.inf
+            return params
+
+        monkeypatch.setattr(training, "init_params", poisoned_init)
+        with pytest.raises(TrainingError) as err:
+            train_all(ds, cm, tc, small_model(ds))
+        assert (err.value.split_id, err.value.epoch) == (1, 0)
+        message = str(err.value)
+        assert "'cross_scale_attention'" in message and "(split 1, epoch 0)" in message
 
     def test_validation_patients_never_reach_a_gradient_step(self, monkeypatch):
         import crossmil.training as training
