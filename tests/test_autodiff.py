@@ -306,3 +306,78 @@ class TestBackward:
     def test_nan_input_rejected_at_construction(self):
         with pytest.raises(DomainError):
             Tensor([np.nan])
+
+
+class TestCheckFinite:
+    def test_finite_array_is_returned_as_is(self):
+        arr = np.array([[1.0, -2.0], [3.0, 1e308]])
+        assert ad.check_finite(arr, "op") is arr
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_names_the_op(self, bad):
+        arr = np.zeros((2, 3))
+        arr[1, 2] = bad
+        with pytest.raises(DomainError, match="'my_layer'"):
+            ad.check_finite(arr, "my_layer")
+
+
+class TestCustomOp:
+    """A caller-written node: value and backward computed outside the tape."""
+
+    @staticmethod
+    def scaled_product(a, b, scale=3.0):
+        # value scale * a * b, elementwise
+        def grad_fn(g):
+            return (
+                g * scale * b.data if a.requires_grad else None,
+                g * scale * a.data if b.requires_grad else None,
+            )
+
+        return ad.custom_op("scaled_product", scale * a.data * b.data, (a, b), grad_fn)
+
+    def test_gradients_reach_each_parent_in_order(self):
+        rng = np.random.default_rng(3)
+        a = Tensor(rng.uniform(-1, 1, (2, 3)), requires_grad=True)
+        b = Tensor(rng.uniform(-1, 1, (2, 3)), requires_grad=True)
+        out = self.scaled_product(a, b)
+        assert out.op == "scaled_product" and out.requires_grad
+        ad.backward(out.sum())
+        numeric = central_difference(lambda: self.scaled_product(a, b).sum().item(), [a, b])
+        assert_grads_close(a.grad, numeric[0])
+        assert_grads_close(b.grad, numeric[1])
+
+    def test_none_gradient_for_a_constant_parent(self):
+        a = Tensor([[2.0, -1.0]], requires_grad=True)
+        b = Tensor([[5.0, 4.0]])
+        ad.backward(self.scaled_product(a, b).sum())
+        np.testing.assert_array_equal(a.grad, [[15.0, 12.0]])
+        assert b.grad is None
+
+    def test_non_finite_value_is_a_domain_error_naming_the_op(self):
+        a = Tensor([[1e200]], requires_grad=True)
+        with np.errstate(over="ignore"), pytest.raises(DomainError, match="'scaled_product'"):
+            self.scaled_product(a, a)
+
+    def test_fan_out_through_primitives_adds(self):
+        # d/da (3a*a + a) = 6a + 1
+        a = Tensor([[0.5, -2.0]], requires_grad=True)
+        ad.backward((self.scaled_product(a, a) + a).sum())
+        np.testing.assert_array_equal(a.grad, [[4.0, -11.0]])
+
+
+class TestArrayKernels:
+    """The numpy kernels layer nodes share with the primitives."""
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_softmax_kernels_match_the_primitives_bitwise(self, axis):
+        x = np.random.default_rng(axis).uniform(-30, 30, (4, 5))
+        np.testing.assert_array_equal(ad.softmax_array(x, axis), ad.softmax(Tensor(x), axis).data)
+        np.testing.assert_array_equal(
+            ad.log_softmax_array(x, axis), ad.log_softmax(Tensor(x), axis).data
+        )
+
+    def test_log_softmax_of_large_logits_stays_finite(self):
+        y = ad.log_softmax_array(np.array([[1e4], [1e4 - 2.0], [-1e4]]), 0)
+        assert np.isfinite(y).all()
+        np.testing.assert_allclose(y[:2, 0], -np.log1p(np.exp(-2.0)) - [0.0, 2.0], atol=1e-12)
+        assert np.exp(y).sum() == pytest.approx(1.0, abs=1e-15)

@@ -296,6 +296,87 @@ class TestLayerDomain:
             call()
 
 
+class TestLayerBackward:
+    """Each layer's hand-written backward against central differences of
+    that layer alone, for its input and every parameter it reads."""
+
+    @staticmethod
+    def check(layer, inputs, params, names, seed):
+        tensors = inputs + [params.tensors[n] for n in names]
+        probe = Tensor(np.random.default_rng(seed).uniform(-1, 1, layer().shape))
+
+        def loss():
+            return (layer() * probe).sum()
+
+        ad.backward(loss())
+        numeric = central_difference(lambda: loss().item(), tensors)
+        for t, num in zip(tensors, numeric):
+            assert_grads_close(t.grad, num, rtol=1e-5, atol=1e-9)
+
+    def test_mi_fcn_encode(self):
+        params = init_params(small_config(), seed=3)
+        x = Tensor(np.random.default_rng(3).uniform(-1, 1, (4, 5)), requires_grad=True)
+        names = [f"encoder1.{p}" for p in ("w1", "b1", "w2", "b2")]
+        self.check(lambda: mi_fcn_encode(x, 1, params), [x], params, names, seed=3)
+
+    def test_mi_fcn_encode_constant_input_gets_no_gradient(self):
+        params = init_params(small_config(), seed=4)
+        x = Tensor(np.random.default_rng(4).uniform(-1, 1, (4, 2)))
+        ad.backward(mi_fcn_encode(x, 0, params).sum())
+        assert x.grad is None
+        assert all(params.tensors[f"encoder0.{p}"].grad is not None for p in ("w1", "b2"))
+
+    @pytest.mark.parametrize("sharing", ["shared", "per_scale"])
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_cross_scale_attention(self, sharing, activation):
+        cfg = small_config(attention_sharing=sharing, attention_activation=activation)
+        params = init_params(cfg, seed=5)
+        rng = np.random.default_rng(5)
+        encodings = [Tensor(rng.uniform(-2, 2, (3, 4)), requires_grad=True) for _ in range(3)]
+        names = [n for n in params.names() if n.startswith("attn")]
+        assert len(names) == (2 if sharing == "shared" else 6)
+        self.check(
+            lambda: cross_scale_attention(encodings, params, cfg).fused,
+            encodings, params, names, seed=5,
+        )
+
+    @pytest.mark.parametrize("pooling", ["plain", "gated"])
+    def test_instance_pool_with_an_empty_pool(self, pooling):
+        params = init_params(small_config(pooling=pooling), seed=6)
+        items = Tensor(np.random.default_rng(6).uniform(-2, 2, (3, 5)), requires_grad=True)
+        mask = np.array([[1, 0, 1, 1, 0], [0, 0, 0, 0, 0], [0, 1, 0, 0, 1]], dtype=bool)
+        names = ["pool.v", "pool.w"] + (["pool.u"] if pooling == "gated" else [])
+        self.check(
+            lambda: instance_pool(items, params, pooling, mask)[0], [items], params, names, seed=6
+        )
+
+    def test_classifier_head(self):
+        params = init_params(small_config(), seed=7)
+        pooled = Tensor(np.random.default_rng(7).uniform(-2, 2, (3, 2)), requires_grad=True)
+        names = ["classifier.b", "classifier.w"]
+        self.check(lambda: classifier_head(pooled, params), [pooled], params, names, seed=7)
+
+
+class TestModelParams:
+    def test_tensors_are_views_tiling_flat_in_name_order(self):
+        params = init_params(small_config(pooling="gated"), seed=9)
+        tiled = np.concatenate([params.tensors[n].data.reshape(-1) for n in params.names()])
+        np.testing.assert_array_equal(tiled, params.flat)
+        params.flat[:] = np.arange(params.flat.size)
+        start = 0
+        for n in params.names():
+            t = params.tensors[n]
+            np.testing.assert_array_equal(t.data.reshape(-1), np.arange(start, start + t.size))
+            start += t.size
+
+    def test_load_values_of_the_wrong_shape_is_a_config_error(self):
+        params = init_params(small_config(), seed=0)
+        values = params.copy_values()
+        values["pool.w"] = np.zeros((3, 1))
+        with pytest.raises(ConfigError, match="pool.w"):
+            params.load_values(values)
+
+
 class TestForwardBag:
     def test_log_probs_normalize(self):
         cfg = small_config()
