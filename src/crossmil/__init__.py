@@ -3,7 +3,14 @@ embeddings: synthetic data, clustering and bagging, the model zoo,
 training, evaluation statistics, and attention map rendering."""
 
 from .autodiff import Tensor, backward
-from .clustering import Bag, ClusterModel, assemble_bag, cluster_dataset, kmeans
+from .clustering import (
+    Bag,
+    ClusterModel,
+    assemble_bag,
+    cluster_dataset,
+    cluster_members,
+    kmeans,
+)
 from .data import (
     Dataset,
     PatientRecord,
@@ -45,6 +52,7 @@ __all__ = [
     "backward",
     "bootstrap_test",
     "cluster_dataset",
+    "cluster_members",
     "cross_scale_attention",
     "delong_test",
     "evaluate",

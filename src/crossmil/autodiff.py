@@ -430,8 +430,11 @@ def backward(loss: Tensor) -> dict[int, np.ndarray]:
                     continue
                 if parent.nid in flowing:
                     flowing[parent.nid] = flowing[parent.nid] + pg
-                else:
+                elif pg is g or np.may_share_memory(pg, g):
+                    # g is this node's own .grad, and may reach other parents
                     flowing[parent.nid] = np.array(pg, dtype=np.float64, copy=True)
+                else:
+                    flowing[parent.nid] = pg
     return params
 
 

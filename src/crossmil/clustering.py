@@ -218,15 +218,30 @@ def patient_rng(seed_parts: tuple[int, ...], patient_id: str) -> np.random.Gener
     return np.random.default_rng([*seed_parts, zlib.crc32(patient_id.encode())])
 
 
+def cluster_members(
+    patient: PatientRecord, clusters: np.ndarray, k: int
+) -> tuple[tuple[int, ...], ...]:
+    """Each of the k clusters' location indices, ascending; ``clusters[i]``
+    is location i's cluster. A patient's clusters do not change between
+    its bags, so callers build this once per patient for ``assemble_bag``.
+    """
+    if clusters.shape != (len(patient.emb),) or not (0 <= clusters.min() and clusters.max() < k):
+        raise ContractError(
+            f"patient {patient.patient_id}: need one cluster in [0, {k}) per location, "
+            f"got shape {clusters.shape}"
+        )
+    return tuple(tuple(np.flatnonzero(clusters == c).tolist()) for c in range(k))
+
+
 def assemble_bag(
     patient: PatientRecord,
-    clusters: np.ndarray,
-    k: int,
+    members: tuple[tuple[int, ...], ...],
     bag_size: int,
     rng: np.random.Generator,
 ) -> Bag:
     """Draw ``bag_size`` of the patient's locations, spread evenly over the
-    k phenotype clusters; ``clusters[i]`` is location i's cluster.
+    k phenotype clusters; ``members[c]`` lists cluster c's locations (see
+    ``cluster_members``).
 
     Target quota is bag_size/k per cluster; quotas of clusters this
     patient does not populate are redistributed round-robin. When
@@ -236,12 +251,12 @@ def assemble_bag(
     """
     if bag_size < 1:
         raise ContractError(f"bag_size must be >= 1, got {bag_size}")
-    if clusters.shape != (len(patient.emb),) or not (0 <= clusters.min() and clusters.max() < k):
+    k = len(members)
+    if sum(map(len, members)) != len(patient.emb):
         raise ContractError(
-            f"patient {patient.patient_id}: need one cluster in [0, {k}) per location, "
-            f"got shape {clusters.shape}"
+            f"patient {patient.patient_id}: cluster members hold "
+            f"{sum(map(len, members))} locations, the patient has {len(patient.emb)}"
         )
-    members = {c: np.flatnonzero(clusters == c).tolist() for c in range(k)}
     populated = [c for c in range(k) if members[c]]
 
     quotas = np.zeros(k, dtype=np.int64)
@@ -266,12 +281,14 @@ def assemble_bag(
 
     remaining = {c: list(members[c]) for c in populated}
     picked: list[int] = []
+    picked_clusters: list[int] = []
     for c in populated:
         take = min(int(quotas[c]), len(remaining[c]))
         if take:
             sel = rng.choice(len(remaining[c]), size=take, replace=False)
-            for j in sorted(sel, reverse=True):
-                picked.append(remaining[c].pop(int(j)))
+            for j in np.sort(sel)[::-1].tolist():
+                picked.append(remaining[c].pop(j))
+            picked_clusters += [c] * take
     # shortfall: keep cycling populated clusters that still have locations
     while len(picked) < bag_size and any(remaining.values()):
         for c in populated:
@@ -280,10 +297,13 @@ def assemble_bag(
             if remaining[c]:
                 j = int(rng.integers(len(remaining[c])))
                 picked.append(remaining[c].pop(j))
+                picked_clusters.append(c)
     # patient has fewer locations than bag_size: top up with replacement
     while len(picked) < bag_size:
         c = populated[int(rng.integers(len(populated)))]
         picked.append(members[c][int(rng.integers(len(members[c])))])
+        picked_clusters.append(c)
 
-    index = np.array(picked, dtype=np.int64)
-    return Bag(patient, index, clusters[index])
+    return Bag(
+        patient, np.array(picked, dtype=np.int64), np.array(picked_clusters, dtype=np.int64)
+    )

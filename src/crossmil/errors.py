@@ -43,8 +43,13 @@ class TrainingError(CrossmilError):
 
     def __init__(self, message: str, split_id: int, epoch: int):
         super().__init__(f"{message} (split {split_id}, epoch {epoch})")
+        self.message = message
         self.split_id = split_id
         self.epoch = epoch
+
+    def __reduce__(self):
+        # a training worker sends its error to the parent process pickled
+        return type(self), (self.message, self.split_id, self.epoch)
 
 
 class GeometryError(CrossmilError):

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .clustering import ClusterModel, assemble_bag, patient_rng
+from .clustering import ClusterModel, assemble_bag, cluster_members, patient_rng
 from .data import Dataset
 from .errors import ConfigError, ContractError, MetricError
 from .models import ModelParams, forward_bag
@@ -239,7 +239,10 @@ def score_patients(
             )
     bags = {
         p.patient_id: assemble_bag(
-            p, cluster_model.label(p), cluster_model.k, bag_size, patient_rng((seed,), p.patient_id)
+            p,
+            cluster_members(p, cluster_model.label(p), cluster_model.k),
+            bag_size,
+            patient_rng((seed,), p.patient_id),
         )
         for p in dataset
     }

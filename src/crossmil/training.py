@@ -3,11 +3,16 @@
 Training follows a fixed recipe: per epoch, one cluster-balanced bag per
 training patient, NLL loss per bag, one adaptive-moment gradient step
 per bag, then a validation pass; the returned parameters are the ones
-with the lowest validation loss.
+with the lowest validation loss. Splits train on up to
+``min(n_splits, usable CPUs)`` processes, with the same bytes as the
+sequential loop.
 """
 
 from __future__ import annotations
 
+import multiprocessing as mp
+import os
+import threading
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -16,9 +21,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .clustering import Bag, ClusterModel, assemble_bag, patient_rng
+from .clustering import Bag, ClusterModel, assemble_bag, cluster_members, patient_rng
 from .data import Dataset
-from .errors import ContractError, DomainError, TrainingError
+from .errors import ContractError, CrossmilError, DomainError, TrainingError
 from .models import ModelConfig, ModelParams, forward_bag, init_params
 
 _VAL_BAG_TAG = 0x56414C  # keeps validation bag streams apart from train streams
@@ -198,14 +203,16 @@ def train_one_split(
     params = init_params(model_cfg, seed=int(np.random.default_rng([cfg.seed, split_id]).integers(2**31)))
     opt = Adam(params, cfg)
     train_set = set(split.train_ids)
-    # nearest-centroid labels once per patient here, not once per bag
-    clusters = {
-        pid: cluster_model.label(dataset.patient(pid)) for pid in split.train_ids + split.val_ids
-    }
+    # nearest-centroid labels and cluster member lists once per patient
+    # here, not once per bag
+    members = {}
+    for pid in split.train_ids + split.val_ids:
+        patient = dataset.patient(pid)
+        members[pid] = cluster_members(patient, cluster_model.label(patient), cluster_model.k)
 
     def bag_for(pid: str, epoch_key: int) -> Bag:
         rng = patient_rng((cfg.seed, split_id, epoch_key), pid)
-        return assemble_bag(dataset.patient(pid), clusters[pid], cluster_model.k, cfg.bag_size, rng)
+        return assemble_bag(dataset.patient(pid), members[pid], cfg.bag_size, rng)
 
     val_bags = {pid: bag_for(pid, _VAL_BAG_TAG) for pid in split.val_ids}
     fixed_bags = None
@@ -254,17 +261,114 @@ def train_one_split(
     return TrainedModel(best, split_id, best_epoch, train_curve, val_curve)
 
 
+_OWN_TRAIN_ONE_SPLIT = train_one_split
+
+
 def train_all(
     dataset: Dataset,
     cluster_model: ClusterModel,
     cfg: TrainConfig,
     model_cfg: ModelConfig,
 ) -> list[TrainedModel]:
+    """Train every split and return the models in split order.
+
+    The splits share no state, so they are dealt round-robin over
+    ``min(n_splits, usable CPUs)`` workers: this process and forked
+    children, which get the data through the fork and send each trained
+    model back through a pipe. Each split computes the same bytes as in
+    the sequential loop. If several splits fail, the error of the lowest
+    split id is raised, as the sequential loop would have.
+
+    A worker sends back only what ``train_one_split`` returns. That is
+    all this module's own does; a replacement (a tracer, a spy) may also
+    record into this process, so with one every split trains here. So
+    they do when another thread runs: a fork copies only the calling
+    thread, and a lock another thread holds would stay held in the child.
+    """
     plan = make_splits(dataset, cfg.n_splits, cfg.seed)
-    return [
-        train_one_split(dataset, split, cluster_model, cfg, model_cfg, split_id=i)
-        for i, split in enumerate(plan.splits)
-    ]
+    usable_cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    n_workers = min(len(plan.splits), usable_cpus)
+    if (
+        train_one_split is not _OWN_TRAIN_ONE_SPLIT
+        or threading.active_count() > 1
+        or "fork" not in mp.get_all_start_methods()
+    ):
+        n_workers = 1
+    shares = [range(w, len(plan.splits), n_workers) for w in range(n_workers)]
+
+    def train_share(split_ids: range) -> tuple[list[TrainedModel], Exception | None]:
+        """Train the splits in order; stop at the first that fails."""
+        done = []
+        for i in split_ids:
+            try:
+                done.append(
+                    train_one_split(dataset, plan.splits[i], cluster_model, cfg, model_cfg, split_id=i)
+                )
+            except Exception as e:
+                return done, e
+        return done, None
+
+    ctx = mp.get_context("fork") if n_workers > 1 else None
+    children = []
+    try:
+        for share in shares[1:]:
+            recv, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_report_share, args=(send, train_share, share))
+            proc.start()
+            send.close()
+            children.append((proc, recv, share))
+        models, error = train_share(shares[0])
+        errors = {shares[0][len(models)]: error} if error else {}
+        for proc, recv, share in children:
+            done, error = _receive_share(proc, recv, share, model_cfg)
+            models += done
+            if error:
+                errors[share[len(done)]] = error
+    except BaseException:
+        for proc, _, _ in children:
+            proc.terminate()
+        raise
+    finally:
+        for proc, recv, _ in children:
+            recv.close()
+            proc.join()
+    if errors:
+        raise errors[min(errors)]
+    return sorted(models, key=lambda m: m.split_id)
+
+
+def _report_share(conn, train_share, share: range) -> None:
+    """Forked worker: train a share of the splits, then send each trained
+    model as (split_id, selection_epoch, flat values, train_curve,
+    val_curve), and the error that stopped the share, if any."""
+    done, error = train_share(share)
+    for m in done:
+        conn.send((m.split_id, m.selection_epoch, m.params.flat, m.train_curve, m.val_curve))
+    if error:
+        conn.send(error)
+    conn.close()
+
+
+def _receive_share(proc, conn, share: range, model_cfg: ModelConfig):
+    """The trained models a worker sent, and the error that stopped it:
+    the one it sent, or a CrossmilError if it exited without a result."""
+    done: list[TrainedModel] = []
+    while len(done) < len(share):
+        try:
+            msg = conn.recv()
+        except EOFError:
+            proc.join()
+            return done, CrossmilError(
+                f"training worker for split {share[len(done)]} exited with code "
+                f"{proc.exitcode} without sending its result"
+            )
+        if isinstance(msg, Exception):
+            return done, msg
+        split_id, selection_epoch, values, train_curve, val_curve = msg
+        params = init_params(model_cfg, seed=0)
+        params.flat[:] = values
+        done.append(TrainedModel(params, split_id, selection_epoch, train_curve, val_curve))
+    return done, None
 
 
 def write_loss_curves(model: TrainedModel, path: str | Path) -> Path:

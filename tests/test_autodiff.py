@@ -303,6 +303,27 @@ class TestBackward:
         ad.backward(((x * x) + (x * 2.0)).sum())
         assert x.grad[0] == pytest.approx(10.0)
 
+    @pytest.mark.parametrize("hand_down, b_shape", [
+        (lambda g: (g, g), (2, 3)),  # what add hands its parents
+        (lambda g: (g, g[:, :1]), (2, 1)),  # a view of g
+        (lambda g: (g * 2.0, g), (2, 3)),  # one fresh, one g
+    ], ids=["same", "view", "fresh-and-same"])
+    def test_leaves_fed_one_upstream_gradient_get_own_buffers(self, hand_down, b_shape):
+        a = Tensor(np.ones((2, 3)), requires_grad=True)
+        b = Tensor(np.ones(b_shape), requires_grad=True)
+        node = ad.custom_op("fan", a.data.copy(), (a, b), hand_down)
+        ad.backward(ad.reduce_sum(node * 3.0))
+        assert not np.shares_memory(a.grad, b.grad)
+        assert not np.shares_memory(a.grad, node.grad)
+        assert not np.shares_memory(b.grad, node.grad)
+        np.testing.assert_array_equal(node.grad, np.full((2, 3), 3.0))
+
+    def test_fresh_parent_gradients_are_not_copied(self):
+        fresh = np.full((2, 2), 5.0)
+        a = Tensor(np.ones((2, 2)), requires_grad=True)
+        ad.backward(ad.reduce_sum(ad.custom_op("fresh", a.data.copy(), (a,), lambda g: (fresh,))))
+        assert a.grad is fresh
+
     def test_nan_input_rejected_at_construction(self):
         with pytest.raises(DomainError):
             Tensor([np.nan])

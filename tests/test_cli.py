@@ -514,3 +514,48 @@ def test_outputs_identical_across_blas_thread_counts(tmp_path, variant):
     assert outputs["1"] == outputs["2"]
     trained = load_checkpoint(sorted(tmp_path.glob("threads1/ckpt/checkpoint_split*.bin"))[0])
     assert all(getattr(trained.config, key) == value for key, value in variant.items())
+
+
+# Runs `crossmil train` in a child process, on one CPU or on all usable ones.
+TRAIN_CHILD = """
+import os
+import sys
+from crossmil.cli import main
+if sys.argv[1] == "one":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs two usable CPUs for a second training worker",
+)
+def test_outputs_identical_across_worker_counts(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        **TINY,
+        "data": {"n_train_per_class": 5, "n_test_per_class": 1, "n_locations": 12, "dim": 8},
+        "train": {"epochs": 3, "learning_rate": 1e-3, "bag_size": 4, "n_splits": 3},
+    }))
+    common = ["--config", str(config), "--seed", "6"]
+    train = str(tmp_path / "data/train/manifest.json")
+    clust = str(tmp_path / "clust/cluster_model.json")
+    assert main(["gen-data", *common, "--out-dir", str(tmp_path / "data")]) == 0
+    assert main(["cluster", *common, "--data", train, "--out-dir", str(tmp_path / "clust")]) == 0
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = {}
+    for cpus in ("one", "all"):
+        out = tmp_path / cpus
+        argv = ["train", *common, "--data", train, "--cluster", clust, "--out-dir", str(out)]
+        child = subprocess.run(
+            [sys.executable, "-c", TRAIN_CHILD, cpus, *argv],
+            env=env, capture_output=True, text=True, timeout=600,
+        )
+        assert child.returncode == 0, child.stderr
+        files = sorted([*out.glob("checkpoint_split*.bin"), *out.glob("loss_split*.csv")])
+        outputs[cpus] = {f.name: f.read_bytes() for f in files}
+    assert len(outputs["one"]) == 6
+    assert outputs["one"] == outputs["all"]

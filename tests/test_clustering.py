@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossmil.clustering import (
+    Bag,
     assemble_bag,
     cluster_dataset,
+    cluster_members,
     kmeans,
     load_cluster_model,
     patient_rng,
@@ -15,6 +17,10 @@ from crossmil.clustering import (
 )
 from crossmil.data import Dataset, PatientRecord, SyntheticSpec, generate_synthetic
 from crossmil.errors import ConfigError, ContractError, FormatError
+
+
+def _bag(patient, clusters, k, bag_size, rng):
+    return assemble_bag(patient, cluster_members(patient, clusters, k), bag_size, rng)
 
 
 class TestKMeans:
@@ -180,7 +186,7 @@ class TestBagAssembly:
         for p in ds:
             if len(set(labels[p.patient_id].tolist())) < 8:
                 continue
-            bag = assemble_bag(p, labels[p.patient_id], 8, 8, patient_rng((0,), p.patient_id))
+            bag = _bag(p, labels[p.patient_id], 8, 8, patient_rng((0,), p.patient_id))
             assert sorted(bag.clusters.tolist()) == list(range(8))
 
     def test_multiple_of_k_gives_equal_quota(self, setup):
@@ -189,7 +195,7 @@ class TestBagAssembly:
         for p in ds:
             if np.bincount(labels[p.patient_id], minlength=8).min() < 2:
                 continue  # quota q=2 needs two locations in every cluster
-            bag = assemble_bag(p, labels[p.patient_id], 8, 16, patient_rng((1,), p.patient_id))
+            bag = _bag(p, labels[p.patient_id], 8, 16, patient_rng((1,), p.patient_id))
             assert (np.bincount(bag.clusters, minlength=8) == 2).all()
             checked += 1
         assert checked > 0
@@ -197,13 +203,13 @@ class TestBagAssembly:
     def test_single_instance_bag(self, setup):
         ds, model, labels = setup
         p = ds.patients[0]
-        bag = assemble_bag(p, labels[p.patient_id], 8, 1, patient_rng((2,), "x"))
+        bag = _bag(p, labels[p.patient_id], 8, 1, patient_rng((2,), "x"))
         assert bag.index.shape == bag.clusters.shape == (1,)
 
     def test_bag_instances_belong_to_patient(self, setup):
         ds, model, labels = setup
         for p in ds:
-            bag = assemble_bag(p, labels[p.patient_id], 8, 8, patient_rng((3,), p.patient_id))
+            bag = _bag(p, labels[p.patient_id], 8, 8, patient_rng((3,), p.patient_id))
             assert bag.patient is p and ((0 <= bag.index) & (bag.index < 40)).all()
             np.testing.assert_array_equal(bag.clusters, labels[p.patient_id][bag.index])
             assert bag.patient_id == p.patient_id and bag.label == p.label
@@ -212,42 +218,45 @@ class TestBagAssembly:
         ds, model, labels = setup
         p = ds.patients[0]
         forced = np.full(40, 5)  # every location of this patient in cluster 5
-        bag = assemble_bag(p, forced, 8, 8, patient_rng((4,), p.patient_id))
+        bag = _bag(p, forced, 8, 8, patient_rng((4,), p.patient_id))
         assert bag.clusters.tolist() == [5] * 8
         assert len(set(bag.index.tolist())) == 8  # without replacement
 
     def test_sampling_without_replacement_until_exhausted(self, setup):
         ds, model, labels = setup
         p = ds.patients[1]
-        bag = assemble_bag(p, labels[p.patient_id], 8, 40, patient_rng((5,), p.patient_id))
+        bag = _bag(p, labels[p.patient_id], 8, 40, patient_rng((5,), p.patient_id))
         assert sorted(bag.index.tolist()) == list(range(40))
 
     def test_oversized_bag_fills_with_replacement(self, setup):
         ds, model, labels = setup
         p = ds.patients[2]
-        bag = assemble_bag(p, labels[p.patient_id], 8, 64, patient_rng((6,), "y"))
+        bag = _bag(p, labels[p.patient_id], 8, 64, patient_rng((6,), "y"))
         assert len(bag.index) == 64 and set(bag.index.tolist()) == set(range(40))
 
     def test_deterministic_given_rng_seed(self, setup):
         ds, model, labels = setup
         p = ds.patients[3]
-        a = assemble_bag(p, labels[p.patient_id], 8, 8, patient_rng((7,), p.patient_id))
-        b = assemble_bag(p, labels[p.patient_id], 8, 8, patient_rng((7,), p.patient_id))
+        a = _bag(p, labels[p.patient_id], 8, 8, patient_rng((7,), p.patient_id))
+        b = _bag(p, labels[p.patient_id], 8, 8, patient_rng((7,), p.patient_id))
         np.testing.assert_array_equal(a.index, b.index)
 
     def test_zero_bag_size_rejected(self, setup):
         ds, model, labels = setup
         p = ds.patients[0]
         with pytest.raises(ContractError):
-            assemble_bag(p, labels[p.patient_id], 8, 0, patient_rng((8,), "z"))
+            _bag(p, labels[p.patient_id], 8, 0, patient_rng((8,), "z"))
 
     def test_labels_must_fit_the_patient_and_k(self, setup):
         ds, model, labels = setup
         p = ds.patients[0]
         with pytest.raises(ContractError, match=p.patient_id):
-            assemble_bag(p, labels[p.patient_id][:-1], 8, 8, patient_rng((9,), "z"))
+            cluster_members(p, labels[p.patient_id][:-1], 8)
         with pytest.raises(ContractError, match=p.patient_id):
-            assemble_bag(p, np.full(40, 8), 8, 8, patient_rng((9,), "z"))
+            cluster_members(p, np.full(40, 8), 8)
+        eight_of_forty = tuple((c,) for c in range(8))
+        with pytest.raises(ContractError, match=p.patient_id):
+            assemble_bag(p, eight_of_forty, 8, patient_rng((9,), "z"))
 
 
 def _patient(n: int) -> PatientRecord:
@@ -267,7 +276,7 @@ class TestBagProperties:
     def test_exact_size_and_own_labels(self, case):
         clusters, k, bag_size, seed = case
         patient = _patient(len(clusters))
-        bag = assemble_bag(patient, clusters, k, bag_size, np.random.default_rng(seed))
+        bag = _bag(patient, clusters, k, bag_size, np.random.default_rng(seed))
         assert bag.patient is patient
         assert bag.index.shape == bag.clusters.shape == (bag_size,)
         assert ((0 <= bag.index) & (bag.index < len(clusters))).all()
@@ -278,7 +287,7 @@ class TestBagProperties:
     def test_no_repeats_until_locations_run_out(self, case):
         clusters, k, bag_size, seed = case
         n = len(clusters)
-        bag = assemble_bag(_patient(n), clusters, k, bag_size, np.random.default_rng(seed))
+        bag = _bag(_patient(n), clusters, k, bag_size, np.random.default_rng(seed))
         picks = bag.index.tolist()
         if bag_size <= n:
             assert len(set(picks)) == bag_size
@@ -290,7 +299,64 @@ class TestBagProperties:
     def test_same_rng_state_same_bag(self, case):
         clusters, k, bag_size, seed = case
         patient = _patient(len(clusters))
-        a = assemble_bag(patient, clusters, k, bag_size, np.random.default_rng(seed))
-        b = assemble_bag(patient, clusters, k, bag_size, np.random.default_rng(seed))
+        a = _bag(patient, clusters, k, bag_size, np.random.default_rng(seed))
+        b = _bag(patient, clusters, k, bag_size, np.random.default_rng(seed))
         np.testing.assert_array_equal(a.index, b.index)
         np.testing.assert_array_equal(a.clusters, b.clusters)
+
+    @settings(max_examples=300, deadline=None)
+    @given(bag_cases())
+    def test_members_built_once_give_the_per_bag_construction(self, case):
+        clusters, k, bag_size, seed = case
+        patient = _patient(len(clusters))
+        members = cluster_members(patient, clusters, k)
+        rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(2):  # the same member lists serve every bag
+            new = assemble_bag(patient, members, bag_size, rng_new)
+            old = _per_bag_construction(patient, clusters, k, bag_size, rng_old)
+            np.testing.assert_array_equal(new.index, old.index)
+            np.testing.assert_array_equal(new.clusters, old.clusters)
+            assert new.index.dtype == old.index.dtype and new.clusters.dtype == old.clusters.dtype
+            assert rng_new.bit_generator.state == rng_old.bit_generator.state
+
+
+def _per_bag_construction(patient, clusters, k, bag_size, rng):
+    """The bag construction that grouped the cluster members on every call."""
+    members = {c: np.flatnonzero(clusters == c).tolist() for c in range(k)}
+    populated = [c for c in range(k) if members[c]]
+    quotas = np.zeros(k, dtype=np.int64)
+    if bag_size >= k:
+        quotas[:] = bag_size // k
+        extra = bag_size % k
+        if extra:
+            quotas[rng.permutation(k)[:extra]] += 1
+    else:
+        chosen = rng.choice(populated, size=min(bag_size, len(populated)), replace=False)
+        quotas[chosen] = 1
+        for i in range(bag_size - len(chosen)):
+            quotas[populated[i % len(populated)]] += 1
+    empty = [c for c in range(k) if not members[c]]
+    stranded = int(quotas[empty].sum())
+    quotas[empty] = 0
+    for i in range(stranded):
+        quotas[populated[i % len(populated)]] += 1
+    remaining = {c: list(members[c]) for c in populated}
+    picked: list[int] = []
+    for c in populated:
+        take = min(int(quotas[c]), len(remaining[c]))
+        if take:
+            sel = rng.choice(len(remaining[c]), size=take, replace=False)
+            for j in sorted(sel, reverse=True):
+                picked.append(remaining[c].pop(int(j)))
+    while len(picked) < bag_size and any(remaining.values()):
+        for c in populated:
+            if len(picked) == bag_size:
+                break
+            if remaining[c]:
+                j = int(rng.integers(len(remaining[c])))
+                picked.append(remaining[c].pop(j))
+    while len(picked) < bag_size:
+        c = populated[int(rng.integers(len(populated)))]
+        picked.append(members[c][int(rng.integers(len(members[c])))])
+    index = np.array(picked, dtype=np.int64)
+    return Bag(patient, index, clusters[index])

@@ -1,4 +1,8 @@
 import math
+import multiprocessing as mp
+import os
+import pickle
+import threading
 
 import numpy as np
 import pytest
@@ -7,7 +11,7 @@ from crossmil.autodiff import Tensor
 from crossmil.checkpoint import save_checkpoint
 from crossmil.clustering import cluster_dataset
 from crossmil.data import SyntheticSpec, generate_synthetic
-from crossmil.errors import ContractError, TrainingError
+from crossmil.errors import ContractError, CrossmilError, TrainingError
 from crossmil.models import ModelConfig, init_params
 from crossmil.training import (
     Adam,
@@ -31,6 +35,11 @@ def small_dataset(seed=0, signal=1.0, n_per_class=6, n_locations=10, dim=8):
             seed=seed,
         )
     )
+
+
+def split_seed(tc, split_id):
+    """The init seed train_one_split draws for a split."""
+    return int(np.random.default_rng([tc.seed, split_id]).integers(2**31))
 
 
 def small_model(dataset, k=4):
@@ -255,6 +264,13 @@ class TestTrainOneSplit:
         message = str(err.value)
         assert "'cross_scale_attention'" in message and "(split 1, epoch 0)" in message
 
+    def test_training_error_survives_pickling(self):
+        err = TrainingError("training diverged: overflow", 3, 5)
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is TrainingError
+        assert (str(back), back.split_id, back.epoch) == (str(err), 3, 5)
+        assert back.message == "training diverged: overflow"
+
     def test_validation_patients_never_reach_a_gradient_step(self, monkeypatch):
         import crossmil.training as training
 
@@ -325,3 +341,120 @@ class TestTrainAll:
         assert len(lines) == 4
         epoch, train, val = lines[1].split(",")
         assert epoch == "0" and float(train) > 0 and float(val) > 0
+
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in mp.get_all_start_methods(), reason="needs the fork start method"
+)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """train_all sees two usable CPUs, so it forks one worker."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+@needs_fork
+@pytest.mark.usefixtures("two_cpus")
+class TestParallelSplits:
+    def test_one_child_per_extra_cpu_and_sequential_bytes(self, monkeypatch):
+        started = []
+        real_start = mp.process.BaseProcess.start
+
+        def spy_start(proc):
+            started.append(proc)
+            return real_start(proc)
+
+        monkeypatch.setattr(mp.process.BaseProcess, "start", spy_start)
+        ds = small_dataset(seed=13)
+        cm = cluster_dataset(ds, "5x", k=4, seed=13)
+        tc = TrainConfig(epochs=2, learning_rate=1e-3, bag_size=4, n_splits=5, seed=13)
+        models = train_all(ds, cm, tc, small_model(ds))
+        assert len(started) == 1 and started[0].exitcode == 0
+        assert [m.split_id for m in models] == [0, 1, 2, 3, 4]
+        plan = make_splits(ds, 5, seed=13)
+        for m, split in zip(models, plan.splits):
+            ref = train_one_split(ds, split, cm, tc, small_model(ds), split_id=m.split_id)
+            assert m.params.flat.tobytes() == ref.params.flat.tobytes()
+            assert (m.selection_epoch, m.train_curve, m.val_curve) == (
+                ref.selection_epoch, ref.train_curve, ref.val_curve
+            )
+            assert all(t.data.base is m.params.flat for t in m.params.tensors.values())
+
+    def test_a_worker_that_dies_is_an_error_naming_its_split(self, monkeypatch):
+        # init_params is patched, not train_one_split: a replaced
+        # train_one_split trains in this process
+        import crossmil.training as training
+
+        ds = small_dataset(seed=14)
+        cm = cluster_dataset(ds, "5x", k=4, seed=14)
+        tc = TrainConfig(epochs=1, learning_rate=1e-3, bag_size=4, n_splits=3, seed=14)
+
+        parent = os.getpid()
+
+        def dying_init(cfg, seed=0):
+            if seed == split_seed(tc, 1):
+                assert os.getpid() != parent, "split 1 trained in this process"
+                os._exit(7)
+            return init_params(cfg, seed)
+
+        monkeypatch.setattr(training, "init_params", dying_init)
+        with pytest.raises(CrossmilError, match="split 1 exited with code 7"):
+            train_all(ds, cm, tc, small_model(ds))
+        assert not mp.active_children()
+
+    @pytest.mark.parametrize("failing, raised", [({1, 2}, 1), ({2, 3}, 2), ({3}, 3)])
+    def test_the_lowest_failing_split_is_raised(self, monkeypatch, failing, raised):
+        # this process trains splits 0 and 2, the worker 1 and 3
+        import crossmil.training as training
+
+        ds = small_dataset(seed=15)
+        cm = cluster_dataset(ds, "5x", k=4, seed=15)
+        tc = TrainConfig(epochs=1, learning_rate=1e-3, bag_size=4, n_splits=4, seed=15)
+        failing_seeds = {split_seed(tc, i): i for i in failing}
+
+        def failing_init(cfg, seed=0):
+            if seed in failing_seeds:
+                raise TrainingError("training diverged", failing_seeds[seed], 0)
+            return init_params(cfg, seed)
+
+        monkeypatch.setattr(training, "init_params", failing_init)
+        with pytest.raises(TrainingError) as err:
+            train_all(ds, cm, tc, small_model(ds))
+        assert err.value.split_id == raised
+        assert not mp.active_children()
+
+    def test_a_replaced_train_one_split_sees_every_split_here(self, monkeypatch):
+        import crossmil.training as training
+
+        real, seen = training.train_one_split, []
+
+        def spy(*args, split_id=0, **kwargs):
+            seen.append(split_id)
+            return real(*args, split_id=split_id, **kwargs)
+
+        monkeypatch.setattr(training, "train_one_split", spy)
+        ds = small_dataset(seed=16)
+        cm = cluster_dataset(ds, "5x", k=4, seed=16)
+        tc = TrainConfig(epochs=1, learning_rate=1e-3, bag_size=4, n_splits=3, seed=16)
+        assert [m.split_id for m in train_all(ds, cm, tc, small_model(ds))] == [0, 1, 2]
+        assert seen == [0, 1, 2]
+
+    def test_splits_train_here_while_another_thread_runs(self, monkeypatch):
+        started = []
+        real_start = mp.process.BaseProcess.start
+        monkeypatch.setattr(
+            mp.process.BaseProcess, "start", lambda proc: started.append(proc) or real_start(proc)
+        )
+        ds = small_dataset(seed=17)
+        cm = cluster_dataset(ds, "5x", k=4, seed=17)
+        tc = TrainConfig(epochs=1, learning_rate=1e-3, bag_size=4, n_splits=2, seed=17)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            models = train_all(ds, cm, tc, small_model(ds))
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not started and [m.split_id for m in models] == [0, 1]
