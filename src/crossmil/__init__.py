@@ -8,7 +8,6 @@ from .clustering import (
     ClusterModel,
     assemble_bag,
     cluster_dataset,
-    cluster_members,
     kmeans,
 )
 from .data import (
@@ -52,7 +51,6 @@ __all__ = [
     "backward",
     "bootstrap_test",
     "cluster_dataset",
-    "cluster_members",
     "cross_scale_attention",
     "delong_test",
     "evaluate",

@@ -84,12 +84,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
 
@@ -103,12 +97,6 @@ class Tensor:
 
     def sum(self, axis: int | None = None) -> "Tensor":
         return reduce_sum(self, axis)
-
-    def mean(self, axis: int | None = None) -> "Tensor":
-        return reduce_mean(self, axis)
-
-    def max(self, axis: int | None = None) -> "Tensor":
-        return reduce_max(self, axis)
 
     @property
     def T(self) -> "Tensor":
@@ -166,17 +154,6 @@ def add(a, b) -> Tensor:
 
     with np.errstate(over="ignore", invalid="ignore"):
         return Tensor(a.data + b.data, _parents=(a, b), _grad_fn=grad_fn, _op="add")
-
-
-def sub(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    _check_binary_shapes(a, b, "sub")
-
-    def grad_fn(g):
-        return _reduce_to(g, a.shape), _reduce_to(-g, b.shape)
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        return Tensor(a.data - b.data, _parents=(a, b), _grad_fn=grad_fn, _op="sub")
 
 
 def mul(a, b) -> Tensor:
@@ -254,29 +231,6 @@ def sigmoid(x) -> Tensor:
     return Tensor(y, _parents=(x,), _grad_fn=grad_fn, _op="sigmoid")
 
 
-def exp(x) -> Tensor:
-    x = _wrap(x)
-    with np.errstate(over="ignore"):
-        y = np.exp(x.data)
-
-    def grad_fn(g):
-        return (g * y,)
-
-    return Tensor(y, _parents=(x,), _grad_fn=grad_fn, _op="exp")
-
-
-def log(x) -> Tensor:
-    x = _wrap(x)
-    if np.any(x.data <= 0.0):
-        raise DomainError("log: input has non-positive values")
-    y = np.log(x.data)
-
-    def grad_fn(g):
-        return (g / x.data,)
-
-    return Tensor(y, _parents=(x,), _grad_fn=grad_fn, _op="log")
-
-
 def _check_axis(x: Tensor, axis: int, op: str) -> int:
     if not -x.data.ndim <= axis < x.data.ndim:
         raise DimensionError(f"{op}: axis {axis} invalid for shape {x.shape}")
@@ -335,33 +289,6 @@ def reduce_sum(x, axis: int | None = None) -> Tensor:
         return (_expand(g, x.shape, axis).copy(),)
 
     return Tensor(x.data.sum(axis=axis), _parents=(x,), _grad_fn=grad_fn, _op="sum")
-
-
-def reduce_mean(x, axis: int | None = None) -> Tensor:
-    x = _wrap(x)
-    if axis is not None:
-        axis = _check_axis(x, axis, "mean")
-    n = x.size if axis is None else x.shape[axis]
-
-    def grad_fn(g):
-        return (_expand(g, x.shape, axis) / n,)
-
-    return Tensor(x.data.mean(axis=axis), _parents=(x,), _grad_fn=grad_fn, _op="mean")
-
-
-def reduce_max(x, axis: int | None = None) -> Tensor:
-    x = _wrap(x)
-    if axis is not None:
-        axis = _check_axis(x, axis, "max")
-    y = x.data.max(axis=axis)
-
-    def grad_fn(g):
-        # ties share the gradient equally; deterministic and FD-consistent
-        mask = x.data == _expand(np.asarray(y), x.shape, axis)
-        counts = mask.sum(axis=axis, keepdims=axis is not None)
-        return (_expand(g, x.shape, axis) * mask / counts,)
-
-    return Tensor(y, _parents=(x,), _grad_fn=grad_fn, _op="max")
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:

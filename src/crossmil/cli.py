@@ -115,6 +115,14 @@ def load_config(path: str | None) -> dict:
     return config
 
 
+def _run_config(args) -> dict:
+    """The command's config: its file over the defaults, then ``--seed``."""
+    config = load_config(args.config)
+    if args.seed is not None:
+        config["seed"] = args.seed
+    return config
+
+
 def write_resolved_config(config: dict, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "resolved_config.json").write_text(
@@ -139,31 +147,16 @@ def synthetic_spec(config: dict) -> SyntheticSpec:
 
 
 def model_config(config: dict, dataset: Dataset, n_clusters: int) -> ModelConfig:
-    m = config["model"]
     return ModelConfig(
-        fusion=m["fusion"],
-        attention_sharing=m["attention_sharing"],
-        attention_activation=m["attention_activation"],
+        **config["model"],
         embed_dim=dataset.dim,
-        encoder_dim=m["encoder_dim"],
-        attention_hidden=m["attention_hidden"],
         n_clusters=n_clusters,
         n_scales=dataset.n_scales,
-        pooling=m["pooling"],
-        scale_index=m["scale_index"],
     )
 
 
 def train_config(config: dict) -> TrainConfig:
-    t = config["train"]
-    return TrainConfig(
-        epochs=t["epochs"],
-        learning_rate=t["learning_rate"],
-        bag_size=t["bag_size"],
-        n_splits=t["n_splits"],
-        seed=config["seed"],
-        bag_resample=t["bag_resample"],
-    )
+    return TrainConfig(**config["train"], seed=config["seed"])
 
 
 def _load_checkpoints(ckpt_dir: Path) -> list[ModelParams]:
@@ -194,9 +187,7 @@ def _archive_model(config: dict, cfg: ModelConfig, k: int) -> None:
 
 
 def cmd_gen_data(args) -> int:
-    config = load_config(args.config)
-    if args.seed is not None:
-        config["seed"] = args.seed
+    config = _run_config(args)
     out = Path(args.out_dir)
     spec = synthetic_spec(config)
     dataset = generate_synthetic(spec)
@@ -210,9 +201,7 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    config = load_config(args.config)
-    if args.seed is not None:
-        config["seed"] = args.seed
+    config = _run_config(args)
     dataset = load_dataset(args.data)
     model = cluster_dataset(
         dataset, config["cluster"]["scale"], config["cluster"]["k"], seed=config["seed"]
@@ -236,14 +225,12 @@ def _apply_model_overrides(config: dict, args) -> None:
 
 
 def cmd_train(args) -> int:
-    config = load_config(args.config)
-    if args.seed is not None:
-        config["seed"] = args.seed
+    config = _run_config(args)
     _apply_model_overrides(config, args)
+    tcfg = train_config(config)
     dataset = load_dataset(args.data)
     cluster = load_cluster_model(args.cluster)
     cfg = model_config(config, dataset, cluster.k)
-    tcfg = train_config(config)
     out = Path(args.out_dir)
     write_resolved_config(config, out)
     models = train_all(dataset, cluster, tcfg, cfg)
@@ -255,9 +242,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    config = load_config(args.config)
-    if args.seed is not None:
-        config["seed"] = args.seed
+    config = _run_config(args)
     dataset = load_dataset(args.data)
     cluster = load_cluster_model(args.cluster)
     models = _load_checkpoints(Path(args.ckpt_dir))
@@ -280,9 +265,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    config = load_config(args.config)
-    if args.seed is not None:
-        config["seed"] = args.seed
+    config = _run_config(args)
     entries = []
     for item in args.scores:
         if "=" not in item:
@@ -325,9 +308,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_attn_map(args) -> int:
-    config = load_config(args.config)
-    if args.seed is not None:
-        config["seed"] = args.seed
+    config = _run_config(args)
     dataset = load_dataset(args.data)
     models = _load_checkpoints(Path(args.ckpt_dir))
     known = {p.patient_id for p in dataset}

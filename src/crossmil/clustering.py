@@ -3,8 +3,8 @@
 Locations are grouped by k-means over their embeddings (a single scale
 or all scales concatenated). A cluster model is its centroids: each
 location's cluster is its nearest centroid, worked out per patient when
-needed. Bags then draw locations evenly from the clusters so every
-phenotype pattern is represented per patient.
+needed. Each bag is dealt round-robin over the clusters a patient
+populates, so every phenotype pattern it shows is represented evenly.
 """
 
 from __future__ import annotations
@@ -218,92 +218,37 @@ def patient_rng(seed_parts: tuple[int, ...], patient_id: str) -> np.random.Gener
     return np.random.default_rng([*seed_parts, zlib.crc32(patient_id.encode())])
 
 
-def cluster_members(
-    patient: PatientRecord, clusters: np.ndarray, k: int
-) -> tuple[tuple[int, ...], ...]:
-    """Each of the k clusters' location indices, ascending; ``clusters[i]``
-    is location i's cluster. A patient's clusters do not change between
-    its bags, so callers build this once per patient for ``assemble_bag``.
-    """
-    if clusters.shape != (len(patient.emb),) or not (0 <= clusters.min() and clusters.max() < k):
-        raise ContractError(
-            f"patient {patient.patient_id}: need one cluster in [0, {k}) per location, "
-            f"got shape {clusters.shape}"
-        )
-    return tuple(tuple(np.flatnonzero(clusters == c).tolist()) for c in range(k))
-
-
 def assemble_bag(
     patient: PatientRecord,
-    members: tuple[tuple[int, ...], ...],
+    clusters: np.ndarray,
     bag_size: int,
     rng: np.random.Generator,
 ) -> Bag:
     """Draw ``bag_size`` of the patient's locations, spread evenly over the
-    k phenotype clusters; ``members[c]`` lists cluster c's locations (see
-    ``cluster_members``).
+    clusters it populates; ``clusters[i]`` is location i's cluster (see
+    ``ClusterModel.label``).
 
-    Target quota is bag_size/k per cluster; quotas of clusters this
-    patient does not populate are redistributed round-robin. When
-    bag_size < k, that many distinct populated clusters are chosen
-    uniformly, one location each. Sampling is without replacement until
-    the patient's locations run out.
+    The locations are dealt round by round: each round takes the next
+    unpicked location of every populated cluster, in one random turn
+    order, and each cluster's locations come in random order. So the
+    populated clusters' counts differ by at most 1 until one runs out, a
+    bag smaller than the number of populated clusters holds distinct
+    clusters chosen uniformly, and no location repeats until every
+    location has been dealt, after which the deal starts again.
     """
     if bag_size < 1:
         raise ContractError(f"bag_size must be >= 1, got {bag_size}")
-    k = len(members)
-    if sum(map(len, members)) != len(patient.emb):
+    clusters = np.asarray(clusters)
+    n = len(patient.emb)
+    if clusters.shape != (n,) or clusters.dtype.kind not in "iu" or not n or clusters.min() < 0:
         raise ContractError(
-            f"patient {patient.patient_id}: cluster members hold "
-            f"{sum(map(len, members))} locations, the patient has {len(patient.emb)}"
+            f"patient {patient.patient_id}: need one non-negative integer cluster per "
+            f"location ({n}), got {clusters.dtype} array of shape {clusters.shape}"
         )
-    populated = [c for c in range(k) if members[c]]
-
-    quotas = np.zeros(k, dtype=np.int64)
-    if bag_size >= k:
-        quotas[:] = bag_size // k
-        extra = bag_size % k
-        if extra:
-            quotas[rng.permutation(k)[:extra]] += 1
-    else:
-        chosen = rng.choice(populated, size=min(bag_size, len(populated)), replace=False)
-        quotas[chosen] = 1
-        leftover = bag_size - len(chosen)
-        for i in range(leftover):
-            quotas[populated[i % len(populated)]] += 1
-
-    # round-robin redistribution of quotas stuck on unpopulated clusters
-    empty = [c for c in range(k) if not members[c]]
-    stranded = int(quotas[empty].sum())
-    quotas[empty] = 0
-    for i in range(stranded):
-        quotas[populated[i % len(populated)]] += 1
-
-    remaining = {c: list(members[c]) for c in populated}
-    picked: list[int] = []
-    picked_clusters: list[int] = []
-    for c in populated:
-        take = min(int(quotas[c]), len(remaining[c]))
-        if take:
-            sel = rng.choice(len(remaining[c]), size=take, replace=False)
-            for j in np.sort(sel)[::-1].tolist():
-                picked.append(remaining[c].pop(j))
-            picked_clusters += [c] * take
-    # shortfall: keep cycling populated clusters that still have locations
-    while len(picked) < bag_size and any(remaining.values()):
-        for c in populated:
-            if len(picked) == bag_size:
-                break
-            if remaining[c]:
-                j = int(rng.integers(len(remaining[c])))
-                picked.append(remaining[c].pop(j))
-                picked_clusters.append(c)
-    # patient has fewer locations than bag_size: top up with replacement
-    while len(picked) < bag_size:
-        c = populated[int(rng.integers(len(populated)))]
-        picked.append(members[c][int(rng.integers(len(members[c])))])
-        picked_clusters.append(c)
-
-    return Bag(
-        patient, np.array(picked, dtype=np.int64), np.array(picked_clusters, dtype=np.int64)
-    )
+    order = np.lexsort((rng.random(n), clusters))  # by cluster, random within one
+    c = clusters[order]
+    rank = np.arange(n) - np.searchsorted(c, c)  # position within its cluster
+    group = np.cumsum(rank == 0) - 1  # which populated cluster, ascending
+    turn = rng.permutation(group[-1] + 1)[group]
+    index = np.resize(order[np.lexsort((turn, rank))], bag_size)
+    return Bag(patient, index, clusters[index].astype(np.int64, copy=False))

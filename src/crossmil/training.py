@@ -10,6 +10,7 @@ sequential loop.
 
 from __future__ import annotations
 
+import math
 import multiprocessing as mp
 import os
 import threading
@@ -21,9 +22,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .clustering import Bag, ClusterModel, assemble_bag, cluster_members, patient_rng
+from .clustering import Bag, ClusterModel, assemble_bag, patient_rng
 from .data import Dataset
-from .errors import ContractError, CrossmilError, DomainError, TrainingError
+from .errors import ConfigError, ContractError, CrossmilError, DomainError, TrainingError
 from .models import ModelConfig, ModelParams, forward_bag, init_params
 
 _VAL_BAG_TAG = 0x56414C  # keeps validation bag streams apart from train streams
@@ -42,12 +43,23 @@ class TrainConfig:
     bag_resample: bool = True
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ContractError(f"epochs must be >= 1, got {self.epochs}")
-        if self.n_splits < 1:
-            raise ContractError(f"n_splits must be >= 1, got {self.n_splits}")
-        if self.bag_size < 1:
-            raise ContractError(f"bag_size must be >= 1, got {self.bag_size}")
+        for name in ("epochs", "bag_size", "n_splits", "seed"):
+            value, low = getattr(self, name), 0 if name == "seed" else 1
+            if type(value) is not int or value < low:
+                raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+        if type(self.bag_resample) is not bool:
+            raise ConfigError(f"bag_resample must be true or false, got {self.bag_resample!r}")
+        # a zero learning rate is allowed: a run that keeps the initial parameters
+        for name, ok, bound in (
+            ("learning_rate", lambda x: x >= 0.0, ">= 0"),
+            ("eps", lambda x: x > 0.0, "> 0"),
+            ("beta1", lambda x: 0.0 <= x < 1.0, "in [0, 1)"),
+            ("beta2", lambda x: 0.0 <= x < 1.0, "in [0, 1)"),
+        ):
+            value = getattr(self, name)
+            real = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not (real and math.isfinite(value) and ok(value)):
+                raise ConfigError(f"{name} must be a finite number {bound}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -99,8 +111,7 @@ class Adam:
     the values buffer is ``params.flat``, which every tensor views, so a
     step is a few whole-buffer operations in place. Each element goes
     through the per-tensor formula's operations in the same order, so
-    results are the same to the bit. A tensor whose ``grad`` is None
-    keeps its value and moments.
+    results are the same to the bit. Every parameter needs a gradient.
     """
 
     def __init__(self, params: ModelParams, cfg: TrainConfig):
@@ -108,9 +119,8 @@ class Adam:
         self.beta1, self.beta2, self.eps = cfg.beta1, cfg.beta2, cfg.eps
         self.t = 0
         self._values = params.flat
-        self._tensors = [params.tensors[n] for n in params.names()]
-        self._sizes = [t.data.size for t in self._tensors]
-        n = sum(self._sizes)
+        self._named = [(n, params.tensors[n]) for n in params.names()]
+        n = params.flat.size
         self.m, self.v = np.zeros(n), np.zeros(n)
         self._g, self._upd, self._m_next, self._v_next = np.empty((4, n))
 
@@ -118,10 +128,11 @@ class Adam:
         self.t += 1
         b1t = 1.0 - self.beta1**self.t
         b2t = 1.0 - self.beta2**self.t
-        live = [t.grad is not None for t in self._tensors]
+        for name, t in self._named:
+            if t.grad is None:
+                raise ContractError(f"parameter {name} has no gradient")
         g, upd, m, v = self._g, self._upd, self._m_next, self._v_next
-        grads = [t.grad if ok else np.zeros(t.data.shape) for t, ok in zip(self._tensors, live)]
-        np.concatenate([x.reshape(-1) for x in grads], out=g)
+        np.concatenate([t.grad.reshape(-1) for _, t in self._named], out=g)
         # m = beta1 * m + (1 - beta1) * g;  v = beta2 * v + (1 - beta2) * g**2
         np.multiply(g, 1 - self.beta1, out=upd)
         np.add(np.multiply(self.m, self.beta1, out=m), upd, out=m)
@@ -130,18 +141,12 @@ class Adam:
         # upd = lr * (m / b1t) / (sqrt(v / b2t) + eps)
         np.add(np.sqrt(np.divide(v, b2t, out=upd), out=upd), self.eps, out=upd)
         np.divide(np.multiply(np.divide(m, b1t, out=g), self.lr, out=g), upd, out=upd)
-        if all(live):
-            self.m, self._m_next = m, self.m
-            self.v, self._v_next = v, self.v
-            np.subtract(self._values, upd, out=self._values)
-        else:
-            keep = np.repeat(live, self._sizes)
-            np.copyto(self.m, m, where=keep)
-            np.copyto(self.v, v, where=keep)
-            np.subtract(self._values, upd, out=self._values, where=keep)
+        self.m, self._m_next = m, self.m
+        self.v, self._v_next = v, self.v
+        np.subtract(self._values, upd, out=self._values)
 
     def zero_grad(self) -> None:
-        for t in self._tensors:
+        for _, t in self._named:
             t.grad = None
 
 
@@ -203,16 +208,14 @@ def train_one_split(
     params = init_params(model_cfg, seed=int(np.random.default_rng([cfg.seed, split_id]).integers(2**31)))
     opt = Adam(params, cfg)
     train_set = set(split.train_ids)
-    # nearest-centroid labels and cluster member lists once per patient
-    # here, not once per bag
-    members = {}
-    for pid in split.train_ids + split.val_ids:
-        patient = dataset.patient(pid)
-        members[pid] = cluster_members(patient, cluster_model.label(patient), cluster_model.k)
+    # nearest-centroid labels once per patient here, not once per bag
+    clusters = {
+        pid: cluster_model.label(dataset.patient(pid)) for pid in split.train_ids + split.val_ids
+    }
 
     def bag_for(pid: str, epoch_key: int) -> Bag:
         rng = patient_rng((cfg.seed, split_id, epoch_key), pid)
-        return assemble_bag(dataset.patient(pid), members[pid], cfg.bag_size, rng)
+        return assemble_bag(dataset.patient(pid), clusters[pid], cfg.bag_size, rng)
 
     val_bags = {pid: bag_for(pid, _VAL_BAG_TAG) for pid in split.val_ids}
     fixed_bags = None

@@ -60,12 +60,6 @@ class TestElementwise:
         numeric = (np.tanh(0.3 + h) - np.tanh(0.3 - h)) / (2 * h)
         assert abs(x.grad[0] - numeric) <= 1e-8
 
-    def test_log_rejects_non_positive(self):
-        with pytest.raises(DomainError):
-            ad.log(Tensor([1.0, 0.0]))
-        with pytest.raises(DomainError):
-            ad.log(Tensor([-2.0]))
-
     def test_scalar_broadcast_allowed(self):
         out = Tensor([[1.0, 2.0], [3.0, 4.0]]) + Tensor([[10.0]])
         np.testing.assert_array_equal(out.data, [[11.0, 12.0], [13.0, 14.0]])
@@ -78,11 +72,11 @@ class TestElementwise:
         out = ad.sigmoid(Tensor([-800.0, 0.0, 800.0]))
         np.testing.assert_allclose(out.data, [0.0, 0.5, 1.0], atol=1e-12)
 
-    def test_exp_overflow_is_an_error(self):
-        with pytest.raises(DomainError):
-            ad.exp(Tensor([1000.0]))
+    def test_overflow_is_an_error(self):
+        with pytest.raises(DomainError, match="'mul'"):
+            ad.mul(Tensor([1e300]), Tensor([1e300]))
 
-    @pytest.mark.parametrize("op", [ad.tanh, ad.relu, ad.sigmoid, ad.exp])
+    @pytest.mark.parametrize("op", [ad.tanh, ad.relu, ad.sigmoid])
     def test_unary_gradients(self, op):
         for seed in range(5):
             rng = np.random.default_rng(seed)
@@ -91,7 +85,7 @@ class TestElementwise:
             numeric = central_difference(lambda: op(x).sum().item(), [x])
             assert_grads_close(x.grad, numeric[0])
 
-    @pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul])
+    @pytest.mark.parametrize("op", [ad.add, ad.mul])
     def test_binary_gradients(self, op):
         for seed in range(5):
             rng = np.random.default_rng(seed)
@@ -101,13 +95,6 @@ class TestElementwise:
             numeric = central_difference(lambda: op(a, b).sum().item(), [a, b])
             assert_grads_close(a.grad, numeric[0])
             assert_grads_close(b.grad, numeric[1])
-
-    def test_log_gradient(self):
-        rng = np.random.default_rng(1)
-        x = Tensor(rng.uniform(0.5, 2, (4,)), requires_grad=True)
-        ad.backward(ad.log(x).sum())
-        numeric = central_difference(lambda: ad.log(x).sum().item(), [x])
-        assert_grads_close(x.grad, numeric[0])
 
 
 class TestSoftmax:
@@ -176,9 +163,6 @@ class TestReductions:
     def test_sum(self):
         assert Tensor([1.0, 2.0, 3.0]).sum().item() == 6.0
 
-    def test_mean_of_constant(self):
-        assert Tensor(np.full((4, 3), 2.5)).mean().item() == 2.5
-
     def test_sum_gradient_is_ones(self):
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
         ad.backward(x.sum())
@@ -191,17 +175,7 @@ class TestReductions:
     def test_axis_reductions(self):
         x = Tensor(np.arange(6.0).reshape(2, 3))
         np.testing.assert_array_equal(x.sum(axis=0).data, [3.0, 5.0, 7.0])
-        np.testing.assert_array_equal(x.mean(axis=1).data, [1.0, 4.0])
-        np.testing.assert_array_equal(x.max(axis=0).data, [3.0, 4.0, 5.0])
-
-    @pytest.mark.parametrize("axis", [None, 0, 1])
-    def test_mean_and_max_gradients(self, axis):
-        rng = np.random.default_rng(11)
-        x = Tensor(rng.uniform(-2, 2, (3, 4)), requires_grad=True)
-        for op in (lambda: x.mean(axis=axis).sum(), lambda: x.max(axis=axis).sum()):
-            x.zero_grad()
-            ad.backward(op())
-            assert_grads_close(x.grad, central_difference(lambda: op().item(), [x])[0])
+        np.testing.assert_array_equal(x.sum(axis=1).data, [3.0, 12.0])
 
 
 class TestConcatAndTranspose:

@@ -171,6 +171,20 @@ class TestTrain:
         ])
         assert code == 0
 
+    @pytest.mark.parametrize("key, value", [("bag_resample", "false"), ("epochs", "10")])
+    def test_mistyped_train_key_exits_2_naming_it(self, workspace, tmp_path, capsys, key, value):
+        root, _ = workspace
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**TINY, "train": {**TINY["train"], key: value}}))
+        code = main([
+            "train", "--config", str(config), "--data", str(root / "data/train/manifest.json"),
+            "--cluster", str(root / "clust/cluster_model.json"),
+            "--out-dir", str(tmp_path / "out"), "--seed", "3",
+        ])
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_dataset_exits_2(self, workspace, tmp_path):
         root, c = workspace
         code = main([

@@ -6,10 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossmil.clustering import (
-    Bag,
     assemble_bag,
     cluster_dataset,
-    cluster_members,
     kmeans,
     load_cluster_model,
     patient_rng,
@@ -17,10 +15,6 @@ from crossmil.clustering import (
 )
 from crossmil.data import Dataset, PatientRecord, SyntheticSpec, generate_synthetic
 from crossmil.errors import ConfigError, ContractError, FormatError
-
-
-def _bag(patient, clusters, k, bag_size, rng):
-    return assemble_bag(patient, cluster_members(patient, clusters, k), bag_size, rng)
 
 
 class TestKMeans:
@@ -186,7 +180,7 @@ class TestBagAssembly:
         for p in ds:
             if len(set(labels[p.patient_id].tolist())) < 8:
                 continue
-            bag = _bag(p, labels[p.patient_id], 8, 8, patient_rng((0,), p.patient_id))
+            bag = assemble_bag(p, labels[p.patient_id], 8, patient_rng((0,), p.patient_id))
             assert sorted(bag.clusters.tolist()) == list(range(8))
 
     def test_multiple_of_k_gives_equal_quota(self, setup):
@@ -195,7 +189,7 @@ class TestBagAssembly:
         for p in ds:
             if np.bincount(labels[p.patient_id], minlength=8).min() < 2:
                 continue  # quota q=2 needs two locations in every cluster
-            bag = _bag(p, labels[p.patient_id], 8, 16, patient_rng((1,), p.patient_id))
+            bag = assemble_bag(p, labels[p.patient_id], 16, patient_rng((1,), p.patient_id))
             assert (np.bincount(bag.clusters, minlength=8) == 2).all()
             checked += 1
         assert checked > 0
@@ -203,13 +197,13 @@ class TestBagAssembly:
     def test_single_instance_bag(self, setup):
         ds, model, labels = setup
         p = ds.patients[0]
-        bag = _bag(p, labels[p.patient_id], 8, 1, patient_rng((2,), "x"))
+        bag = assemble_bag(p, labels[p.patient_id], 1, patient_rng((2,), "x"))
         assert bag.index.shape == bag.clusters.shape == (1,)
 
     def test_bag_instances_belong_to_patient(self, setup):
         ds, model, labels = setup
         for p in ds:
-            bag = _bag(p, labels[p.patient_id], 8, 8, patient_rng((3,), p.patient_id))
+            bag = assemble_bag(p, labels[p.patient_id], 8, patient_rng((3,), p.patient_id))
             assert bag.patient is p and ((0 <= bag.index) & (bag.index < 40)).all()
             np.testing.assert_array_equal(bag.clusters, labels[p.patient_id][bag.index])
             assert bag.patient_id == p.patient_id and bag.label == p.label
@@ -218,45 +212,56 @@ class TestBagAssembly:
         ds, model, labels = setup
         p = ds.patients[0]
         forced = np.full(40, 5)  # every location of this patient in cluster 5
-        bag = _bag(p, forced, 8, 8, patient_rng((4,), p.patient_id))
+        bag = assemble_bag(p, forced, 8, patient_rng((4,), p.patient_id))
         assert bag.clusters.tolist() == [5] * 8
         assert len(set(bag.index.tolist())) == 8  # without replacement
 
     def test_sampling_without_replacement_until_exhausted(self, setup):
         ds, model, labels = setup
         p = ds.patients[1]
-        bag = _bag(p, labels[p.patient_id], 8, 40, patient_rng((5,), p.patient_id))
+        bag = assemble_bag(p, labels[p.patient_id], 40, patient_rng((5,), p.patient_id))
         assert sorted(bag.index.tolist()) == list(range(40))
 
     def test_oversized_bag_fills_with_replacement(self, setup):
         ds, model, labels = setup
         p = ds.patients[2]
-        bag = _bag(p, labels[p.patient_id], 8, 64, patient_rng((6,), "y"))
+        bag = assemble_bag(p, labels[p.patient_id], 64, patient_rng((6,), "y"))
         assert len(bag.index) == 64 and set(bag.index.tolist()) == set(range(40))
 
     def test_deterministic_given_rng_seed(self, setup):
         ds, model, labels = setup
         p = ds.patients[3]
-        a = _bag(p, labels[p.patient_id], 8, 8, patient_rng((7,), p.patient_id))
-        b = _bag(p, labels[p.patient_id], 8, 8, patient_rng((7,), p.patient_id))
+        a = assemble_bag(p, labels[p.patient_id], 8, patient_rng((7,), p.patient_id))
+        b = assemble_bag(p, labels[p.patient_id], 8, patient_rng((7,), p.patient_id))
         np.testing.assert_array_equal(a.index, b.index)
 
     def test_zero_bag_size_rejected(self, setup):
         ds, model, labels = setup
         p = ds.patients[0]
         with pytest.raises(ContractError):
-            _bag(p, labels[p.patient_id], 8, 0, patient_rng((8,), "z"))
+            assemble_bag(p, labels[p.patient_id], 0, patient_rng((8,), "z"))
 
     def test_labels_must_fit_the_patient_and_k(self, setup):
         ds, model, labels = setup
         p = ds.patients[0]
-        with pytest.raises(ContractError, match=p.patient_id):
-            cluster_members(p, labels[p.patient_id][:-1], 8)
-        with pytest.raises(ContractError, match=p.patient_id):
-            cluster_members(p, np.full(40, 8), 8)
-        eight_of_forty = tuple((c,) for c in range(8))
-        with pytest.raises(ContractError, match=p.patient_id):
-            assemble_bag(p, eight_of_forty, 8, patient_rng((9,), "z"))
+        own = labels[p.patient_id]
+        wrong_length, negative = own[:-1], np.where(own == 0, -1, own)
+        for bad in (wrong_length, negative, own.astype(np.float64), own.astype(bool)):
+            with pytest.raises(ContractError, match=p.patient_id):
+                assemble_bag(p, bad, 8, patient_rng((9,), "z"))
+
+    def test_stranded_quota_case_spreads_three_clusters_evenly(self):
+        # three populated clusters of k = 8; five empty ones must not tilt the bag
+        clusters = np.tile([2, 4, 7], 9)
+        patient = _patient(len(clusters))
+        first, seen = np.zeros(8, dtype=int), set()
+        for seed in range(200):
+            bag = assemble_bag(patient, clusters, 9, np.random.default_rng(seed))
+            assert np.bincount(bag.clusters, minlength=8)[[2, 4, 7]].tolist() == [3, 3, 3]
+            first[bag.clusters[0]] += 1
+            seen.update(bag.index.tolist())
+        # the turn order and each cluster's order are random, not fixed
+        assert first[[2, 4, 7]].min() >= 40 and seen == set(range(27))
 
 
 def _patient(n: int) -> PatientRecord:
@@ -276,7 +281,7 @@ class TestBagProperties:
     def test_exact_size_and_own_labels(self, case):
         clusters, k, bag_size, seed = case
         patient = _patient(len(clusters))
-        bag = _bag(patient, clusters, k, bag_size, np.random.default_rng(seed))
+        bag = assemble_bag(patient, clusters, bag_size, np.random.default_rng(seed))
         assert bag.patient is patient
         assert bag.index.shape == bag.clusters.shape == (bag_size,)
         assert ((0 <= bag.index) & (bag.index < len(clusters))).all()
@@ -287,7 +292,7 @@ class TestBagProperties:
     def test_no_repeats_until_locations_run_out(self, case):
         clusters, k, bag_size, seed = case
         n = len(clusters)
-        bag = _bag(_patient(n), clusters, k, bag_size, np.random.default_rng(seed))
+        bag = assemble_bag(_patient(n), clusters, bag_size, np.random.default_rng(seed))
         picks = bag.index.tolist()
         if bag_size <= n:
             assert len(set(picks)) == bag_size
@@ -299,64 +304,18 @@ class TestBagProperties:
     def test_same_rng_state_same_bag(self, case):
         clusters, k, bag_size, seed = case
         patient = _patient(len(clusters))
-        a = _bag(patient, clusters, k, bag_size, np.random.default_rng(seed))
-        b = _bag(patient, clusters, k, bag_size, np.random.default_rng(seed))
+        a = assemble_bag(patient, clusters, bag_size, np.random.default_rng(seed))
+        b = assemble_bag(patient, clusters, bag_size, np.random.default_rng(seed))
         np.testing.assert_array_equal(a.index, b.index)
         np.testing.assert_array_equal(a.clusters, b.clusters)
 
     @settings(max_examples=300, deadline=None)
     @given(bag_cases())
-    def test_members_built_once_give_the_per_bag_construction(self, case):
+    def test_populated_clusters_stay_within_one_until_they_run_out(self, case):
         clusters, k, bag_size, seed = case
-        patient = _patient(len(clusters))
-        members = cluster_members(patient, clusters, k)
-        rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
-        for _ in range(2):  # the same member lists serve every bag
-            new = assemble_bag(patient, members, bag_size, rng_new)
-            old = _per_bag_construction(patient, clusters, k, bag_size, rng_old)
-            np.testing.assert_array_equal(new.index, old.index)
-            np.testing.assert_array_equal(new.clusters, old.clusters)
-            assert new.index.dtype == old.index.dtype and new.clusters.dtype == old.clusters.dtype
-            assert rng_new.bit_generator.state == rng_old.bit_generator.state
-
-
-def _per_bag_construction(patient, clusters, k, bag_size, rng):
-    """The bag construction that grouped the cluster members on every call."""
-    members = {c: np.flatnonzero(clusters == c).tolist() for c in range(k)}
-    populated = [c for c in range(k) if members[c]]
-    quotas = np.zeros(k, dtype=np.int64)
-    if bag_size >= k:
-        quotas[:] = bag_size // k
-        extra = bag_size % k
-        if extra:
-            quotas[rng.permutation(k)[:extra]] += 1
-    else:
-        chosen = rng.choice(populated, size=min(bag_size, len(populated)), replace=False)
-        quotas[chosen] = 1
-        for i in range(bag_size - len(chosen)):
-            quotas[populated[i % len(populated)]] += 1
-    empty = [c for c in range(k) if not members[c]]
-    stranded = int(quotas[empty].sum())
-    quotas[empty] = 0
-    for i in range(stranded):
-        quotas[populated[i % len(populated)]] += 1
-    remaining = {c: list(members[c]) for c in populated}
-    picked: list[int] = []
-    for c in populated:
-        take = min(int(quotas[c]), len(remaining[c]))
-        if take:
-            sel = rng.choice(len(remaining[c]), size=take, replace=False)
-            for j in sorted(sel, reverse=True):
-                picked.append(remaining[c].pop(int(j)))
-    while len(picked) < bag_size and any(remaining.values()):
-        for c in populated:
-            if len(picked) == bag_size:
-                break
-            if remaining[c]:
-                j = int(rng.integers(len(remaining[c])))
-                picked.append(remaining[c].pop(j))
-    while len(picked) < bag_size:
-        c = populated[int(rng.integers(len(populated)))]
-        picked.append(members[c][int(rng.integers(len(members[c])))])
-    index = np.array(picked, dtype=np.int64)
-    return Bag(patient, index, clusters[index])
+        n = len(clusters)
+        bag_size = min(bag_size, n)
+        bag = assemble_bag(_patient(n), clusters, bag_size, np.random.default_rng(seed))
+        picked = np.bincount(bag.clusters, minlength=k)
+        size = np.bincount(clusters, minlength=k)
+        assert (picked[(size > 0) & (picked < size)] >= picked.max() - 1).all()
