@@ -115,11 +115,31 @@ def load_config(path: str | None) -> dict:
     return config
 
 
+def _check_config(config: dict) -> None:
+    """Type-check the run seed and the ``cluster`` and ``eval`` sections.
+
+    The ``data``, ``model`` and ``train`` sections are checked by the
+    objects built from them.
+    """
+    for name, value, low in (
+        ("seed", config["seed"], 0),
+        ("cluster.k", config["cluster"]["k"], 1),
+        ("eval.n_bootstrap", config["eval"]["n_bootstrap"], 100),
+    ):
+        if type(value) is not int or value < low:
+            raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+    if config["eval"]["mode"] not in ("ensemble", "per_split"):
+        raise ConfigError(
+            f"eval.mode must be 'ensemble' or 'per_split', got {config['eval']['mode']!r}"
+        )
+
+
 def _run_config(args) -> dict:
-    """The command's config: its file over the defaults, then ``--seed``."""
+    """The command's config: its file over the defaults, then ``--seed``, checked."""
     config = load_config(args.config)
     if args.seed is not None:
         config["seed"] = args.seed
+    _check_config(config)
     return config
 
 

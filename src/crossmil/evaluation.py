@@ -3,6 +3,17 @@
 AUC follows Mann-Whitney semantics (ties count one half); the paired
 AUC comparison uses midrank structural components, and the metric
 comparison uses a class-stratified bootstrap of the score vectors.
+
+AUC, AP and the curves come from row-wise kernels over the tie groups of
+the scores: cumulative (tp, n) counts at each group's end, one row per
+weighting of the patients. A 1-d metric is the one-row case with unit
+weights. The bootstrap scores its replicates a block at a time, each row
+a replicate's multiplicities, with the block's size capped so memory does
+not grow with the replicate count. Its random stream is unchanged: per
+replicate, one draw for the positives and then one for the negatives.
+Every replicate's value is bit-identical to scoring its resampled
+vectors one by one, because the AP terms are summed in threshold order
+(absent groups add 0.0) and the AUC rank sums are exact half-integers.
 """
 
 from __future__ import annotations
@@ -26,57 +37,101 @@ def _validate_scores(scores, labels) -> tuple[np.ndarray, np.ndarray]:
         raise ContractError(f"scores and labels must be 1-d and aligned, got {s.shape}, {y.shape}")
     if not np.isin(y, (0, 1)).all():
         raise ContractError("labels must be 0/1")
+    if np.isnan(s).any():
+        # NaN has no place in a ranking; sorts would put it at one end or the other
+        raise ContractError("scores must not be NaN")
     return s, y.astype(np.int64)
+
+
+def _tie_groups(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stable descending order of ``s`` and the last position of each tie group in it."""
+    order = np.argsort(-s, kind="stable")
+    ranked = s[order]
+    last = np.ones(len(s), dtype=bool)
+    last[:-1] = ranked[1:] != ranked[:-1]
+    return order, np.flatnonzero(last)
+
+
+def _group_counts(groups, y: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise cumulative (tp, n) at the end of each tie group, scores descending.
+
+    ``groups`` is ``_tie_groups`` of the scores and ``weights[r, i]`` is how
+    often patient ``i`` occurs in row ``r``, so a resampled replicate is
+    counted without sorting it. A group absent from a row adds nothing.
+    """
+    order, ends = groups
+    w = weights[:, order]
+    tp = np.cumsum(w * y[order], axis=1)[:, ends]
+    n = np.cumsum(w, axis=1)[:, ends]
+    return tp, n
+
+
+def _group_midranks(n: np.ndarray) -> np.ndarray:
+    """Ascending 1-based midrank of each tie group, from descending cumulative counts.
+
+    Midranks are half-integers, so sums of them are exact in any order.
+    """
+    size = np.diff(n, axis=-1, prepend=0)
+    return (n[..., -1:] - n) + 0.5 * (size + 1)
+
+
+def _auc_rows(tp: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Row-wise AUC from ``_group_counts``: the Mann-Whitney rank sum."""
+    n_pos, n_neg = tp[:, -1], n[:, -1] - tp[:, -1]
+    rank_sum = (_group_midranks(n) * np.diff(tp, axis=1, prepend=0)).sum(axis=1)
+    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def _ap_rows(tp: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Row-wise step-interpolated AP from ``_group_counts``."""
+    recall = tp / tp[:, -1:]
+    # a group absent from a row repeats the recall before it: its term is 0.0
+    terms = np.diff(recall, axis=1, prepend=0.0) * (tp / np.maximum(n, 1))
+    # a running sum adds the terms in threshold order, as a loop would, and
+    # adding 0.0 leaves it unchanged
+    return np.cumsum(terms, axis=1)[:, -1]
+
+
+def _one_row(s: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_group_counts`` of one unresampled score vector."""
+    return _group_counts(_tie_groups(s), y, np.ones((1, len(s)), dtype=np.int64))
+
+
+def _require_classes(metric: str, y: np.ndarray) -> None:
+    n_pos = int(y.sum())
+    if metric == "auc" and n_pos in (0, len(y)):
+        raise MetricError("AUC needs both classes present")
+    if metric == "ap" and n_pos == 0:
+        raise MetricError("average precision needs at least one positive")
 
 
 def _midranks(x: np.ndarray) -> np.ndarray:
     """1-based ranks; tied values share the mean of their rank range."""
-    order = np.argsort(x, kind="stable")
-    z = x[order]
+    order, ends = _tie_groups(x)
+    n = ends + 1
     ranks = np.empty(len(x), dtype=np.float64)
-    i = 0
-    while i < len(x):
-        j = i
-        while j < len(x) and z[j] == z[i]:
-            j += 1
-        ranks[i:j] = 0.5 * (i + j - 1) + 1.0
-        i = j
-    out = np.empty(len(x), dtype=np.float64)
-    out[order] = ranks
-    return out
+    ranks[order] = np.repeat(_group_midranks(n), np.diff(n, prepend=0))
+    return ranks
 
 
 def auc(scores, labels) -> float:
     """Probability a random positive outscores a random negative (ties half)."""
     s, y = _validate_scores(scores, labels)
-    n_pos = int(y.sum())
-    n_neg = len(y) - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise MetricError("AUC needs both classes present")
-    ranks = _midranks(s)
-    return float((ranks[y == 1].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    _require_classes("auc", y)
+    return float(_auc_rows(*_one_row(s, y))[0])
 
 
 def average_precision(scores, labels) -> float:
     """Step-interpolated area under the precision-recall curve, ties grouped."""
     s, y = _validate_scores(scores, labels)
-    n_pos = int(y.sum())
-    if n_pos == 0:
-        raise MetricError("average precision needs at least one positive")
-    tp, fp = _threshold_counts(s, y)
-    recall = tp / n_pos
-    terms = np.diff(recall, prepend=0.0) * (tp / (tp + fp))
-    # a running sum adds the terms in threshold order, as a loop would
-    return float(np.cumsum(terms)[-1])
+    _require_classes("ap", y)
+    return float(_ap_rows(*_one_row(s, y))[0])
 
 
 def _threshold_counts(s: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cumulative (tp, fp) at each distinct score, scores descending."""
-    order = np.argsort(-s, kind="stable")
-    ranked = s[order]
-    ends = np.flatnonzero(np.append(ranked[1:] != ranked[:-1], True))  # last of each tie group
-    tp = np.cumsum(y[order])[ends]
-    return tp, ends + 1 - tp
+    tp, n = _one_row(s, y)
+    return tp[0], n[0] - tp[0]
 
 
 def roc_points(scores, labels) -> list[tuple[float, float]]:
@@ -143,28 +198,57 @@ def delong_test(scores_a, scores_b, labels) -> DelongResult:
     return DelongResult(auc_a, auc_b, z, p)
 
 
-_METRICS = {"auc": auc, "ap": average_precision}
+# Resampled patients scored at once. It bounds the working set of a block
+# (a few int64 and float64 arrays of this many elements) whatever n_boot is.
+_BLOCK_ELEMENTS = 8192
+
+
+def _replicate_diffs(sa, sb, y, metric: str, n_boot: int, seed: int) -> np.ndarray:
+    """metric(a) - metric(b) on each of ``n_boot`` class-stratified replicates."""
+    _require_classes(metric, y)
+    # patients reordered positives first, so a replicate's draws index them directly
+    patients = np.concatenate([np.flatnonzero(y == 1), np.flatnonzero(y == 0)])
+    n_pos, n = int(y.sum()), len(y)
+    y = y[patients]
+    groups_a, groups_b = _tie_groups(sa[patients]), _tie_groups(sb[patients])
+    kernel = _auc_rows if metric == "auc" else _ap_rows
+    rng = np.random.default_rng(seed)
+    rows = max(1, _BLOCK_ELEMENTS // n)
+    diffs = np.empty(n_boot)
+    for start in range(0, n_boot, rows):
+        block = min(rows, n_boot - start)
+        draws = np.empty((block, n), dtype=np.int64)
+        for r in range(block):
+            draws[r, :n_pos] = rng.integers(0, n_pos, size=n_pos)
+            draws[r, n_pos:] = rng.integers(0, n - n_pos, size=n - n_pos)
+        draws[:, n_pos:] += n_pos
+        draws += np.arange(block)[:, None] * n
+        weights = np.bincount(draws.ravel(), minlength=block * n).reshape(block, n)
+        diffs[start:start + block] = (
+            kernel(*_group_counts(groups_a, y, weights))
+            - kernel(*_group_counts(groups_b, y, weights))
+        )
+    return diffs
 
 
 def bootstrap_test(scores_a, scores_b, labels, metric="ap", n_boot: int = 1000, seed: int = 0) -> float:
     """Two-tailed p-value for a paired metric difference under
-    class-stratified resampling of patients."""
-    if n_boot < 100:
-        raise ContractError(f"n_boot must be >= 100, got {n_boot}")
-    fn = _METRICS[metric] if isinstance(metric, str) else metric
+    class-stratified resampling of patients.
+
+    Each replicate draws the positives, then the negatives, with
+    replacement. Replicates are scored a block at a time by the row-wise
+    kernels; every replicate's difference equals that of scoring its
+    resampled vectors one by one with ``auc`` or ``average_precision``.
+    """
+    if metric not in ("auc", "ap"):
+        raise ContractError(f"metric must be 'auc' or 'ap', got {metric!r}")
+    if isinstance(n_boot, bool) or not isinstance(n_boot, (int, np.integer)) or n_boot < 100:
+        raise ContractError(f"n_boot must be an integer >= 100, got {n_boot!r}")
     sa, y = _validate_scores(scores_a, labels)
     sb, y2 = _validate_scores(scores_b, labels)
     if not np.array_equal(y, y2):
         raise ContractError("both models must be scored on the same labels")
-    pos = np.flatnonzero(y == 1)
-    neg = np.flatnonzero(y == 0)
-    rng = np.random.default_rng(seed)
-    diffs = np.empty(n_boot)
-    for i in range(n_boot):
-        idx = np.concatenate(
-            [rng.choice(pos, size=len(pos)), rng.choice(neg, size=len(neg))]
-        )
-        diffs[i] = fn(sa[idx], y[idx]) - fn(sb[idx], y[idx])
+    diffs = _replicate_diffs(sa, sb, y, metric, n_boot, seed)
     frac_le = max(int((diffs <= 0).sum()), 1) / n_boot
     frac_ge = max(int((diffs >= 0).sum()), 1) / n_boot
     return min(1.0, 2.0 * min(frac_le, frac_ge))

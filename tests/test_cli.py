@@ -102,6 +102,50 @@ class TestGenData:
         assert "typo_key" in capsys.readouterr().err
 
 
+# every command's required arguments; none of the paths exist
+COMMAND_ARGS = {
+    "gen-data": [],
+    "cluster": ["--data", "none/manifest.json"],
+    "train": ["--data", "none/manifest.json", "--cluster", "none.json"],
+    "eval": ["--data", "none/manifest.json", "--cluster", "none.json", "--ckpt-dir", "none"],
+    "compare": ["--scores", "a=none.csv", "--scores", "b=none.csv"],
+    "attn-map": ["--data", "none/manifest.json", "--ckpt-dir", "none"],
+}
+
+
+class TestConfigChecks:
+    @pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
+    def test_negative_seed_exits_2_for_every_command(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        assert main([command, "--out-dir", str(out), "--seed", "-1", *COMMAND_ARGS[command]]) == 2
+        assert "seed must be an integer >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section, key, value, named", [
+        (None, "seed", "x", "seed"),
+        (None, "seed", True, "seed"),
+        (None, "seed", 1.0, "seed"),
+        ("eval", "n_bootstrap", "500", "eval.n_bootstrap"),
+        ("eval", "n_bootstrap", 500.0, "eval.n_bootstrap"),
+        ("eval", "n_bootstrap", True, "eval.n_bootstrap"),
+        ("eval", "n_bootstrap", 99, "eval.n_bootstrap"),
+        ("eval", "mode", "pooled", "eval.mode"),
+        ("cluster", "k", "3", "cluster.k"),
+        ("cluster", "k", 0, "cluster.k"),
+        ("cluster", "k", True, "cluster.k"),
+        ("cluster", "k", 2.0, "cluster.k"),
+    ])
+    @pytest.mark.parametrize("command", ["gen-data", "compare"])
+    def test_mistyped_value_exits_2_naming_it(self, tmp_path, capsys, command, section, key, value, named):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value} if section is None else {section: {key: value}}))
+        out = tmp_path / "out"
+        argv = [command, "--config", str(config), "--out-dir", str(out), *COMMAND_ARGS[command]]
+        assert main(argv) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestCluster:
     def test_non_finite_embedding_exits_2_naming_patient(self, workspace, tmp_path, capsys):
         import shutil
@@ -361,6 +405,33 @@ class TestCompare:
         # identical scores against the reference: both tests give p = 1
         again = lines[2].split(",")
         assert float(again[4]) == 1.0 and float(again[5]) == 1.0
+
+    def test_differing_score_sets_give_the_pinned_table(self, tmp_path):
+        # tied scores, and p-values away from 1, so the bootstrap kernels are exercised
+        labels = [1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 1]
+        sets = {
+            "a": [0.9, 0.8, 0.8, 0.55, 0.3, 0.6, 0.2, 0.2, 0.1, 0.45, 0.8, 0.7],
+            "b": [0.6, 0.4, 0.7, 0.55, 0.5, 0.5, 0.3, 0.65, 0.1, 0.45, 0.2, 0.4],
+        }
+        argv = []
+        for name, scores in sets.items():
+            rows = [f"p{i:02d},{y},{s!r},{int(s >= 0.5)}" for i, (y, s) in enumerate(zip(labels, scores))]
+            path = tmp_path / f"{name}.csv"
+            path.write_text("patient_id,label,score,predicted\n" + "\n".join(rows) + "\n")
+            argv += ["--scores", f"{name}={path}"]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"eval": {"n_bootstrap": 200}}))
+        out = tmp_path / "cmp"
+        code = main([
+            "compare", "--config", str(config), "--out-dir", str(out), "--seed", "3",
+            "--ref", "b", *argv,
+        ])
+        assert code == 0
+        assert (out / "comparison.csv").read_text() == (
+            "model,auc,ap,acc,p_auc_vs_ref,p_ap_vs_ref\n"
+            "a,0.8055555555555556,0.78015873015873,0.75,0.7581111558634999,0.77\n"
+            "b,0.7361111111111112,0.736111111111111,0.6666666666666666,,\n"
+        )
 
     def test_single_entry_rejected(self, workspace, tmp_path):
         _, c = workspace

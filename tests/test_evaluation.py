@@ -1,14 +1,19 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crossmil import evaluation
 from crossmil.clustering import cluster_dataset
 from crossmil.data import SyntheticSpec, generate_synthetic
 from crossmil.errors import ContractError, MetricError
 from crossmil.evaluation import (
+    _midranks,
+    _replicate_diffs,
     _structural_components,
     auc,
     average_precision,
@@ -54,6 +59,11 @@ class TestAuc:
     def test_single_class_rejected(self):
         with pytest.raises(MetricError):
             auc([0.1, 0.9], [1, 1])
+
+    @pytest.mark.parametrize("metric", [auc, average_precision, roc_points, pr_points])
+    def test_nan_score_rejected(self, metric):
+        with pytest.raises(ContractError, match="NaN"):
+            metric([0.1, float("nan"), 0.7], [1, 0, 1])
 
     def test_equals_pair_counting_on_random_instances(self):
         rng = np.random.default_rng(0)
@@ -285,6 +295,126 @@ class TestBootstrap:
         assert bootstrap_test(a, b, labels, seed=3, n_boot=300) == bootstrap_test(
             a, b, labels, seed=3, n_boot=300
         )
+
+    @pytest.mark.parametrize("metric", ["f1", "AUC", None, average_precision])
+    def test_metric_must_be_auc_or_ap(self, metric):
+        with pytest.raises(ContractError, match="'auc' or 'ap'"):
+            bootstrap_test([0.1, 0.9], [0.2, 0.8], [0, 1], metric=metric, n_boot=100)
+
+    @pytest.mark.parametrize("n_boot", [100.0, "500", True])
+    def test_replicate_count_must_be_an_integer(self, n_boot):
+        with pytest.raises(ContractError, match="n_boot"):
+            bootstrap_test([0.1, 0.9], [0.2, 0.8], [0, 1], n_boot=n_boot)
+
+
+def midranks_loop(x):
+    """Midranks as one pass over the sorted values, group by group."""
+    order = np.argsort(x, kind="stable")
+    z = x[order]
+    ranks = np.empty(len(x), dtype=np.float64)
+    i = 0
+    while i < len(x):
+        j = i
+        while j < len(x) and z[j] == z[i]:
+            j += 1
+        ranks[i:j] = 0.5 * (i + j - 1) + 1.0
+        i = j
+    out = np.empty(len(x), dtype=np.float64)
+    out[order] = ranks
+    return out
+
+
+def replicate_diffs_loop(scores_a, scores_b, labels, metric, n_boot, seed):
+    """The bootstrap one replicate at a time: draw the positives, then the
+    negatives, and score each resampled vector with the 1-d metric."""
+    fn = {"auc": auc, "ap": average_precision}[metric]
+    pos, neg = np.flatnonzero(labels == 1), np.flatnonzero(labels == 0)
+    rng = np.random.default_rng(seed)
+    diffs = np.empty(n_boot)
+    for i in range(n_boot):
+        idx = np.concatenate([rng.choice(pos, size=len(pos)), rng.choice(neg, size=len(neg))])
+        diffs[i] = fn(scores_a[idx], labels[idx]) - fn(scores_b[idx], labels[idx])
+    return diffs
+
+
+def p_value_of(diffs):
+    n = len(diffs)
+    frac_le = max(int((diffs <= 0).sum()), 1) / n
+    frac_ge = max(int((diffs >= 0).sum()), 1) / n
+    return min(1.0, 2.0 * min(frac_le, frac_ge))
+
+
+class TestBlockedBootstrap:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_every_replicate_matches_the_loop_bit_for_bit(self, data):
+        metric = data.draw(st.sampled_from(["ap", "auc"]))
+        n = data.draw(st.integers(1, 40))
+        labels = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+        shape = data.draw(st.sampled_from(["mixed", "one positive", "no negatives"]))
+        if shape == "mixed":
+            labels[0] = 1
+        elif shape == "one positive":
+            labels[:] = 0
+            labels[data.draw(st.integers(0, n - 1))] = 1
+        elif shape == "no negatives":
+            labels[:] = 1
+        drawn = st.lists(st.one_of(tied_scores, any_scores), min_size=n, max_size=n)
+        a, b = np.array(data.draw(drawn)), np.array(data.draw(drawn))
+        # small blocks put several blocks, a short last block, and rows
+        # wider than a block within reach of small inputs
+        block = data.draw(st.sampled_from([1, 7, 16, 64, evaluation._BLOCK_ELEMENTS]))
+        n_boot = data.draw(st.integers(100, 160))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        single_class = labels.sum() in (0, n)
+        with mock.patch.object(evaluation, "_BLOCK_ELEMENTS", block):
+            if metric == "auc" and single_class:
+                with pytest.raises(MetricError, match="both classes"):
+                    bootstrap_test(a, b, labels, metric=metric, n_boot=n_boot, seed=seed)
+                return
+            diffs = _replicate_diffs(a, b, labels, metric, n_boot, seed)
+            p = bootstrap_test(a, b, labels, metric=metric, n_boot=n_boot, seed=seed)
+        expected = replicate_diffs_loop(a, b, labels, metric, n_boot, seed)
+        assert diffs.tobytes() == expected.tobytes()
+        assert p == p_value_of(expected)
+
+    @pytest.mark.parametrize("metric", ["ap", "auc"])
+    @pytest.mark.parametrize("n", [8191, 8193, 12000])
+    def test_rows_wider_than_a_block_match_the_loop(self, metric, n):
+        rng = np.random.default_rng(n)
+        labels = rng.integers(0, 2, size=n)
+        a = np.round(rng.uniform(0, 1, n), 2)
+        b = np.round(a + rng.normal(0, 0.2, n), 1)
+        diffs = _replicate_diffs(a, b, labels, metric, 100, 9)
+        assert diffs.tobytes() == replicate_diffs_loop(a, b, labels, metric, 100, 9).tobytes()
+
+    def test_single_class_auc_is_a_metric_error(self):
+        with pytest.raises(MetricError, match="both classes"):
+            bootstrap_test([0.1, 0.9, 0.4], [0.2, 0.8, 0.3], [1, 1, 1], metric="auc")
+        with pytest.raises(MetricError, match="at least one positive"):
+            bootstrap_test([0.1, 0.9, 0.4], [0.2, 0.8, 0.3], [0, 0, 0], metric="ap")
+
+    def test_working_set_stays_bounded(self):
+        # the full (n_boot, N) index matrix alone would take 32 MB
+        n, n_boot = 20_000, 200
+        rng = np.random.default_rng(11)
+        labels = rng.integers(0, 2, size=n)
+        a, b = rng.uniform(0, 1, n), rng.uniform(0, 1, n)
+        tracemalloc.start()
+        try:
+            bootstrap_test(a, b, labels, metric="ap", n_boot=n_boot, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, peak
+
+
+class TestMidranks:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(tied_scores, any_scores), min_size=1, max_size=60))
+    def test_matches_the_group_loop_bit_for_bit(self, values):
+        x = np.array(values)
+        assert _midranks(x).tobytes() == midranks_loop(x).tobytes()
 
 
 class TestEvaluate:
