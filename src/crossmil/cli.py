@@ -1,8 +1,9 @@
 """Operator-facing command surface.
 
-One JSON config file drives a run; unknown keys are rejected and every
-command archives the resolved config next to its outputs, so (config,
-seed) fully determines all output bytes.
+One JSON config file drives a run; unknown keys are rejected, every
+command checks the whole config before it reads or writes anything, and
+every command archives the resolved config next to its outputs, so
+(config, seed) fully determines all output bytes.
 
 Exit codes: 0 success, 2 configuration/contract error, 3 I/O error.
 """
@@ -13,6 +14,7 @@ import argparse
 import json
 import re
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .attention_maps import (
@@ -26,7 +28,7 @@ from .attention_maps import (
 from .checkpoint import load_checkpoint, save_checkpoint
 from .clustering import cluster_dataset, load_cluster_model, save_cluster_model
 from .data import Dataset, SyntheticSpec, generate_synthetic, load_dataset, save_dataset, split_train_test
-from .errors import ConfigError, CrossmilError
+from .errors import ConfigError, CrossmilError, check_choice, check_int, check_real
 from .evaluation import (
     auc,
     average_precision,
@@ -40,50 +42,24 @@ from .evaluation import (
 from .models import ModelConfig, ModelParams, attention_records
 from .training import TrainConfig, train_all, write_loss_curves
 
+
+def _defaults(cls, *derived: str) -> dict:
+    """A config object's field defaults, less the fields a command derives."""
+    return {f.name: f.default for f in fields(cls) if f.name not in derived}
+
+
 DEFAULT_CONFIG = {
     "seed": 0,
     "data": {
         "n_train_per_class": 10,
         "n_test_per_class": 5,
-        "n_locations": 25,
-        "dim": 32,
-        "n_scales": 3,
-        "informative_scale": 0,
-        "signal_fraction": 0.5,
-        "signal_strength": 1.0,
-        "noise_level": 0.2,
-        "n_prototypes": 8,
+        **_defaults(SyntheticSpec, "n_patients_per_class", "seed"),
     },
     "cluster": {"scale": "5x", "k": 8},
-    "model": {
-        "fusion": "cross_scale_attention",
-        "attention_sharing": "shared",
-        "attention_activation": "relu",
-        "encoder_dim": 64,
-        "attention_hidden": 32,
-        "pooling": "plain",
-        "scale_index": None,
-    },
-    "train": {
-        "epochs": 100,
-        "learning_rate": 1e-4,
-        "bag_size": 8,
-        "n_splits": 10,
-        "bag_resample": True,
-    },
+    "model": _defaults(ModelConfig, "embed_dim", "n_clusters", "n_scales"),
+    "train": _defaults(TrainConfig, "beta1", "beta2", "eps", "seed"),
     "eval": {"mode": "ensemble", "n_bootstrap": 1000},
     "render": {"cell_size": 256.0},
-}
-
-FUSION_ALIASES = {
-    "cs-attn": "cross_scale_attention",
-    "cross_scale_attention": "cross_scale_attention",
-    "concat": "concat",
-    "add": "add",
-    "single-scale": "single_scale",
-    "single_scale": "single_scale",
-    "instance-pool": "instance_pool",
-    "instance_pool": "instance_pool",
 }
 
 
@@ -116,22 +92,28 @@ def load_config(path: str | None) -> dict:
 
 
 def _check_config(config: dict) -> None:
-    """Type-check the run seed and the ``cluster`` and ``eval`` sections.
+    """Check every section, whichever command runs, before anything is read
+    or written. The dataset fixes the model's scale count, so ``train``
+    checks ``model.scale_index`` against it."""
+    check_int("seed", config["seed"], 0)
+    synthetic_spec(config)
+    train_config(config)
+    _in_section("model", ModelConfig, **config["model"], n_scales=sys.maxsize)
+    check_int("cluster.k", config["cluster"]["k"], 1)
+    scale = config["cluster"]["scale"]
+    if isinstance(scale, bool) or not isinstance(scale, (str, int)):
+        raise ConfigError(f"cluster.scale must be a string or an integer, got {scale!r}")
+    check_int("eval.n_bootstrap", config["eval"]["n_bootstrap"], 100)
+    check_choice("eval.mode", config["eval"]["mode"], ("ensemble", "per_split"))
+    check_real("render.cell_size", config["render"]["cell_size"], 0, open_low=True)
 
-    The ``data``, ``model`` and ``train`` sections are checked by the
-    objects built from them.
-    """
-    for name, value, low in (
-        ("seed", config["seed"], 0),
-        ("cluster.k", config["cluster"]["k"], 1),
-        ("eval.n_bootstrap", config["eval"]["n_bootstrap"], 100),
-    ):
-        if type(value) is not int or value < low:
-            raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
-    if config["eval"]["mode"] not in ("ensemble", "per_split"):
-        raise ConfigError(
-            f"eval.mode must be 'ensemble' or 'per_split', got {config['eval']['mode']!r}"
-        )
+
+def _in_section(section: str, make, **values):
+    """``make(**values)``; a ConfigError names its field as ``section.field``."""
+    try:
+        return make(**values)
+    except ConfigError as e:
+        raise ConfigError(f"{section}.{e}") from None
 
 
 def _run_config(args) -> dict:
@@ -151,32 +133,22 @@ def write_resolved_config(config: dict, out_dir: Path) -> None:
 
 
 def synthetic_spec(config: dict) -> SyntheticSpec:
-    d = config["data"]
-    return SyntheticSpec(
-        n_patients_per_class=d["n_train_per_class"] + d["n_test_per_class"],
-        n_locations=d["n_locations"],
-        dim=d["dim"],
-        n_scales=d["n_scales"],
-        informative_scale=d["informative_scale"],
-        signal_fraction=d["signal_fraction"],
-        signal_strength=d["signal_strength"],
-        noise_level=d["noise_level"],
-        n_prototypes=d["n_prototypes"],
-        seed=config["seed"],
+    data = dict(config["data"])
+    for key in ("n_train_per_class", "n_test_per_class"):
+        check_int(f"data.{key}", data[key], 1)
+    n_patients = data.pop("n_train_per_class") + data.pop("n_test_per_class")
+    return _in_section(
+        "data", SyntheticSpec, **data, n_patients_per_class=n_patients, seed=config["seed"]
     )
 
 
 def model_config(config: dict, dataset: Dataset, n_clusters: int) -> ModelConfig:
-    return ModelConfig(
-        **config["model"],
-        embed_dim=dataset.dim,
-        n_clusters=n_clusters,
-        n_scales=dataset.n_scales,
-    )
+    derived = dict(embed_dim=dataset.dim, n_clusters=n_clusters, n_scales=dataset.n_scales)
+    return _in_section("model", ModelConfig, **config["model"], **derived)
 
 
 def train_config(config: dict) -> TrainConfig:
-    return TrainConfig(**config["train"], seed=config["seed"])
+    return _in_section("train", TrainConfig, **config["train"], seed=config["seed"])
 
 
 def _load_checkpoints(ckpt_dir: Path) -> list[ModelParams]:
@@ -232,21 +204,8 @@ def cmd_cluster(args) -> int:
     return 0
 
 
-def _apply_model_overrides(config: dict, args) -> None:
-    if args.fusion is not None:
-        try:
-            config["model"]["fusion"] = FUSION_ALIASES[args.fusion]
-        except KeyError:
-            raise ConfigError(
-                f"unknown fusion {args.fusion!r}; expected one of {sorted(FUSION_ALIASES)}"
-            ) from None
-    if args.scale_index is not None:
-        config["model"]["scale_index"] = args.scale_index
-
-
 def cmd_train(args) -> int:
     config = _run_config(args)
-    _apply_model_overrides(config, args)
     tcfg = train_config(config)
     dataset = load_dataset(args.data)
     cluster = load_cluster_model(args.cluster)
@@ -336,8 +295,11 @@ def cmd_attn_map(args) -> int:
     unknown = [pid for pid in wanted if pid not in known]
     if unknown:
         raise ConfigError(f"patient(s) not in this dataset: {', '.join(unknown)}")
+    cfg = models[0].config
+    if cfg.fusion != "cross_scale_attention":
+        raise ConfigError(f"the {cfg.fusion} model in {args.ckpt_dir} has no cross-scale attention")
     out = Path(args.out_dir)
-    _archive_model(config, models[0].config, models[0].config.n_clusters)
+    _archive_model(config, cfg, cfg.n_clusters)
     write_resolved_config(config, out)
     all_records = []
     labels = [s.label for s in dataset.scales]
@@ -383,8 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train one model variant over all splits")
     common(p, data=True, cluster=True)
-    p.add_argument("--fusion", help="override model.fusion (e.g. cs-attn, concat, add)")
-    p.add_argument("--scale-index", type=int, dest="scale_index")
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("eval", help="score a test dataset with trained checkpoints")

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, FormatError, IntegrityError
+from .errors import ConfigError, ContractError, FormatError, IntegrityError, check_int, check_real
 
 DEFAULT_SCALE_LABELS = ("20x", "10x", "5x")
 GRID_CELL = 256.0  # synthetic patch pitch, level-0 pixel units
@@ -117,25 +117,21 @@ class SyntheticSpec:
     n_prototypes: int = 8
     seed: int = 0
 
-    def validate(self) -> None:
-        if self.dim < 2:
-            raise ConfigError(f"dim must be >= 2, got {self.dim}")
-        if self.n_locations < 1:
-            raise ConfigError(f"n_locations must be >= 1, got {self.n_locations}")
-        if self.n_patients_per_class < 1:
-            raise ConfigError(f"n_patients_per_class must be >= 1, got {self.n_patients_per_class}")
-        if self.n_scales < 1:
-            raise ConfigError(f"n_scales must be >= 1, got {self.n_scales}")
-        if not 0 <= self.informative_scale < self.n_scales:
-            raise ConfigError(f"informative_scale {self.informative_scale} not in [0, {self.n_scales})")
-        if not 0.0 < self.signal_fraction <= 1.0:
-            raise ConfigError(f"signal_fraction must be in (0, 1], got {self.signal_fraction}")
+    def __post_init__(self):
+        for name, low in (
+            ("n_patients_per_class", 1), ("n_locations", 1), ("dim", 2), ("n_scales", 1),
+            ("n_prototypes", 1), ("seed", 0),
+        ):
+            check_int(name, getattr(self, name), low)
+        check_int("informative_scale", self.informative_scale, 0, self.n_scales - 1)
+        check_real("signal_fraction", self.signal_fraction, 0, 1, open_low=True)
         if self.signal_fraction * self.n_locations < 1.0:
-            raise ConfigError("signal_fraction * n_locations must be >= 1")
-        if self.signal_strength < 0 or self.noise_level < 0:
-            raise ConfigError("signal_strength and noise_level must be non-negative")
-        if self.n_prototypes < 1:
-            raise ConfigError(f"n_prototypes must be >= 1, got {self.n_prototypes}")
+            raise ConfigError(
+                f"signal_fraction * n_locations must be >= 1, "
+                f"got {self.signal_fraction!r} * {self.n_locations}"
+            )
+        for name in ("signal_strength", "noise_level"):
+            check_real(name, getattr(self, name), 0)
 
 
 def signal_direction(spec: SyntheticSpec) -> np.ndarray:
@@ -160,7 +156,6 @@ def _grid_xy(n_locations: int) -> np.ndarray:
 
 def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     """Deterministic planted-signal dataset; identical spec => identical bytes."""
-    spec.validate()
     rng = np.random.default_rng(spec.seed)
     u = rng.standard_normal(spec.dim)
     u /= np.linalg.norm(u)

@@ -1,8 +1,11 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the config field
+checks that raise ``ConfigError`` naming the field.
 
 The CLI maps ``CrossmilError`` to exit code 2 (configuration/contract
 problems) and ``OSError`` to exit code 3 (I/O problems).
 """
+
+import math
 
 
 class CrossmilError(Exception):
@@ -54,3 +57,34 @@ class TrainingError(CrossmilError):
 
 class GeometryError(CrossmilError):
     """A record's coordinates fall outside the rendering grid."""
+
+
+def check_int(name: str, value, low: int, high: int | None = None) -> None:
+    """An int, not a bool, that is >= low and, given high, <= high."""
+    if type(value) is not int or value < low or (high is not None and value > high):
+        bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ConfigError(f"{name} must be an integer {bounds}, got {value!r}")
+
+
+def check_real(
+    name: str, value, low: float, high: float = math.inf, *, open_low=False, open_high=False
+) -> None:
+    """A finite int or float, not a bool, between low and high; each bound
+    is inclusive unless it is open."""
+    real = isinstance(value, (int, float)) and not isinstance(value, bool)
+    above = real and math.isfinite(value) and (value > low if open_low else value >= low)
+    if not (above and (value < high if open_high else value <= high)):
+        bounds = f"{'>' if open_low else '>='} {low}"
+        if high != math.inf:
+            bounds = f"in {'(' if open_low else '['}{low}, {high}{')' if open_high else ']'}"
+        raise ConfigError(f"{name} must be a finite number {bounds}, got {value!r}")
+
+
+def check_choice(name: str, value, choices: tuple) -> None:
+    if value not in choices:
+        raise ConfigError(f"{name} must be one of {choices}, got {value!r}")
+
+
+def check_bool(name: str, value) -> None:
+    if type(value) is not bool:
+        raise ConfigError(f"{name} must be true or false, got {value!r}")

@@ -39,7 +39,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .clustering import Bag
 from .data import Dataset
-from .errors import ConfigError, ContractError, DimensionError
+from .errors import ConfigError, ContractError, DimensionError, check_choice, check_int
 
 FUSIONS = ("cross_scale_attention", "concat", "add", "single_scale", "instance_pool")
 SHARINGS = ("shared", "per_scale")
@@ -61,26 +61,25 @@ class ModelConfig:
     scale_index: int | None = None
 
     def __post_init__(self):
-        if self.fusion not in FUSIONS:
-            raise ConfigError(f"fusion must be one of {FUSIONS}, got {self.fusion!r}")
-        if self.attention_sharing not in SHARINGS:
-            raise ConfigError(f"attention_sharing must be one of {SHARINGS}")
-        if self.attention_activation not in ACTIVATIONS:
-            raise ConfigError(f"attention_activation must be one of {ACTIVATIONS}")
-        if self.pooling not in POOLINGS:
-            raise ConfigError(f"pooling must be one of {POOLINGS}")
+        for name, choices in (
+            ("fusion", FUSIONS),
+            ("attention_sharing", SHARINGS),
+            ("attention_activation", ACTIVATIONS),
+            ("pooling", POOLINGS),
+        ):
+            check_choice(name, getattr(self, name), choices)
         for name in ("embed_dim", "encoder_dim", "attention_hidden", "n_clusters", "n_scales"):
-            value = getattr(self, name)
-            if type(value) is not int or value < 1:
-                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
-        if self.scale_index is not None and type(self.scale_index) is not int:
-            raise ConfigError(f"scale_index must be an integer or null, got {self.scale_index!r}")
+            check_int(name, getattr(self, name), 1)
         if self.fusion == "single_scale":
-            if self.scale_index is None or not 0 <= self.scale_index < self.n_scales:
+            check_int("scale_index", self.scale_index, 0)
+            if self.scale_index >= self.n_scales:
                 raise ConfigError(
-                    f"single_scale fusion needs scale_index in [0, {self.n_scales}), "
-                    f"got {self.scale_index}"
+                    f"scale_index must be < n_scales = {self.n_scales}, got {self.scale_index}"
                 )
+        elif self.scale_index is not None:
+            raise ConfigError(
+                f"scale_index must be null unless fusion is single_scale, got {self.scale_index!r}"
+            )
 
     @property
     def fused_dim(self) -> int:

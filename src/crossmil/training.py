@@ -10,7 +10,6 @@ sequential loop.
 
 from __future__ import annotations
 
-import math
 import multiprocessing as mp
 import os
 import threading
@@ -24,7 +23,8 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .clustering import Bag, ClusterModel, assemble_bag, patient_rng
 from .data import Dataset
-from .errors import ConfigError, ContractError, CrossmilError, DomainError, TrainingError
+from .errors import ContractError, CrossmilError, DomainError, TrainingError
+from .errors import check_bool, check_int, check_real
 from .models import ModelConfig, ModelParams, forward_bag, init_params
 
 _VAL_BAG_TAG = 0x56414C  # keeps validation bag streams apart from train streams
@@ -43,23 +43,15 @@ class TrainConfig:
     bag_resample: bool = True
 
     def __post_init__(self):
-        for name in ("epochs", "bag_size", "n_splits", "seed"):
-            value, low = getattr(self, name), 0 if name == "seed" else 1
-            if type(value) is not int or value < low:
-                raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
-        if type(self.bag_resample) is not bool:
-            raise ConfigError(f"bag_resample must be true or false, got {self.bag_resample!r}")
+        for name in ("epochs", "bag_size", "n_splits"):
+            check_int(name, getattr(self, name), 1)
+        check_int("seed", self.seed, 0)
+        check_bool("bag_resample", self.bag_resample)
         # a zero learning rate is allowed: a run that keeps the initial parameters
-        for name, ok, bound in (
-            ("learning_rate", lambda x: x >= 0.0, ">= 0"),
-            ("eps", lambda x: x > 0.0, "> 0"),
-            ("beta1", lambda x: 0.0 <= x < 1.0, "in [0, 1)"),
-            ("beta2", lambda x: 0.0 <= x < 1.0, "in [0, 1)"),
-        ):
-            value = getattr(self, name)
-            real = isinstance(value, (int, float)) and not isinstance(value, bool)
-            if not (real and math.isfinite(value) and ok(value)):
-                raise ConfigError(f"{name} must be a finite number {bound}, got {value!r}")
+        check_real("learning_rate", self.learning_rate, 0)
+        check_real("eps", self.eps, 0, open_low=True)
+        for name in ("beta1", "beta2"):
+            check_real(name, getattr(self, name), 0, 1, open_high=True)
 
 
 @dataclass(frozen=True)
@@ -71,7 +63,6 @@ class Split:
 @dataclass(frozen=True)
 class SplitPlan:
     splits: tuple[Split, ...]
-    test_ids: tuple[str, ...] = ()  # test patients live in a separate dataset
 
 
 @dataclass
@@ -224,7 +215,7 @@ def train_one_split(
 
     best_val = np.inf
     best_epoch = 0
-    best_values = params.copy_values()
+    best_flat = params.flat.copy()
     train_curve: list[float] = []
     val_curve: list[float] = []
     for epoch in range(cfg.epochs):
@@ -257,11 +248,11 @@ def train_one_split(
         if val_loss < best_val:
             best_val = val_loss
             best_epoch = epoch
-            best_values = params.copy_values()
+            best_flat = params.flat.copy()
 
-    best = init_params(model_cfg, seed=0)
-    best.load_values(best_values)
-    return TrainedModel(best, split_id, best_epoch, train_curve, val_curve)
+    params.flat[:] = best_flat
+    opt.zero_grad()
+    return TrainedModel(params, split_id, best_epoch, train_curve, val_curve)
 
 
 _OWN_TRAIN_ONE_SPLIT = train_one_split

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -49,14 +50,21 @@ def workspace(tmp_path_factory):
     return root, c
 
 
+def model_variant(root, name, **model):
+    """A config file: TINY with the model section's keys set."""
+    path = root / f"{name}.json"
+    path.write_text(json.dumps({**TINY, "model": {**TINY["model"], **model}}))
+    return str(path)
+
+
 @pytest.fixture(scope="module")
 def concat_ckpt(workspace):
-    root, c = workspace
+    root, _ = workspace
     out = root / "ckpt_concat"
     assert main([
-        "train", "--config", c, "--data", str(root / "data/train/manifest.json"),
-        "--cluster", str(root / "clust/cluster_model.json"),
-        "--out-dir", str(out), "--seed", "3", "--fusion", "concat",
+        "train", "--config", model_variant(root, "concat", fusion="concat"),
+        "--data", str(root / "data/train/manifest.json"),
+        "--cluster", str(root / "clust/cluster_model.json"), "--out-dir", str(out), "--seed", "3",
     ]) == 0
     return out
 
@@ -87,6 +95,55 @@ class TestGenData:
             assert [f.name for f in first] == [f.name for f in second]
             for f1, f2 in zip(first, second):
                 assert f1.read_bytes() == f2.read_bytes()
+
+    def test_default_resolved_config_is_pinned(self, tmp_path):
+        # the defaults come from the config objects' field defaults, so a changed
+        # field default shows here as a changed archive
+        assert main(["gen-data", "--out-dir", str(tmp_path / "d"), "--seed", "0"]) == 0
+        assert (tmp_path / "d/resolved_config.json").read_bytes() == (
+            b'{\n'
+            b'  "cluster": {\n'
+            b'    "k": 8,\n'
+            b'    "scale": "5x"\n'
+            b'  },\n'
+            b'  "data": {\n'
+            b'    "dim": 32,\n'
+            b'    "informative_scale": 0,\n'
+            b'    "n_locations": 25,\n'
+            b'    "n_prototypes": 8,\n'
+            b'    "n_scales": 3,\n'
+            b'    "n_test_per_class": 5,\n'
+            b'    "n_train_per_class": 10,\n'
+            b'    "noise_level": 0.2,\n'
+            b'    "signal_fraction": 0.5,\n'
+            b'    "signal_strength": 1.0\n'
+            b'  },\n'
+            b'  "eval": {\n'
+            b'    "mode": "ensemble",\n'
+            b'    "n_bootstrap": 1000\n'
+            b'  },\n'
+            b'  "model": {\n'
+            b'    "attention_activation": "relu",\n'
+            b'    "attention_hidden": 32,\n'
+            b'    "attention_sharing": "shared",\n'
+            b'    "encoder_dim": 64,\n'
+            b'    "fusion": "cross_scale_attention",\n'
+            b'    "pooling": "plain",\n'
+            b'    "scale_index": null\n'
+            b'  },\n'
+            b'  "render": {\n'
+            b'    "cell_size": 256.0\n'
+            b'  },\n'
+            b'  "seed": 0,\n'
+            b'  "train": {\n'
+            b'    "bag_resample": true,\n'
+            b'    "bag_size": 8,\n'
+            b'    "epochs": 100,\n'
+            b'    "learning_rate": 0.0001,\n'
+            b'    "n_splits": 10\n'
+            b'  }\n'
+            b'}\n'
+        )
 
     def test_invalid_signal_fraction_exits_2_naming_field(self, tmp_path, capsys):
         config = tmp_path / "bad.json"
@@ -134,6 +191,22 @@ class TestConfigChecks:
         ("cluster", "k", 0, "cluster.k"),
         ("cluster", "k", True, "cluster.k"),
         ("cluster", "k", 2.0, "cluster.k"),
+        ("cluster", "scale", True, "cluster.scale"),
+        ("cluster", "scale", 2.0, "cluster.scale"),
+        ("data", "dim", "8", "data.dim"),
+        ("data", "n_locations", 9.0, "data.n_locations"),
+        ("data", "signal_strength", "1", "data.signal_strength"),
+        ("data", "noise_level", math.nan, "data.noise_level"),
+        ("data", "n_test_per_class", True, "data.n_test_per_class"),
+        ("data", "n_train_per_class", "4", "data.n_train_per_class"),
+        ("render", "cell_size", "x", "render.cell_size"),
+        ("render", "cell_size", 0, "render.cell_size"),
+        ("render", "cell_size", -256, "render.cell_size"),
+        ("render", "cell_size", None, "render.cell_size"),
+        ("render", "cell_size", True, "render.cell_size"),
+        ("model", "scale_index", 1, "model.scale_index"),
+        ("model", "fusion", "cs-attn", "model.fusion"),
+        ("train", "epochs", "10", "train.epochs"),
     ])
     @pytest.mark.parametrize("command", ["gen-data", "compare"])
     def test_mistyped_value_exits_2_naming_it(self, tmp_path, capsys, command, section, key, value, named):
@@ -205,15 +278,29 @@ class TestTrain:
         assert len(list((root / "ckpt").glob("loss_split*.csv"))) == 2
         assert (root / "ckpt/resolved_config.json").exists()
 
-    @pytest.mark.parametrize("fusion", ["cs-attn", "concat", "add"])
-    def test_fusion_flags_accepted(self, workspace, tmp_path, fusion):
-        root, c = workspace
+    @pytest.mark.parametrize("fusion", ["cross_scale_attention", "concat", "add"])
+    def test_fusion_modes_accepted(self, workspace, tmp_path, fusion):
+        root, _ = workspace
         code = main([
-            "train", "--config", c, "--data", str(root / "data/train/manifest.json"),
+            "train", "--config", model_variant(tmp_path, fusion, fusion=fusion),
+            "--data", str(root / "data/train/manifest.json"),
             "--cluster", str(root / "clust/cluster_model.json"),
-            "--out-dir", str(tmp_path / fusion), "--seed", "3", "--fusion", fusion,
+            "--out-dir", str(tmp_path / fusion), "--seed", "3",
         ])
         assert code == 0
+        assert load_checkpoint(tmp_path / fusion / "checkpoint_split00.bin").config.fusion == fusion
+
+    def test_scale_index_beyond_the_datasets_scales_exits_2(self, workspace, tmp_path, capsys):
+        root, _ = workspace
+        code = main([
+            "train", "--config", model_variant(tmp_path, "s3", fusion="single_scale", scale_index=3),
+            "--data", str(root / "data/train/manifest.json"),
+            "--cluster", str(root / "clust/cluster_model.json"),
+            "--out-dir", str(tmp_path / "out"), "--seed", "3",
+        ])
+        assert code == 2
+        assert "model.scale_index must be < n_scales = 3" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key, value", [("bag_resample", "false"), ("epochs", "10")])
     def test_mistyped_train_key_exits_2_naming_it(self, workspace, tmp_path, capsys, key, value):
@@ -278,7 +365,7 @@ class TestEval:
     def test_concat_checkpoints_evaluate_without_model_flags(self, workspace, concat_ckpt, tmp_path):
         root, c = workspace
         assert run_eval(root, c, concat_ckpt, tmp_path / "eval") == 0
-        # what `eval --fusion concat` computed when the config came from flags
+        # the model built from the training config, with its checkpointed values
         config = json.loads((concat_ckpt / "resolved_config.json").read_text())
         test = load_dataset(root / "data/test/manifest.json")
         cluster = load_cluster_model(root / "clust/cluster_model.json")
@@ -305,23 +392,25 @@ class TestEval:
     def test_single_scale_checkpoints_evaluate_without_model_flags(self, workspace, tmp_path):
         root, c = workspace
         assert main([
-            "train", "--config", c, "--data", str(root / "data/train/manifest.json"),
+            "train", "--config", model_variant(tmp_path, "s2", fusion="single_scale", scale_index=2),
+            "--data", str(root / "data/train/manifest.json"),
             "--cluster", str(root / "clust/cluster_model.json"), "--out-dir", str(tmp_path / "t"),
-            "--seed", "3", "--fusion", "single-scale", "--scale-index", "2",
+            "--seed", "3",
         ]) == 0
         assert run_eval(root, c, tmp_path / "t", tmp_path / "eval") == 0
         assert (tmp_path / "eval/scores.csv").exists()
 
     @pytest.mark.parametrize("flag", [["--fusion", "concat"], ["--scale-index", "1"]])
-    def test_model_flags_are_train_only(self, workspace, tmp_path, flag):
+    def test_model_flags_are_rejected(self, workspace, tmp_path, flag):
         root, c = workspace
         with pytest.raises(SystemExit) as exc:
             main([
-                "eval", "--config", c, "--data", str(root / "data/test/manifest.json"),
+                "train", "--config", c, "--data", str(root / "data/train/manifest.json"),
                 "--cluster", str(root / "clust/cluster_model.json"),
-                "--ckpt-dir", str(root / "ckpt"), "--out-dir", str(tmp_path / "out"), *flag,
+                "--out-dir", str(tmp_path / "out"), *flag,
             ])
         assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
 
     def test_cluster_model_with_other_k_exits_2(self, workspace, tmp_path, capsys):
         root, c = workspace
@@ -457,24 +546,15 @@ class TestAttnMap:
                 assert (out / f"{pid}_scale-{scale}.pgm").exists()
         assert (out / "attention_records.csv").exists()
 
-    def test_concat_model_has_no_attention(self, workspace, tmp_path, capsys):
+    def test_concat_model_has_no_attention(self, workspace, concat_ckpt, tmp_path, capsys):
         root, c = workspace
-        concat_dir = tmp_path / "concat_ckpt"
-        main([
-            "train", "--config", c, "--data", str(root / "data/train/manifest.json"),
-            "--cluster", str(root / "clust/cluster_model.json"),
-            "--out-dir", str(concat_dir), "--seed", "3", "--fusion", "concat",
-        ])
-        config = tmp_path / "concat.json"
-        doc = json.loads((concat_dir / "resolved_config.json").read_text())
-        config.write_text(json.dumps(doc))
         code = main([
-            "attn-map", "--config", str(config),
-            "--data", str(root / "data/test/manifest.json"),
-            "--ckpt-dir", str(concat_dir), "--out-dir", str(tmp_path / "maps"),
+            "attn-map", "--config", c, "--data", str(root / "data/test/manifest.json"),
+            "--ckpt-dir", str(concat_ckpt), "--out-dir", str(tmp_path / "maps"),
         ])
         assert code == 2
         assert "no cross-scale attention" in capsys.readouterr().err
+        assert not (tmp_path / "maps").exists()
 
     def test_model_comes_from_the_checkpoints_not_the_config(self, workspace, tmp_path):
         root, c = workspace

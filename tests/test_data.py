@@ -118,10 +118,15 @@ class TestSyntheticGenerator:
             dict(signal_fraction=1.5),
             dict(informative_scale=3),
             dict(signal_fraction=0.01, n_locations=10),
+            dict(dim="8"),
+            dict(n_locations=9.0),
+            dict(signal_strength="1"),
+            dict(noise_level=-0.1),
+            dict(seed=-1),
         ],
     )
     def test_degenerate_spec_rejected(self, bad):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=next(iter(bad))):
             generate_synthetic(SyntheticSpec(**bad))
 
     def test_scale_completeness(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import multiprocessing as mp
 import os
@@ -244,11 +245,16 @@ class TestTrainOneSplit:
     def test_selection_epoch_is_argmin_of_val_curve(self):
         ds = small_dataset(seed=6)
         cm = cluster_dataset(ds, "5x", k=4, seed=6)
-        tc = TrainConfig(epochs=6, learning_rate=1e-3, bag_size=4, n_splits=2, seed=6)
+        # a rate high enough that validation loss is lowest before the last epoch
+        tc = TrainConfig(epochs=6, learning_rate=0.1, bag_size=4, n_splits=2, seed=6)
         plan = make_splits(ds, 2, seed=6)
         trained = train_one_split(ds, plan.splits[0], cm, tc, small_model(ds))
         assert trained.selection_epoch == int(np.argmin(trained.val_curve))
-        assert trained.selection_epoch < tc.epochs
+        assert trained.selection_epoch < tc.epochs - 1
+        # the returned parameters are the selected epoch's: a run stopped there ends on them
+        stopped = dataclasses.replace(tc, epochs=trained.selection_epoch + 1)
+        shorter = train_one_split(ds, plan.splits[0], cm, stopped, small_model(ds))
+        np.testing.assert_array_equal(trained.params.flat, shorter.params.flat)
 
     def test_divergence_raises_training_error_with_epoch(self):
         ds = small_dataset(seed=7)
