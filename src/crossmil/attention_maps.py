@@ -1,8 +1,9 @@
-"""Per-scale attention normalization and spatial heatmap rendering.
+"""Per-scale attention maps as arrays: a patient's ``xy`` (n, 2) patch
+centers and ``scores`` (n, S), both in its location order.
 
-Scores are rescaled to [0, 1] within each scale, binned onto a grid by
-patch-center coordinates, and written as binary graymaps: 0 marks cells
-with no data, values map onto 1..255.
+The models' scores are averaged, rescaled to [0, 1] within each scale,
+binned onto a grid by patch-center coordinates, and written as binary
+graymaps: 0 marks cells with no data, values map onto 1..255.
 """
 
 from __future__ import annotations
@@ -12,8 +13,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, GeometryError
+from .data import PatientRecord
+from .errors import ConfigError, ContractError, GeometryError
 from .models import AttentionRecord
+
+# Most cells one heatmap grid may have. Rendering holds a float64 plane per
+# scale plus a count plane, so a grid at this bound takes 32 MiB per plane.
+MAX_GRID_CELLS = 2**22
 
 
 @dataclass(frozen=True)
@@ -32,15 +38,23 @@ class Heatmap:
     geometry: GridGeometry
 
 
-def normalize_per_scale(records: list[AttentionRecord]) -> list[AttentionRecord]:
-    """Min-max rescale each scale's scores over the record set.
+def aggregate_records(per_model: list[list[AttentionRecord]]) -> np.ndarray:
+    """Mean scores over the models' record lists, which must list the same
+    locations in the same order, as (n, S) in that order."""
+    keys = [[(r.patient_id, r.location_id) for r in records] for records in per_model]
+    if not keys or any(k != keys[0] for k in keys):
+        raise ContractError("aggregate_records needs models whose records list the same locations")
+    return np.mean([[r.scores for r in records] for records in per_model], axis=0)
+
+
+def normalize_per_scale(scores: np.ndarray) -> np.ndarray:
+    """Min-max rescale each column of the (n, S) scores.
 
     A scale whose scores are all equal maps to 0.5 everywhere. The map is
     monotone, so within-scale ordering is preserved.
     """
-    if not records:
-        raise ContractError("normalize_per_scale needs at least one record")
-    scores = np.asarray([r.scores for r in records])
+    if scores.ndim != 2 or len(scores) == 0:
+        raise ContractError(f"normalize_per_scale needs (n, S) scores with n >= 1, got {scores.shape}")
     lo = scores.min(axis=0)
     hi = scores.max(axis=0)
     span = hi - lo
@@ -48,67 +62,49 @@ def normalize_per_scale(records: list[AttentionRecord]) -> list[AttentionRecord]
     span[flat] = 1.0
     normalized = (scores - lo) / span
     normalized[:, flat] = 0.5
-    return [
-        AttentionRecord(r.patient_id, r.location_id, r.xy, tuple(row))
-        for r, row in zip(records, normalized)
-    ]
+    return normalized
 
 
-def aggregate_records(records: list[AttentionRecord]) -> list[AttentionRecord]:
-    """Mean scores per (patient, location); bags may revisit a location."""
-    groups: dict[tuple[str, int], list[AttentionRecord]] = {}
-    for r in records:
-        groups.setdefault((r.patient_id, r.location_id), []).append(r)
-    out = []
-    for (pid, loc), grp in sorted(groups.items()):
-        mean = np.mean([g.scores for g in grp], axis=0)
-        out.append(AttentionRecord(pid, loc, grp[0].xy, tuple(mean)))
-    return out
-
-
-def geometry_for(records: list[AttentionRecord], cell_size: float) -> GridGeometry:
-    if not records:
-        raise ContractError("geometry_for needs at least one record")
-    xs = np.asarray([r.xy[0] for r in records])
-    ys = np.asarray([r.xy[1] for r in records])
-    origin_x = float(np.floor(xs.min() / cell_size) * cell_size)
-    origin_y = float(np.floor(ys.min() / cell_size) * cell_size)
-    n_cols = int(np.floor((xs.max() - origin_x) / cell_size)) + 1
-    n_rows = int(np.floor((ys.max() - origin_y) / cell_size)) + 1
-    return GridGeometry(origin_x, origin_y, cell_size, n_cols, n_rows)
+def geometry_for(xy: np.ndarray, cell_size: float) -> GridGeometry:
+    """The grid of ``cell_size`` cells, aligned to multiples of it, that
+    covers the (n, 2) points; at most ``MAX_GRID_CELLS`` cells."""
+    # counted in floats, so a tiny cell size cannot overflow before the check
+    with np.errstate(over="ignore", invalid="ignore"):
+        origin = np.floor(xy.min(axis=0) / cell_size) * cell_size
+        extent = np.floor((xy.max(axis=0) - origin) / cell_size) + 1.0
+        n_cells = extent.prod()
+    if not (extent.min() >= 1.0 and n_cells <= MAX_GRID_CELLS):
+        raise ConfigError(
+            f"render.cell_size {cell_size!r} makes a {extent[0]:.3g} x {extent[1]:.3g} grid; "
+            f"a grid has 1 to {MAX_GRID_CELLS} cells"
+        )
+    n_cols, n_rows = extent.astype(int).tolist()
+    return GridGeometry(float(origin[0]), float(origin[1]), cell_size, n_cols, n_rows)
 
 
 def render_heatmaps(
-    records: list[AttentionRecord],
-    geometry: GridGeometry,
-    scale_labels: list[str],
+    xy: np.ndarray, scores: np.ndarray, geometry: GridGeometry, scale_labels: list[str]
 ) -> list[Heatmap]:
-    """One heatmap per scale; cell value is the mean score of its records."""
+    """One heatmap per scale; a cell's value is the mean score of its points,
+    added in location order."""
     n_scales = len(scale_labels)
-    sums = np.zeros((n_scales, geometry.n_rows, geometry.n_cols))
-    counts = np.zeros((geometry.n_rows, geometry.n_cols))
-    for r in records:
-        if len(r.scores) != n_scales:
-            raise ContractError(
-                f"record ({r.patient_id}, {r.location_id}) has {len(r.scores)} scores, "
-                f"expected {n_scales}"
-            )
-        col = int(np.floor((r.xy[0] - geometry.origin_x) / geometry.cell_size))
-        row = int(np.floor((r.xy[1] - geometry.origin_y) / geometry.cell_size))
-        if not (0 <= col < geometry.n_cols and 0 <= row < geometry.n_rows):
-            raise GeometryError(
-                f"record ({r.patient_id}, {r.location_id}) at {r.xy} "
-                f"falls outside the {geometry.n_cols}x{geometry.n_rows} grid"
-            )
-        counts[row, col] += 1
-        for s in range(n_scales):
-            sums[s, row, col] += r.scores[s]
-    maps = []
-    with np.errstate(invalid="ignore"):
-        for s, label in enumerate(scale_labels):
-            values = np.where(counts > 0, sums[s] / np.maximum(counts, 1), np.nan)
-            maps.append(Heatmap(label, values, geometry))
-    return maps
+    if scores.shape != (len(xy), n_scales):
+        raise ContractError(f"scores have shape {scores.shape}, expected ({len(xy)}, {n_scales})")
+    g = geometry
+    cols = np.floor((xy[:, 0] - g.origin_x) / g.cell_size)
+    rows = np.floor((xy[:, 1] - g.origin_y) / g.cell_size)
+    inside = (0 <= cols) & (cols < g.n_cols) & (0 <= rows) & (rows < g.n_rows)
+    if not inside.all():
+        i = int(np.argmin(inside))
+        where = tuple(xy[i].tolist())
+        raise GeometryError(f"location {i} at {where} is outside the {g.n_cols}x{g.n_rows} grid")
+    cells = rows.astype(np.intp) * g.n_cols + cols.astype(np.intp)
+    sums = np.zeros((g.n_rows * g.n_cols, n_scales))
+    np.add.at(sums, cells, scores)
+    counts = np.bincount(cells, minlength=len(sums))[:, None]
+    means = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
+    planes = means.T.reshape(n_scales, g.n_rows, g.n_cols)
+    return [Heatmap(label, plane, geometry) for label, plane in zip(scale_labels, planes)]
 
 
 def heatmap_to_pgm(heatmap: Heatmap) -> bytes:
@@ -127,16 +123,16 @@ def write_heatmap(heatmap: Heatmap, path: str | Path) -> Path:
     return path
 
 
-def write_records_csv(records: list[AttentionRecord], path: str | Path) -> Path:
-    if not records:
-        raise ContractError("no attention records to write")
-    n_scales = len(records[0].scores)
-    path = Path(path)
+def write_records_csv(maps: list[tuple[PatientRecord, np.ndarray]], path: str | Path) -> Path:
+    """One row per location of each (patient, (n, S) scores) pair, in order."""
+    if not maps:
+        raise ContractError("no attention scores to write")
+    n_scales = maps[0][1].shape[1]
     lines = ["patient_id,location_id,x,y," + ",".join(f"a_{s}" for s in range(n_scales))]
-    for r in records:
-        lines.append(
-            f"{r.patient_id},{r.location_id},{r.xy[0]!r},{r.xy[1]!r},"
-            + ",".join(repr(a) for a in r.scores)
-        )
+    for patient, scores in maps:
+        rows = zip(patient.location_ids.tolist(), patient.xy.tolist(), scores.tolist())
+        for loc, (x, y), row in rows:
+            lines.append(f"{patient.patient_id},{loc},{x!r},{y!r}," + ",".join(map(repr, row)))
+    path = Path(path)
     path.write_text("\n".join(lines) + "\n")
     return path

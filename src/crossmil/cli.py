@@ -14,6 +14,7 @@ import argparse
 import json
 import re
 import sys
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -290,28 +291,31 @@ def cmd_attn_map(args) -> int:
     config = _run_config(args)
     dataset = load_dataset(args.data)
     models = _load_checkpoints(Path(args.ckpt_dir))
-    known = {p.patient_id for p in dataset}
-    wanted = args.patients.split(",") if args.patients else [p.patient_id for p in dataset]
-    unknown = [pid for pid in wanted if pid not in known]
+    by_id = {p.patient_id: p for p in dataset}
+    wanted = args.patients.split(",") if args.patients else list(by_id)
+    unknown = [pid for pid in wanted if pid not in by_id]
     if unknown:
         raise ConfigError(f"patient(s) not in this dataset: {', '.join(unknown)}")
+    repeated = [pid for pid, n in Counter(wanted).items() if n > 1]
+    if repeated:
+        raise ConfigError(f"patient(s) repeated in --patients: {', '.join(repeated)}")
     cfg = models[0].config
     if cfg.fusion != "cross_scale_attention":
         raise ConfigError(f"the {cfg.fusion} model in {args.ckpt_dir} has no cross-scale attention")
+    patients = [by_id[pid] for pid in wanted]
+    geometries = [geometry_for(p.xy, config["render"]["cell_size"]) for p in patients]
     out = Path(args.out_dir)
     _archive_model(config, cfg, cfg.n_clusters)
     write_resolved_config(config, out)
-    all_records = []
     labels = [s.label for s in dataset.scales]
-    for pid in wanted:
-        per_model = [attention_records(dataset, params, patients=[pid]) for params in models]
-        records = aggregate_records([r for recs in per_model for r in recs])
-        records = normalize_per_scale(records)
-        geometry = geometry_for(records, config["render"]["cell_size"])
-        for heatmap in render_heatmaps(records, geometry, labels):
-            write_heatmap(heatmap, out / f"{pid}_scale-{heatmap.scale_label}.pgm")
-        all_records.extend(records)
-    write_records_csv(all_records, out / "attention_records.csv")
+    maps = []
+    for p, geometry in zip(patients, geometries):
+        per_model = [attention_records(dataset, params, patients=[p.patient_id]) for params in models]
+        scores = normalize_per_scale(aggregate_records(per_model))
+        for heatmap in render_heatmaps(p.xy, scores, geometry, labels):
+            write_heatmap(heatmap, out / f"{p.patient_id}_scale-{heatmap.scale_label}.pgm")
+        maps.append((p, scores))
+    write_records_csv(maps, out / "attention_records.csv")
     print(out)
     return 0
 

@@ -56,7 +56,7 @@ class TrainingError(CrossmilError):
 
 
 class GeometryError(CrossmilError):
-    """A record's coordinates fall outside the rendering grid."""
+    """A location's coordinates fall outside the rendering grid."""
 
 
 def check_int(name: str, value, low: int, high: int | None = None) -> None:

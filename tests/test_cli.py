@@ -15,7 +15,7 @@ from crossmil.cli import _load_checkpoints, main, model_config
 from crossmil.clustering import load_cluster_model
 from crossmil.data import load_dataset
 from crossmil.evaluation import evaluate, write_scores
-from crossmil.models import init_params
+from crossmil.models import attention_records, init_params
 
 TINY = {
     "data": {
@@ -583,6 +583,62 @@ class TestAttnMap:
         ])
         assert code == 2
         assert "pos000" in capsys.readouterr().err
+
+    def test_records_csv_parses_to_the_model_mean_normalized_per_scale(self, workspace, tmp_path):
+        root, c = workspace
+        out = tmp_path / "maps"
+        assert main([
+            "attn-map", "--config", c, "--data", str(root / "data/test/manifest.json"),
+            "--ckpt-dir", str(root / "ckpt"), "--out-dir", str(out), "--seed", "3",
+        ]) == 0
+        header, *lines = (out / "attention_records.csv").read_text().splitlines()
+        assert header == "patient_id,location_id,x,y,a_0,a_1,a_2"
+        rows = [line.split(",") for line in lines]
+        dataset = load_dataset(root / "data/test/manifest.json")
+        models = _load_checkpoints(root / "ckpt")
+        assert len(models) == 2
+        start = 0
+        for p in dataset:
+            block = rows[start:start + len(p.location_ids)]
+            start += len(block)
+            assert [r[0] for r in block] == [p.patient_id] * len(p.location_ids)
+            assert [int(r[1]) for r in block] == p.location_ids.tolist()
+            np.testing.assert_array_equal([[float(v) for v in r[2:4]] for r in block], p.xy)
+            raw = np.array([
+                [r.scores for r in attention_records(dataset, params, [p.patient_id])]
+                for params in models
+            ])
+            mean = raw.mean(axis=0)
+            lo, hi = mean.min(axis=0), mean.max(axis=0)
+            assert (hi > lo).all()
+            expected = (mean - lo) / (hi - lo)
+            np.testing.assert_array_equal([[float(v) for v in r[4:]] for r in block], expected)
+        assert start == len(rows)
+
+    @pytest.mark.parametrize("cell_size", [1e-300, 0.001])
+    def test_too_fine_a_cell_size_exits_2_writing_nothing(self, workspace, tmp_path, capsys, cell_size):
+        root, _ = workspace
+        config = tmp_path / "fine.json"
+        config.write_text(json.dumps({**TINY, "render": {"cell_size": cell_size}}))
+        code = main([
+            "attn-map", "--config", str(config), "--data", str(root / "data/test/manifest.json"),
+            "--ckpt-dir", str(root / "ckpt"), "--out-dir", str(tmp_path / "maps"),
+        ])
+        assert code == 2
+        assert "render.cell_size" in capsys.readouterr().err
+        assert not (tmp_path / "maps").exists()
+
+    def test_repeated_patient_exits_2_writing_nothing(self, workspace, tmp_path, capsys):
+        root, c = workspace
+        code = main([
+            "attn-map", "--config", c, "--data", str(root / "data/test/manifest.json"),
+            "--ckpt-dir", str(root / "ckpt"), "--out-dir", str(tmp_path / "maps"),
+            "--patients", "pos004,neg004,pos004",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "repeated" in err and "pos004" in err and "neg004" not in err
+        assert not (tmp_path / "maps").exists()
 
     def test_rerun_is_byte_identical(self, workspace, tmp_path):
         root, c = workspace
