@@ -2,6 +2,7 @@
 """Fusion-variant comparison on planted-signal data: cross-scale attention
 against single-scale, add, concat, joint instance pooling, and gated
 pooling, with DeLong and bootstrap tests against the cross-scale model.
+The CSV is the table ``crossmil compare`` writes, with cs-attn as reference.
 
 Usage: python scripts/variant_comparison.py [--out runs/variants.csv] [--seed 0]
 """
@@ -16,7 +17,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from crossmil.clustering import cluster_dataset
 from crossmil.data import SyntheticSpec, generate_synthetic, split_train_test
-from crossmil.evaluation import compare_models
+from crossmil.evaluation import comparison_table
 from crossmil.experiments import train_and_evaluate
 from crossmil.models import ModelConfig
 from crossmil.training import TrainConfig
@@ -42,28 +43,17 @@ def run(out: Path, seed: int) -> None:
     cluster_model = cluster_dataset(train, "5x", 8, seed=seed)
     train_cfg = TrainConfig(epochs=15, learning_rate=1e-3, bag_size=8, n_splits=2, seed=seed)
 
-    results = {}
-    labels = None
+    score_sets = []
     for name, overrides in VARIANTS:
         cfg = ModelConfig(embed_dim=32, encoder_dim=64, attention_hidden=32,
                           n_clusters=8, n_scales=3, **overrides)
         report, scored, _ = train_and_evaluate(train, test, cluster_model, cfg, train_cfg)
-        scores = np.array([s.score for s in scored])
+        score_sets.append((name, np.array([s.score for s in scored])))
         labels = np.array([s.label for s in scored])
-        results[name] = (report, scores)
         print(f"{name:>14}  auc={report.auc:.4f}  ap={report.ap:.4f}  acc={report.accuracy:.4f}")
 
-    ref_scores = results["cs-attn"][1]
-    lines = ["model,auc,ap,acc,p_auc_vs_ref,p_ap_vs_ref"]
-    for name, (report, scores) in results.items():
-        if name == "cs-attn":
-            p_auc = p_ap = ""
-        else:
-            test_result = compare_models(name, scores, "cs-attn", ref_scores, labels, seed=seed)
-            p_auc, p_ap = repr(test_result.p_auc), repr(test_result.p_ap)
-        lines.append(f"{name},{report.auc!r},{report.ap!r},{report.accuracy!r},{p_auc},{p_ap}")
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text("\n".join(lines) + "\n")
+    out.write_text(comparison_table(score_sets, labels, "cs-attn", seed=seed))
     print(f"\nwrote {out}")
 
 

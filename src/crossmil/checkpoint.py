@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, FormatError
-from .models import ModelConfig, ModelParams, init_params
+from .models import ModelConfig, ModelParams, param_layout
 
 MAGIC = b"CMILCKPT"
 VERSION = 2
@@ -89,12 +89,10 @@ def load_checkpoint(path: str | Path) -> ModelParams:
         (rank,) = unpack("<B")
         shape = unpack(f"<{rank}I")
         data = take(8 * math.prod(shape))
-        values[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
+        values[name] = np.frombuffer(data, dtype="<f8").reshape(shape)
     if offset != len(raw):
         raise FormatError(f"{path}: {len(raw) - offset} bytes after the last tensor")
-    params = init_params(cfg, seed=0)
-    expected = {n: t.data.shape for n, t in params.tensors.items()}
-    if len(values) != count or {n: v.shape for n, v in values.items()} != expected:
+    layout = param_layout(cfg)
+    if len(values) != count or {n: v.shape for n, v in values.items()} != dict(layout):
         raise FormatError(f"{path}: tensors do not match the model config")
-    params.load_values(values)
-    return params
+    return ModelParams(cfg, np.concatenate([values[n].reshape(-1) for n, _ in layout]))

@@ -31,9 +31,7 @@ from .clustering import cluster_dataset, load_cluster_model, save_cluster_model
 from .data import Dataset, SyntheticSpec, generate_synthetic, load_dataset, save_dataset, split_train_test
 from .errors import ConfigError, CrossmilError, check_choice, check_int, check_real
 from .evaluation import (
-    auc,
-    average_precision,
-    compare_models,
+    comparison_table,
     evaluate,
     read_scores,
     write_curves,
@@ -248,41 +246,27 @@ def cmd_compare(args) -> int:
     config = _run_config(args)
     entries = []
     for item in args.scores:
-        if "=" not in item:
+        name, sep, path = item.partition("=")
+        if not (sep and name):
             raise ConfigError(f"--scores expects NAME=PATH, got {item!r}")
-        name, path = item.split("=", 1)
         entries.append((name, *read_scores(path)))
     if len(entries) < 2:
         raise ConfigError("compare needs at least two --scores entries")
-    names = [e[0] for e in entries]
-    ref = args.ref if args.ref is not None else names[0]
-    if ref not in names:
-        raise ConfigError(f"--ref {ref!r} is not among the score sets {names}")
-    base_ids, base_labels = entries[0][1], entries[0][2]
+    base_name, base_ids, base_labels, _ = entries[0]
     for name, ids, labels, _ in entries:
         if ids != base_ids or (labels != base_labels).any():
-            raise ConfigError(f"score set {name!r} covers different patients than {names[0]!r}")
-    ref_scores = next(e[3] for e in entries if e[0] == ref)
-
+            raise ConfigError(f"score set {name!r} covers different patients than {base_name!r}")
+    table = comparison_table(
+        [(name, scores) for name, _, _, scores in entries],
+        base_labels,
+        args.ref if args.ref is not None else base_name,
+        n_boot=config["eval"]["n_bootstrap"],
+        seed=config["seed"],
+    )
     out = Path(args.out_dir)
     write_resolved_config(config, out)
-    lines = ["model,auc,ap,acc,p_auc_vs_ref,p_ap_vs_ref"]
-    for name, ids, labels, scores in entries:
-        acc = float(((scores >= 0.5).astype(int) == labels).mean())
-        if name == ref:
-            p_auc, p_ap = "", ""
-        else:
-            test = compare_models(
-                name, scores, ref, ref_scores, labels,
-                n_boot=config["eval"]["n_bootstrap"], seed=config["seed"],
-            )
-            p_auc, p_ap = repr(test.p_auc), repr(test.p_ap)
-        lines.append(
-            f"{name},{auc(scores, labels)!r},{average_precision(scores, labels)!r},"
-            f"{acc!r},{p_auc},{p_ap}"
-        )
     path = out / "comparison.csv"
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text(table)
     print(path)
     return 0
 
@@ -293,12 +277,14 @@ def cmd_attn_map(args) -> int:
     models = _load_checkpoints(Path(args.ckpt_dir))
     by_id = {p.patient_id: p for p in dataset}
     wanted = args.patients.split(",") if args.patients else list(by_id)
+    if "" in wanted:
+        raise ConfigError(f"--patients has an empty patient id: {args.patients!r}")
     unknown = [pid for pid in wanted if pid not in by_id]
     if unknown:
-        raise ConfigError(f"patient(s) not in this dataset: {', '.join(unknown)}")
+        raise ConfigError(f"patient(s) not in this dataset: {', '.join(map(repr, unknown))}")
     repeated = [pid for pid, n in Counter(wanted).items() if n > 1]
     if repeated:
-        raise ConfigError(f"patient(s) repeated in --patients: {', '.join(repeated)}")
+        raise ConfigError(f"patient(s) repeated in --patients: {', '.join(map(repr, repeated))}")
     cfg = models[0].config
     if cfg.fusion != "cross_scale_attention":
         raise ConfigError(f"the {cfg.fusion} model in {args.ckpt_dir} has no cross-scale attention")

@@ -134,18 +134,23 @@ class SyntheticSpec:
             check_real(name, getattr(self, name), 0)
 
 
-def signal_direction(spec: SyntheticSpec) -> np.ndarray:
-    """The unit direction the generator plants; first draw of the stream."""
+def _first_draws(spec: SyntheticSpec) -> tuple[np.random.Generator, np.ndarray, np.ndarray]:
+    """The generator's stream after its first two draws, and those draws:
+    the unit signal direction, then the background prototypes."""
     rng = np.random.default_rng(spec.seed)
     u = rng.standard_normal(spec.dim)
-    return u / np.linalg.norm(u)
+    u /= np.linalg.norm(u)
+    return rng, u, rng.standard_normal((spec.n_prototypes, spec.n_scales, spec.dim))
+
+
+def signal_direction(spec: SyntheticSpec) -> np.ndarray:
+    """The unit direction the generator plants."""
+    return _first_draws(spec)[1]
 
 
 def background_prototypes(spec: SyntheticSpec) -> np.ndarray:
     """The (n_prototypes, n_scales, dim) cluster centers the generator uses."""
-    rng = np.random.default_rng(spec.seed)
-    rng.standard_normal(spec.dim)  # skip the signal-direction draw
-    return rng.standard_normal((spec.n_prototypes, spec.n_scales, spec.dim))
+    return _first_draws(spec)[2]
 
 
 def _grid_xy(n_locations: int) -> np.ndarray:
@@ -156,10 +161,7 @@ def _grid_xy(n_locations: int) -> np.ndarray:
 
 def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     """Deterministic planted-signal dataset; identical spec => identical bytes."""
-    rng = np.random.default_rng(spec.seed)
-    u = rng.standard_normal(spec.dim)
-    u /= np.linalg.norm(u)
-    prototypes = rng.standard_normal((spec.n_prototypes, spec.n_scales, spec.dim))
+    rng, u, prototypes = _first_draws(spec)
     n_signal = max(1, int(round(spec.signal_fraction * spec.n_locations)))
     location_ids = np.arange(spec.n_locations)
     xy = _grid_xy(spec.n_locations)

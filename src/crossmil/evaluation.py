@@ -19,6 +19,7 @@ vectors one by one, because the AP terms are summed in threshold order
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -255,30 +256,6 @@ def bootstrap_test(scores_a, scores_b, labels, metric="ap", n_boot: int = 1000, 
 
 
 @dataclass(frozen=True)
-class PairwiseTest:
-    model_a: str
-    model_b: str
-    p_auc: float
-    p_ap: float
-    n_bootstrap: int
-    seed: int
-
-
-def compare_models(
-    name_a: str, scores_a, name_b: str, scores_b, labels,
-    n_boot: int = 1000, seed: int = 0,
-) -> PairwiseTest:
-    return PairwiseTest(
-        name_a,
-        name_b,
-        p_auc=delong_test(scores_a, scores_b, labels).p_value,
-        p_ap=bootstrap_test(scores_a, scores_b, labels, metric="ap", n_boot=n_boot, seed=seed),
-        n_bootstrap=n_boot,
-        seed=seed,
-    )
-
-
-@dataclass(frozen=True)
 class ScoredPatient:
     patient_id: str
     label: int
@@ -349,6 +326,37 @@ def report_from_scores(scores, labels) -> EvalReport:
         n_pos=int(y.sum()),
         n_neg=int(len(y) - y.sum()),
     )
+
+
+def comparison_table(
+    score_sets: list[tuple[str, np.ndarray]],
+    labels,
+    reference: str,
+    n_boot: int = 1000,
+    seed: int = 0,
+) -> str:
+    """The comparison CSV: one row per named score set, in the order given.
+
+    Each row has the set's AUC, AP and accuracy on ``labels``; each row
+    but the reference's adds the DeLong (AUC) and bootstrap (AP) p-values
+    against it, and the reference's p-value fields are empty.
+    """
+    names = [name for name, _ in score_sets]
+    repeated = [name for name, n in Counter(names).items() if n > 1]
+    if repeated:
+        raise ConfigError(f"score set name(s) repeated: {', '.join(map(repr, repeated))}")
+    if reference not in names:
+        raise ConfigError(f"reference {reference!r} is not among the score sets {names}")
+    ref_scores = dict(score_sets)[reference]
+    lines = ["model,auc,ap,acc,p_auc_vs_ref,p_ap_vs_ref"]
+    for name, scores in score_sets:
+        report = report_from_scores(scores, labels)
+        p_auc = p_ap = ""
+        if name != reference:
+            p_auc = repr(delong_test(scores, ref_scores, labels).p_value)
+            p_ap = repr(bootstrap_test(scores, ref_scores, labels, "ap", n_boot, seed))
+        lines.append(f"{name},{report.auc!r},{report.ap!r},{report.accuracy!r},{p_auc},{p_ap}")
+    return "\n".join(lines) + "\n"
 
 
 def evaluate(

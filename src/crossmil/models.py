@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -106,43 +107,46 @@ class ModelConfig:
         return hashlib.sha256(self.to_json().encode()).digest()
 
 
-@dataclass
 class ModelParams:
     """Named trainable tensors for one model instance.
 
-    Every tensor's ``data`` is a view into ``flat``, which holds all
-    parameters in ``names()`` order, so an optimizer can step them all in
-    place. Write values through the views: a tensor whose ``data`` is
-    rebound no longer follows ``flat``.
+    ``flat``, a copy of the values given, holds every parameter in
+    ``param_layout(config)`` order, and each tensor's ``data`` is a view
+    into it, so an optimizer can step them all in place. Write values
+    through the views: a tensor whose ``data`` is rebound no longer
+    follows ``flat``. A pickled ``ModelParams`` is its config and
+    ``flat``; unpickling builds the views again.
     """
 
-    config: ModelConfig
-    tensors: dict[str, Tensor]
-    flat: np.ndarray
+    def __init__(self, config: ModelConfig, flat: np.ndarray):
+        layout = param_layout(config)
+        ends = np.cumsum([math.prod(shape) for _, shape in layout])
+        flat = np.array(flat, dtype=np.float64)  # owns its memory; unpickled arrays may not
+        if flat.shape != (ends[-1],):
+            raise ConfigError(f"{flat.shape} parameter values do not fit the config's {ends[-1]}")
+        self.config, self.flat = config, flat
+        self.tensors = {
+            name: Tensor(chunk.reshape(shape), requires_grad=True)
+            for (name, shape), chunk in zip(layout, np.split(flat, ends[:-1]))
+        }
+
+    def __reduce__(self):
+        return ModelParams, (self.config, self.flat)
 
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
 
     def names(self) -> list[str]:
-        return sorted(self.tensors)
+        return list(self.tensors)
 
     def attention_pair(self, scale: int) -> tuple[Tensor, Tensor]:
         if self.config.attention_sharing == "shared":
             return self.tensors["attn.v"], self.tensors["attn.w"]
         return self.tensors[f"attn{scale}.v"], self.tensors[f"attn{scale}.w"]
 
-    def copy_values(self) -> dict[str, np.ndarray]:
-        return {n: t.data.copy() for n, t in self.tensors.items()}
-
-    def load_values(self, values: dict[str, np.ndarray]) -> None:
-        for n, t in self.tensors.items():
-            if t.data.shape != values[n].shape:
-                raise ConfigError(f"parameter {n}: shape {values[n].shape} != {t.data.shape}")
-            np.copyto(t.data, values[n])
-
 
 def _param_shapes(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], int]]:
-    """(name, shape, fan_in) for every trainable tensor, in creation order."""
+    """(name, shape, fan_in) for every trainable tensor, in draw order."""
     e, l, d, f = cfg.embed_dim, cfg.encoder_dim, cfg.attention_hidden, cfg.fused_dim
     shapes: list[tuple[str, tuple[int, ...], int]] = []
     for s in cfg.encoder_scales:
@@ -168,6 +172,11 @@ def _param_shapes(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], int]]:
     return shapes
 
 
+def param_layout(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of every trainable tensor, in the order ``flat`` holds them."""
+    return sorted((name, shape) for name, shape, _ in _param_shapes(cfg))
+
+
 def init_params(cfg: ModelConfig, seed: int = 0) -> ModelParams:
     """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) init, deterministic by seed."""
     rng = np.random.default_rng(seed)
@@ -175,14 +184,7 @@ def init_params(cfg: ModelConfig, seed: int = 0) -> ModelParams:
     for name, shape, fan_in in _param_shapes(cfg):
         bound = 1.0 / np.sqrt(fan_in)
         drawn[name] = rng.uniform(-bound, bound, size=shape)
-    names = sorted(drawn)
-    flat = np.concatenate([drawn[n].reshape(-1) for n in names])
-    tensors, start = {}, 0
-    for n in names:
-        size = drawn[n].size
-        tensors[n] = Tensor(flat[start : start + size].reshape(drawn[n].shape), requires_grad=True)
-        start += size
-    return ModelParams(cfg, tensors, flat)
+    return ModelParams(cfg, np.concatenate([drawn[n].reshape(-1) for n, _ in param_layout(cfg)]))
 
 
 def mi_fcn_encode(x: Tensor, scale: int, params: ModelParams) -> Tensor:

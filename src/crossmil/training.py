@@ -98,11 +98,11 @@ class Adam:
     """First-order adaptive-moment updates over a model's parameters.
 
     The values, the moments, the gradient and the update live in flat
-    float64 buffers over all parameters (in ``params.names()`` order);
-    the values buffer is ``params.flat``, which every tensor views, so a
-    step is a few whole-buffer operations in place. Each element goes
-    through the per-tensor formula's operations in the same order, so
-    results are the same to the bit. Every parameter needs a gradient.
+    float64 buffers laid out like ``params.flat``, which is the values
+    buffer and which every tensor views, so a step is a few whole-buffer
+    operations in place. Each element goes through the per-tensor
+    formula's operations in the same order, so results are the same to
+    the bit. Every parameter needs a gradient.
     """
 
     def __init__(self, params: ModelParams, cfg: TrainConfig):
@@ -110,7 +110,7 @@ class Adam:
         self.beta1, self.beta2, self.eps = cfg.beta1, cfg.beta2, cfg.eps
         self.t = 0
         self._values = params.flat
-        self._named = [(n, params.tensors[n]) for n in params.names()]
+        self._named = list(params.tensors.items())
         n = params.flat.size
         self.m, self.v = np.zeros(n), np.zeros(n)
         self._g, self._upd, self._m_next, self._v_next = np.empty((4, n))
@@ -314,7 +314,7 @@ def train_all(
         models, error = train_share(shares[0])
         errors = {shares[0][len(models)]: error} if error else {}
         for proc, recv, share in children:
-            done, error = _receive_share(proc, recv, share, model_cfg)
+            done, error = _receive_share(proc, recv, share)
             models += done
             if error:
                 errors[share[len(done)]] = error
@@ -333,17 +333,16 @@ def train_all(
 
 def _report_share(conn, train_share, share: range) -> None:
     """Forked worker: train a share of the splits, then send each trained
-    model as (split_id, selection_epoch, flat values, train_curve,
-    val_curve), and the error that stopped the share, if any."""
+    model and the error that stopped the share, if any."""
     done, error = train_share(share)
     for m in done:
-        conn.send((m.split_id, m.selection_epoch, m.params.flat, m.train_curve, m.val_curve))
+        conn.send(m)
     if error:
         conn.send(error)
     conn.close()
 
 
-def _receive_share(proc, conn, share: range, model_cfg: ModelConfig):
+def _receive_share(proc, conn, share: range):
     """The trained models a worker sent, and the error that stopped it:
     the one it sent, or a CrossmilError if it exited without a result."""
     done: list[TrainedModel] = []
@@ -358,10 +357,7 @@ def _receive_share(proc, conn, share: range, model_cfg: ModelConfig):
             )
         if isinstance(msg, Exception):
             return done, msg
-        split_id, selection_epoch, values, train_curve, val_curve = msg
-        params = init_params(model_cfg, seed=0)
-        params.flat[:] = values
-        done.append(TrainedModel(params, split_id, selection_epoch, train_curve, val_curve))
+        done.append(msg)
     return done, None
 
 

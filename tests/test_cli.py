@@ -15,7 +15,7 @@ from crossmil.cli import _load_checkpoints, main, model_config
 from crossmil.clustering import load_cluster_model
 from crossmil.data import load_dataset
 from crossmil.evaluation import evaluate, write_scores
-from crossmil.models import attention_records, init_params
+from crossmil.models import ModelParams, attention_records, init_params
 
 TINY = {
     "data": {
@@ -373,9 +373,7 @@ class TestEval:
         assert cfg.fusion == "concat"
         models = []
         for path in sorted(concat_ckpt.glob("checkpoint_split*.bin")):
-            params = init_params(cfg, seed=0)
-            params.load_values(load_checkpoint(path).copy_values())
-            models.append(params)
+            models.append(ModelParams(cfg, load_checkpoint(path).flat))
         _, scored = evaluate(models, test, cluster, bag_size=4, seed=3)
         expected = write_scores(scored, tmp_path / "expected.csv")
         assert (tmp_path / "eval/scores.csv").read_bytes() == expected.read_bytes()
@@ -530,6 +528,36 @@ class TestCompare:
         ])
         assert code in (2, 3)
 
+    @pytest.mark.parametrize("item", ["=SCORES", "SCORES"])
+    def test_entry_without_a_name_exits_2_writing_nothing(self, workspace, tmp_path, capsys, item):
+        root, c = workspace
+        scores = str(root / "scores.csv")
+        code = main([
+            "compare", "--config", c, "--out-dir", str(tmp_path / "cmp"),
+            "--scores", item.replace("SCORES", scores), "--scores", f"b={scores}",
+        ])
+        assert code == 2
+        assert "expects NAME=PATH" in capsys.readouterr().err
+        assert not (tmp_path / "cmp").exists()
+
+    def test_repeated_names_exit_2_writing_nothing(self, workspace, tmp_path, capsys):
+        root, c = workspace
+        eval_a = tmp_path / "eval_a"
+        assert main([
+            "eval", "--config", c, "--data", str(root / "data/test/manifest.json"),
+            "--cluster", str(root / "clust/cluster_model.json"),
+            "--ckpt-dir", str(root / "ckpt"), "--out-dir", str(eval_a), "--seed", "3",
+        ]) == 0
+        scores = eval_a / "scores.csv"
+        code = main([
+            "compare", "--config", c, "--out-dir", str(tmp_path / "cmp"),
+            "--scores", f"a={scores}", "--scores", f"a={scores}", "--scores", f"b={scores}",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "repeated: 'a'" in err and "'b'" not in err
+        assert not (tmp_path / "cmp").exists()
+
 
 class TestAttnMap:
     def test_images_per_patient_per_scale(self, workspace, tmp_path):
@@ -638,6 +666,18 @@ class TestAttnMap:
         assert code == 2
         err = capsys.readouterr().err
         assert "repeated" in err and "pos004" in err and "neg004" not in err
+        assert not (tmp_path / "maps").exists()
+
+    @pytest.mark.parametrize("patients", ["pos004,", ",pos004", "pos004,,neg004"])
+    def test_empty_patient_id_exits_2_writing_nothing(self, workspace, tmp_path, capsys, patients):
+        root, c = workspace
+        code = main([
+            "attn-map", "--config", c, "--data", str(root / "data/test/manifest.json"),
+            "--ckpt-dir", str(root / "ckpt"), "--out-dir", str(tmp_path / "maps"),
+            "--patients", patients,
+        ])
+        assert code == 2
+        assert f"empty patient id: {patients!r}" in capsys.readouterr().err
         assert not (tmp_path / "maps").exists()
 
     def test_rerun_is_byte_identical(self, workspace, tmp_path):

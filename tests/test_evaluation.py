@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from crossmil import evaluation
 from crossmil.clustering import cluster_dataset
 from crossmil.data import SyntheticSpec, generate_synthetic
-from crossmil.errors import ContractError, MetricError
+from crossmil.errors import ConfigError, ContractError, MetricError
 from crossmil.evaluation import (
     _midranks,
     _replicate_diffs,
@@ -18,7 +18,7 @@ from crossmil.evaluation import (
     auc,
     average_precision,
     bootstrap_test,
-    compare_models,
+    comparison_table,
     delong_test,
     evaluate,
     pr_points,
@@ -474,9 +474,38 @@ class TestEvaluate:
         np.testing.assert_array_equal(labels, [1, 0])
         np.testing.assert_array_equal(values, [0.9, 0.1])
 
-    def test_compare_models_returns_both_pvalues(self):
+
+
+class TestComparisonTable:
+    LABELS = np.r_[np.ones(20, dtype=int), np.zeros(20, dtype=int)]
+
+    def score_sets(self, names):
         rng = np.random.default_rng(8)
-        labels = np.r_[np.ones(20, dtype=int), np.zeros(20, dtype=int)]
-        a, b = rng.uniform(0, 1, 40), rng.uniform(0, 1, 40)
-        test = compare_models("a", a, "b", b, labels, n_boot=200, seed=0)
-        assert 0.0 <= test.p_auc <= 1.0 and 0.0 <= test.p_ap <= 1.0
+        return [(name, rng.uniform(0, 1, 40)) for name in names]
+
+    def test_rows_hold_report_metrics_and_pvalues_against_the_reference(self):
+        sets = self.score_sets("abc")
+        header, *rows = comparison_table(sets, self.LABELS, "b", n_boot=200, seed=3).splitlines()
+        assert header == "model,auc,ap,acc,p_auc_vs_ref,p_ap_vs_ref"
+        ref = dict(sets)["b"]
+        for (name, scores), row in zip(sets, rows, strict=True):
+            report = report_from_scores(scores, self.LABELS)
+            fields = row.split(",")
+            assert fields[:4] == [name, repr(report.auc), repr(report.ap), repr(report.accuracy)]
+            if name == "b":
+                assert fields[4:] == ["", ""]
+            else:
+                assert fields[4:] == [
+                    repr(delong_test(scores, ref, self.LABELS).p_value),
+                    repr(bootstrap_test(scores, ref, self.LABELS, "ap", 200, 3)),
+                ]
+                assert all(0.0 <= float(f) <= 1.0 for f in fields[4:])
+
+    def test_repeated_names_are_a_config_error_naming_them(self):
+        sets = self.score_sets(["a", "b", "a", "c", "c"])
+        with pytest.raises(ConfigError, match="repeated: 'a', 'c'$"):
+            comparison_table(sets, self.LABELS, "b", n_boot=200)
+
+    def test_unknown_reference_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="'z' is not among"):
+            comparison_table(self.score_sets("ab"), self.LABELS, "z", n_boot=200)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import pickle
 import struct
 
 import numpy as np
@@ -14,6 +15,7 @@ from crossmil.data import Dataset, PatientRecord, default_scales
 from crossmil.errors import ConfigError, ContractError, DimensionError, DomainError, FormatError
 from crossmil.models import (
     ModelConfig,
+    ModelParams,
     attention_records,
     classifier_head,
     cross_scale_attention,
@@ -369,12 +371,31 @@ class TestModelParams:
             np.testing.assert_array_equal(t.data.reshape(-1), np.arange(start, start + t.size))
             start += t.size
 
-    def test_load_values_of_the_wrong_shape_is_a_config_error(self):
-        params = init_params(small_config(), seed=0)
-        values = params.copy_values()
-        values["pool.w"] = np.zeros((3, 1))
-        with pytest.raises(ConfigError, match="pool.w"):
-            params.load_values(values)
+    @pytest.mark.parametrize(
+        "reshape",
+        [lambda f: f[:-1], lambda f: np.append(f, 0.0), lambda f: f.reshape(1, -1)],
+        ids=["short", "long", "2-d"],
+    )
+    def test_values_that_do_not_fit_the_config_are_a_config_error(self, reshape):
+        flat = init_params(small_config(), seed=0).flat
+        with pytest.raises(ConfigError, match=f"do not fit the config's {flat.size}"):
+            ModelParams(small_config(), reshape(flat))
+
+    @pytest.mark.parametrize("protocol", [4, 5])
+    def test_pickles_as_config_and_values_viewed_by_its_own_tensors(self, protocol):
+        params = init_params(small_config(attention_sharing="per_scale"), seed=4)
+        back = pickle.loads(pickle.dumps(params, protocol=protocol))
+        assert back.config == params.config
+        assert back.names() == params.names()
+        assert back.flat.tobytes() == params.flat.tobytes()
+        assert not np.shares_memory(back.flat, params.flat)
+        back.flat[:] = np.arange(back.flat.size)
+        start = 0
+        for n in back.names():
+            t = back.tensors[n]
+            assert np.shares_memory(t.data, back.flat) and t.requires_grad
+            np.testing.assert_array_equal(t.data.reshape(-1), np.arange(start, start + t.size))
+            start += t.size
 
 
 class TestForwardBag:

@@ -8,15 +8,20 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_run_pipeline_demo(tmp_path):
-    """The README's end-to-end demo runs and leaves a report and every heatmap."""
-    out = tmp_path / "demo"
+def run_script(name: str, out: Path) -> None:
+    """Run ``scripts/<name>`` at one BLAS thread; it must exit 0."""
     child = subprocess.run(
-        [sys.executable, str(ROOT / "scripts/run_pipeline.py"), "--out", str(out), "--seed", "0"],
+        [sys.executable, str(ROOT / "scripts" / name), "--out", str(out), "--seed", "0"],
         env=dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"),
         capture_output=True, text=True, timeout=600,
     )
     assert child.returncode == 0, child.stderr
+
+
+def test_run_pipeline_demo(tmp_path):
+    """The README's end-to-end demo runs and leaves a report and every heatmap."""
+    out = tmp_path / "demo"
+    run_script("run_pipeline.py", out)
     assert (out / "eval/report.txt").read_text().startswith("auc=")
     manifest = json.loads((out / "data/test/manifest.json").read_text())
     expected = {
@@ -26,6 +31,29 @@ def test_run_pipeline_demo(tmp_path):
     }
     assert len(expected) == 60
     assert {p.name for p in (out / "maps").glob("*.pgm")} == expected
+
+
+def test_variant_comparison_writes_the_comparison_table(tmp_path):
+    """Eight variants against cs-attn, the table ``crossmil compare`` writes."""
+    out = tmp_path / "variants.csv"
+    run_script("variant_comparison.py", out)
+    header, *rows = [line.split(",") for line in out.read_text().splitlines()]
+    assert header == ["model", "auc", "ap", "acc", "p_auc_vs_ref", "p_ap_vs_ref"]
+    assert [r[0] for r in rows] == [
+        "cs-attn", "single-20x", "single-10x", "single-5x",
+        "add-fusion", "concat-fusion", "pool-joint", "gated-pool",
+    ]
+    assert rows[0][4:] == ["", ""]
+    assert all(0.0 <= float(p) <= 1.0 for r in rows[1:] for p in r[4:])
+
+
+def test_bag_size_ablation_writes_its_table(tmp_path):
+    out = tmp_path / "bag_sizes.csv"
+    run_script("bag_size_ablation.py", out)
+    header, *rows = [line.split(",") for line in out.read_text().splitlines()]
+    assert header == ["bag_size", "auc", "ap", "accuracy"]
+    assert [r[0] for r in rows] == ["1", "8", "16", "64"]
+    assert all(0.0 <= float(v) <= 1.0 for r in rows for v in r[1:])
 
 
 def test_benchmark_selftest_passes():
