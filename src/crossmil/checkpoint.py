@@ -1,98 +1,75 @@
-"""Versioned, self-describing binary checkpoint for model parameters.
+"""Versioned binary checkpoint of a model: its config and its flat values.
 
-Layout (version 2): 8-byte magic, u32 version, 32-byte sha256 of the
-config text, u32 config length, the canonical ``ModelConfig.to_json()``
-text (utf-8), u32 tensor count, then per tensor: u16 name length, utf-8
-name, u8 rank, u32 dims, float64 little-endian values. All integers are
-little-endian and the file ends after the last tensor.
+Layout (version 3): 8-byte magic, u32 version, the 32-byte sha256 of
+every byte after it, u32 config length, the canonical
+``ModelConfig.to_json()`` text (utf-8), then ``ModelParams.flat`` as
+float64 values. All numbers are little-endian and the file ends after
+the last value.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, FormatError
-from .models import ModelConfig, ModelParams, param_layout
+from .models import ModelConfig, ModelParams
 
 MAGIC = b"CMILCKPT"
-VERSION = 2
+VERSION = 3
+_HEAD = len(MAGIC) + 4  # magic and version
+_BODY = _HEAD + 32  # the digest covers every byte from here on
 
 
 def save_checkpoint(params: ModelParams, path: str | Path) -> Path:
     path = Path(path)
     text = params.config.to_json().encode()
-    chunks = [MAGIC, struct.pack("<I", VERSION), params.config.digest()]
-    chunks += [struct.pack("<I", len(text)), text]
-    names = params.names()
-    chunks.append(struct.pack("<I", len(names)))
-    for name in names:
-        data = params.tensors[name].data
-        encoded = name.encode()
-        chunks.append(struct.pack("<H", len(encoded)))
-        chunks.append(encoded)
-        chunks.append(struct.pack("<B", data.ndim))
-        chunks.append(struct.pack(f"<{data.ndim}I", *data.shape))
-        chunks.append(data.astype("<f8").tobytes())
-    path.write_bytes(b"".join(chunks))
+    body = [struct.pack("<I", len(text)), text, params.flat.astype("<f8", copy=False).data]
+    digest = hashlib.sha256()
+    for chunk in body:
+        digest.update(chunk)
+    with path.open("wb") as f:
+        f.writelines([MAGIC, struct.pack("<I", VERSION), digest.digest(), *body])
     return path
 
 
 def load_checkpoint(path: str | Path) -> ModelParams:
-    """Parameters and the model config they were saved with.
+    """The model a checkpoint holds: its config and its values.
 
-    Any file that is not exactly a well-formed version 2 checkpoint is a
+    Any file that is not exactly a well-formed version 3 checkpoint is a
     FormatError naming the path.
     """
     raw = Path(path).read_bytes()
-    offset = 0
-
-    def take(n: int) -> bytes:
-        nonlocal offset
-        if offset + n > len(raw):
-            raise FormatError(f"{path}: truncated checkpoint ({len(raw)} bytes)")
-        offset += n
-        return raw[offset - n : offset]
-
-    def unpack(fmt: str) -> tuple:
-        return struct.unpack(fmt, take(struct.calcsize(fmt)))
-
-    if take(8) != MAGIC:
+    if raw[: len(MAGIC)] != MAGIC:
         raise FormatError(f"{path}: not a checkpoint file (bad magic)")
-    (version,) = unpack("<I")
-    if version == 1:
+    if len(raw) < _BODY + 4:
+        raise FormatError(f"{path}: truncated checkpoint ({len(raw)} bytes)")
+    (version,) = struct.unpack_from("<I", raw, len(MAGIC))
+    if version in (1, 2):
         raise FormatError(
-            f"{path}: checkpoint version 1 carries no model config; retrain to write version {VERSION}"
+            f"{path}: checkpoint version {version} is no longer read; retrain to write version 3"
         )
     if version != VERSION:
         raise FormatError(f"{path}: unsupported checkpoint version {version}")
-    digest = take(32)
-    (text_len,) = unpack("<I")
-    text = take(text_len)
-    if hashlib.sha256(text).digest() != digest:
-        raise FormatError(f"{path}: model config does not match its digest")
+    if hashlib.sha256(memoryview(raw)[_BODY:]).digest() != raw[_HEAD:_BODY]:
+        raise FormatError(f"{path}: contents do not match their digest")
+    (text_len,) = struct.unpack_from("<I", raw, _BODY)
+    start = _BODY + 4 + text_len
+    if start > len(raw):
+        raise FormatError(f"{path}: config length {text_len} runs past the end of the file")
+    if (len(raw) - start) % 8:
+        raise FormatError(f"{path}: {len(raw) - start} value bytes are not whole float64 values")
+    text = raw[_BODY + 4 : start]
     try:
         cfg = ModelConfig.from_json(text.decode())
     except (UnicodeDecodeError, ConfigError) as e:
         raise FormatError(f"{path}: bad model config: {e}") from None
     if cfg.to_json().encode() != text:
         raise FormatError(f"{path}: model config is not in canonical form")
-    (count,) = unpack("<I")
-    values: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = unpack("<H")
-        name = take(name_len).decode(errors="replace")  # a mangled name fails the match below
-        (rank,) = unpack("<B")
-        shape = unpack(f"<{rank}I")
-        data = take(8 * math.prod(shape))
-        values[name] = np.frombuffer(data, dtype="<f8").reshape(shape)
-    if offset != len(raw):
-        raise FormatError(f"{path}: {len(raw) - offset} bytes after the last tensor")
-    layout = param_layout(cfg)
-    if len(values) != count or {n: v.shape for n, v in values.items()} != dict(layout):
-        raise FormatError(f"{path}: tensors do not match the model config")
-    return ModelParams(cfg, np.concatenate([values[n].reshape(-1) for n, _ in layout]))
+    try:
+        return ModelParams(cfg, np.frombuffer(raw, dtype="<f8", offset=start))
+    except ConfigError as e:
+        raise FormatError(f"{path}: {e}") from None

@@ -31,6 +31,7 @@ from .clustering import cluster_dataset, load_cluster_model, save_cluster_model
 from .data import Dataset, SyntheticSpec, generate_synthetic, load_dataset, save_dataset, split_train_test
 from .errors import ConfigError, CrossmilError, check_choice, check_int, check_real
 from .evaluation import (
+    EVAL_MODES,
     comparison_table,
     evaluate,
     read_scores,
@@ -38,7 +39,7 @@ from .evaluation import (
     write_report,
     write_scores,
 )
-from .models import ModelConfig, ModelParams, attention_records
+from .models import ModelConfig, ModelParams, attention_records, check_instance_shape
 from .training import TrainConfig, train_all, write_loss_curves
 
 
@@ -103,7 +104,7 @@ def _check_config(config: dict) -> None:
     if isinstance(scale, bool) or not isinstance(scale, (str, int)):
         raise ConfigError(f"cluster.scale must be a string or an integer, got {scale!r}")
     check_int("eval.n_bootstrap", config["eval"]["n_bootstrap"], 100)
-    check_choice("eval.mode", config["eval"]["mode"], ("ensemble", "per_split"))
+    check_choice("eval.mode", config["eval"]["mode"], EVAL_MODES)
     check_real("render.cell_size", config["render"]["cell_size"], 0, open_low=True)
 
 
@@ -209,9 +210,9 @@ def cmd_train(args) -> int:
     dataset = load_dataset(args.data)
     cluster = load_cluster_model(args.cluster)
     cfg = model_config(config, dataset, cluster.k)
+    models = train_all(dataset, cluster, tcfg, cfg)
     out = Path(args.out_dir)
     write_resolved_config(config, out)
-    models = train_all(dataset, cluster, tcfg, cfg)
     for m in models:
         save_checkpoint(m.params, out / f"checkpoint_split{m.split_id:02d}.bin")
         write_loss_curves(m, out / f"loss_split{m.split_id:02d}.csv")
@@ -288,6 +289,7 @@ def cmd_attn_map(args) -> int:
     cfg = models[0].config
     if cfg.fusion != "cross_scale_attention":
         raise ConfigError(f"the {cfg.fusion} model in {args.ckpt_dir} has no cross-scale attention")
+    check_instance_shape(dataset.n_scales, dataset.dim, cfg)
     patients = [by_id[pid] for pid in wanted]
     geometries = [geometry_for(p.xy, config["render"]["cell_size"]) for p in patients]
     out = Path(args.out_dir)

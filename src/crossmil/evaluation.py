@@ -27,8 +27,10 @@ import numpy as np
 
 from .clustering import ClusterModel, assemble_bag, patient_rng
 from .data import Dataset
-from .errors import ConfigError, ContractError, MetricError
+from .errors import ConfigError, ContractError, MetricError, check_choice
 from .models import ModelParams, forward_bag
+
+EVAL_MODES = ("ensemble", "per_split")
 
 
 def _validate_scores(scores, labels) -> tuple[np.ndarray, np.ndarray]:
@@ -373,8 +375,7 @@ def evaluate(
     reports metrics of the pooled scores; ``per_split`` reports the mean
     of per-model metrics (scores still come back pooled).
     """
-    if mode not in ("ensemble", "per_split"):
-        raise ConfigError(f"mode must be 'ensemble' or 'per_split', got {mode!r}")
+    check_choice("mode", mode, EVAL_MODES)
     per_model, labels, ids = score_patients(models, dataset, cluster_model, bag_size, seed)
     pooled = per_model.mean(axis=0)
     scored = [

@@ -1,5 +1,5 @@
-"""End-to-end pipeline drivers shared by the CLI, the scripts, and the
-acceptance suite: train a variant, evaluate it, sweep bag sizes."""
+"""End-to-end pipeline drivers shared by the scripts and the acceptance
+suite: train a variant, evaluate it, sweep bag sizes."""
 
 from __future__ import annotations
 

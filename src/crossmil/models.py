@@ -28,7 +28,6 @@ which it adds terms, and checkpoints depend on that order to the bit.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -103,9 +102,6 @@ class ModelConfig:
         except (ValueError, TypeError) as e:
             raise ConfigError(f"not a model config: {e}") from None
 
-    def digest(self) -> bytes:
-        return hashlib.sha256(self.to_json().encode()).digest()
-
 
 class ModelParams:
     """Named trainable tensors for one model instance.
@@ -120,14 +116,14 @@ class ModelParams:
 
     def __init__(self, config: ModelConfig, flat: np.ndarray):
         layout = param_layout(config)
-        ends = np.cumsum([math.prod(shape) for _, shape in layout])
+        ends = np.cumsum([math.prod(shape) for _, shape, _ in layout])
         flat = np.array(flat, dtype=np.float64)  # owns its memory; unpickled arrays may not
         if flat.shape != (ends[-1],):
             raise ConfigError(f"{flat.shape} parameter values do not fit the config's {ends[-1]}")
         self.config, self.flat = config, flat
         self.tensors = {
             name: Tensor(chunk.reshape(shape), requires_grad=True)
-            for (name, shape), chunk in zip(layout, np.split(flat, ends[:-1]))
+            for (name, shape, _), chunk in zip(layout, np.split(flat, ends[:-1]))
         }
 
     def __reduce__(self):
@@ -145,8 +141,9 @@ class ModelParams:
         return self.tensors[f"attn{scale}.v"], self.tensors[f"attn{scale}.w"]
 
 
-def _param_shapes(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], int]]:
-    """(name, shape, fan_in) for every trainable tensor, in draw order."""
+def param_layout(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], int]]:
+    """(name, shape, fan_in) of every trainable tensor, in the order
+    ``init_params`` draws them and ``flat`` holds them."""
     e, l, d, f = cfg.embed_dim, cfg.encoder_dim, cfg.attention_hidden, cfg.fused_dim
     shapes: list[tuple[str, tuple[int, ...], int]] = []
     for s in cfg.encoder_scales:
@@ -172,19 +169,14 @@ def _param_shapes(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], int]]:
     return shapes
 
 
-def param_layout(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
-    """(name, shape) of every trainable tensor, in the order ``flat`` holds them."""
-    return sorted((name, shape) for name, shape, _ in _param_shapes(cfg))
-
-
 def init_params(cfg: ModelConfig, seed: int = 0) -> ModelParams:
     """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) init, deterministic by seed."""
     rng = np.random.default_rng(seed)
-    drawn = {}
-    for name, shape, fan_in in _param_shapes(cfg):
+    draws = []
+    for _, shape, fan_in in param_layout(cfg):
         bound = 1.0 / np.sqrt(fan_in)
-        drawn[name] = rng.uniform(-bound, bound, size=shape)
-    return ModelParams(cfg, np.concatenate([drawn[n].reshape(-1) for n, _ in param_layout(cfg)]))
+        draws.append(rng.uniform(-bound, bound, size=shape).reshape(-1))
+    return ModelParams(cfg, np.concatenate(draws))
 
 
 def mi_fcn_encode(x: Tensor, scale: int, params: ModelParams) -> Tensor:
@@ -367,6 +359,15 @@ class AttentionRecord:
     scores: tuple[float, ...]
 
 
+def check_instance_shape(n_scales: int, dim: int, cfg: ModelConfig) -> None:
+    """ConfigError unless instances of ``n_scales`` scales of ``dim``-wide
+    embeddings fit the model ``cfg``."""
+    if dim != cfg.embed_dim:
+        raise ConfigError(f"embeddings have dim {dim}, config expects {cfg.embed_dim}")
+    if n_scales != cfg.n_scales:
+        raise ConfigError(f"instances carry {n_scales} scales, config expects {cfg.n_scales}")
+
+
 def _fuse_instances(emb: np.ndarray, params: ModelParams) -> tuple[Tensor, np.ndarray | None]:
     """Encode and fuse n locations given as ``emb`` (n, S, E).
 
@@ -376,10 +377,7 @@ def _fuse_instances(emb: np.ndarray, params: ModelParams) -> tuple[Tensor, np.nd
     item, giving (L, S*n) with the columns of scale s at s*n ... s*n + n-1.
     """
     cfg = params.config
-    if emb.shape[2] != cfg.embed_dim:
-        raise ConfigError(f"embeddings have dim {emb.shape[2]}, config expects {cfg.embed_dim}")
-    if emb.shape[1] != cfg.n_scales:
-        raise ConfigError(f"instances carry {emb.shape[1]} scales, config expects {cfg.n_scales}")
+    check_instance_shape(emb.shape[1], emb.shape[2], cfg)
     encodings = [mi_fcn_encode(Tensor(emb[:, s].T), s, params) for s in cfg.encoder_scales]
     if cfg.fusion == "cross_scale_attention":
         out = cross_scale_attention(encodings, params, cfg)

@@ -12,8 +12,8 @@ from helpers import to_csv_store
 
 from crossmil.checkpoint import load_checkpoint, save_checkpoint
 from crossmil.cli import _load_checkpoints, main, model_config
-from crossmil.clustering import load_cluster_model
-from crossmil.data import load_dataset
+from crossmil.clustering import cluster_dataset, load_cluster_model, save_cluster_model
+from crossmil.data import SyntheticSpec, generate_synthetic, load_dataset
 from crossmil.evaluation import evaluate, write_scores
 from crossmil.models import ModelParams, attention_records, init_params
 
@@ -302,6 +302,33 @@ class TestTrain:
         assert "model.scale_index must be < n_scales = 3" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_cluster_model_of_another_width_exits_2_writing_nothing(
+        self, workspace, tmp_path, capsys
+    ):
+        root, c = workspace
+        wider = generate_synthetic(SyntheticSpec(n_patients_per_class=2, n_locations=9, dim=16))
+        cluster = save_cluster_model(cluster_dataset(wider, "5x", 3), tmp_path / "wide.json")
+        code = main([
+            "train", "--config", c, "--data", str(root / "data/train/manifest.json"),
+            "--cluster", str(cluster), "--out-dir", str(tmp_path / "out"), "--seed", "3",
+        ])
+        assert code == 2
+        assert "clustering features have width 8" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_more_splits_than_patients_exits_2_writing_nothing(self, workspace, tmp_path, capsys):
+        root, _ = workspace
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**TINY, "train": {**TINY["train"], "n_splits": 10}}))
+        code = main([
+            "train", "--config", str(config), "--data", str(root / "data/train/manifest.json"),
+            "--cluster", str(root / "clust/cluster_model.json"),
+            "--out-dir", str(tmp_path / "out"), "--seed", "3",
+        ])
+        assert code == 2
+        assert "8 patients cannot fill 10 validation sets" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("key, value", [("bag_resample", "false"), ("epochs", "10")])
     def test_mistyped_train_key_exits_2_naming_it(self, workspace, tmp_path, capsys, key, value):
         root, _ = workspace
@@ -582,6 +609,19 @@ class TestAttnMap:
         ])
         assert code == 2
         assert "no cross-scale attention" in capsys.readouterr().err
+        assert not (tmp_path / "maps").exists()
+
+    def test_dataset_of_another_dim_exits_2_writing_nothing(self, workspace, tmp_path, capsys):
+        root, _ = workspace
+        config = tmp_path / "wide.json"
+        config.write_text(json.dumps({**TINY, "data": {**TINY["data"], "dim": 16}}))
+        assert main(["gen-data", "--config", str(config), "--out-dir", str(tmp_path / "d")]) == 0
+        code = main([
+            "attn-map", "--config", str(config), "--data", str(tmp_path / "d/test/manifest.json"),
+            "--ckpt-dir", str(root / "ckpt"), "--out-dir", str(tmp_path / "maps"),
+        ])
+        assert code == 2
+        assert "embeddings have dim 16, config expects 8" in capsys.readouterr().err
         assert not (tmp_path / "maps").exists()
 
     def test_model_comes_from_the_checkpoints_not_the_config(self, workspace, tmp_path):

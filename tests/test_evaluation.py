@@ -463,6 +463,12 @@ class TestEvaluate:
         report, _ = evaluate(models, ds, cm, bag_size=4, seed=22, mode="per_split")
         assert 0.0 <= report.auc <= 1.0
 
+    def test_unknown_mode_is_a_config_error_before_scoring(self):
+        ds = generate_synthetic(SyntheticSpec(n_patients_per_class=3, n_locations=6, dim=8))
+        cm = cluster_dataset(ds, "5x", k=3)
+        with pytest.raises(ConfigError, match="mode must be one of .*'pooled'"):
+            evaluate([], ds, cm, mode="pooled")
+
     def test_scores_file_round_trip(self, tmp_path):
         report = report_from_scores([0.9, 0.1], [1, 0])
         from crossmil.evaluation import ScoredPatient

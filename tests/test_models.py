@@ -23,6 +23,7 @@ from crossmil.models import (
     init_params,
     instance_pool,
     mi_fcn_encode,
+    param_layout,
 )
 from crossmil.training import nll_loss
 from helpers import (
@@ -360,8 +361,10 @@ class TestLayerBackward:
 
 
 class TestModelParams:
-    def test_tensors_are_views_tiling_flat_in_name_order(self):
-        params = init_params(small_config(pooling="gated"), seed=9)
+    def test_tensors_are_views_tiling_flat_in_layout_order(self):
+        cfg = small_config(pooling="gated")
+        params = init_params(cfg, seed=9)
+        assert params.names() == [name for name, _, _ in param_layout(cfg)]
         tiled = np.concatenate([params.tensors[n].data.reshape(-1) for n in params.names()])
         np.testing.assert_array_equal(tiled, params.flat)
         params.flat[:] = np.arange(params.flat.size)
@@ -609,11 +612,15 @@ class TestBatchedForwardOracle:
             forward_bag(bad, init_params(cfg, seed=0))
 
 
-def _with_config_text(raw: bytes, text: bytes, digest: bytes | None = None) -> bytes:
-    """A v2 checkpoint with its config text swapped (digest recomputed unless given)."""
+def _resealed(raw: bytes) -> bytes:
+    """A v3 checkpoint with its digest recomputed over the bytes after it."""
+    return raw[:12] + hashlib.sha256(raw[44:]).digest() + raw[44:]
+
+
+def _with_config_text(raw: bytes, text: bytes) -> bytes:
+    """A v3 checkpoint with its config text swapped and its digest recomputed."""
     (old_len,) = struct.unpack_from("<I", raw, 44)
-    digest = hashlib.sha256(text).digest() if digest is None else digest
-    return raw[:12] + digest + struct.pack("<I", len(text)) + text + raw[48 + old_len :]
+    return _resealed(raw[:44] + struct.pack("<I", len(text)) + text + raw[48 + old_len :])
 
 
 class TestCheckpoint:
@@ -650,29 +657,63 @@ class TestCheckpoint:
             with pytest.raises(FormatError, match="cut.bin"):
                 load_checkpoint(cut)
 
-    def test_trailing_bytes_rejected(self, tmp_path):
+    def test_layout_is_header_digest_config_then_flat_values(self, tmp_path):
+        cfg = small_config(pooling="gated")
+        params = init_params(cfg, seed=3)
+        raw = save_checkpoint(params, tmp_path / "model.bin").read_bytes()
+        text = cfg.to_json().encode()
+        body = struct.pack("<I", len(text)) + text + params.flat.astype("<f8").tobytes()
+        assert raw == b"CMILCKPT" + struct.pack("<I", 3) + hashlib.sha256(body).digest() + body
+
+    def test_any_flipped_byte_is_a_format_error_naming_the_file(self, tmp_path):
+        raw = save_checkpoint(init_params(small_config(), seed=3), tmp_path / "model.bin").read_bytes()
+        flipped = tmp_path / "flipped.bin"
+        for i in range(len(raw)):
+            flipped.write_bytes(raw[:i] + bytes([raw[i] ^ 0xFF]) + raw[i + 1 :])
+            with pytest.raises(FormatError, match="flipped.bin"):
+                load_checkpoint(flipped)
+
+    @pytest.mark.parametrize("extra", [1, 7])
+    def test_trailing_bytes_rejected(self, tmp_path, extra):
         path = save_checkpoint(init_params(small_config(), seed=3), tmp_path / "model.bin")
-        path.write_bytes(path.read_bytes() + b"\x00")
-        with pytest.raises(FormatError, match="1 bytes after the last tensor"):
+        path.write_bytes(_resealed(path.read_bytes() + b"\x00" * extra))
+        with pytest.raises(FormatError, match="value bytes are not whole float64 values"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("version", [0, 1, 3])
+    @pytest.mark.parametrize(
+        "edit", [lambda raw: raw[:-8], lambda raw: raw + raw[-8:]], ids=["short", "long"]
+    )
+    def test_value_count_must_fit_the_config(self, tmp_path, edit):
+        params = init_params(small_config(), seed=3)
+        path = save_checkpoint(params, tmp_path / "model.bin")
+        path.write_bytes(_resealed(edit(path.read_bytes())))
+        match = f"model.bin: .* do not fit the config's {params.flat.size}"
+        with pytest.raises(FormatError, match=match):
+            load_checkpoint(path)
+
+    def test_config_length_past_the_end_rejected(self, tmp_path):
+        path = save_checkpoint(init_params(small_config(), seed=3), tmp_path / "model.bin")
+        raw = path.read_bytes()
+        path.write_bytes(_resealed(raw[:44] + struct.pack("<I", len(raw)) + raw[48:]))
+        with pytest.raises(FormatError, match="runs past the end of the file"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("version", [0, 1, 2, 4])
     def test_other_versions_rejected(self, tmp_path, version):
         path = save_checkpoint(init_params(small_config(), seed=3), tmp_path / "model.bin")
         raw = path.read_bytes()
         path.write_bytes(raw[:8] + struct.pack("<I", version) + raw[12:])
-        match = "carries no model config" if version == 1 else f"version {version}"
+        match = f"unsupported checkpoint version {version}"
+        if version in (1, 2):
+            match = f"model.bin: checkpoint version {version} is no longer read; retrain"
         with pytest.raises(FormatError, match=match):
             load_checkpoint(path)
 
     def test_config_digest_mismatch(self, tmp_path):
         cfg = small_config(attention_activation="tanh")
         path = save_checkpoint(init_params(cfg, seed=1), tmp_path / "model.bin")
-        raw = path.read_bytes()
-        text = cfg.to_json().encode()
         # same length, other activation, old digest kept
-        swapped = text.replace(b'"tanh"', b'"relu"')
-        path.write_bytes(_with_config_text(raw, swapped, digest=raw[12:44]))
+        path.write_bytes(path.read_bytes().replace(b'"tanh"', b'"relu"'))
         with pytest.raises(FormatError, match="digest"):
             load_checkpoint(path)
 
@@ -712,7 +753,8 @@ class TestCheckpoint:
     def test_tensors_must_fit_the_config(self, tmp_path):
         params = init_params(small_config(encoder_dim=3), seed=1)
         path = save_checkpoint(params, tmp_path / "model.bin")
-        wider = small_config(encoder_dim=4).to_json().encode()
-        path.write_bytes(_with_config_text(path.read_bytes(), wider))
-        with pytest.raises(FormatError, match="do not match the model config"):
+        wider = small_config(encoder_dim=4)
+        path.write_bytes(_with_config_text(path.read_bytes(), wider.to_json().encode()))
+        match = f"do not fit the config's {init_params(wider).flat.size}"
+        with pytest.raises(FormatError, match=match):
             load_checkpoint(path)
