@@ -104,9 +104,14 @@ class Tensor:
 
 
 def check_finite(arr: np.ndarray, op: str) -> np.ndarray:
-    """Return ``arr``, or raise a DomainError naming ``op`` if it holds a NaN or Inf."""
-    # a single reduction: any NaN/Inf makes the sum non-finite
-    if not math.isfinite(np.add.reduce(arr, axis=None)):
+    """Return ``arr``, or raise a DomainError naming ``op`` if it holds a NaN or Inf.
+
+    An overflowing sum of finite values warns as numpy does, unless the
+    caller ignores overflow, as the model layers do.
+    """
+    # a single reduction: any NaN/Inf makes the sum non-finite, and so may
+    # large finite values, which the elementwise test then rules out
+    if not math.isfinite(np.add.reduce(arr, axis=None)) and not np.isfinite(arr).all():
         raise DomainError(f"non-finite values in result of '{op}'")
     return arr
 

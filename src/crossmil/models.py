@@ -3,8 +3,8 @@ baseline fusion schemes, attention pooling, and the bag classifier.
 
 A bag travels through the model as feature-major matrices, one column
 per instance: each scale's n instances form an (E, n) input. Each layer
-is one autodiff node whose forward is plain numpy on whole matrices and
-whose backward is written out by hand:
+has one forward kernel, plain numpy on whole matrices with an optional
+leading batch axis, and a backward written out by hand:
 
 - ``mi_fcn_encode``: two fully-connected layers with a ReLU between,
   (E, n) -> (L, n);
@@ -19,11 +19,19 @@ whose backward is written out by hand:
   log-softmax, (F, K) -> (2, 1).
 
 Parameters are views into one flat vector, so the optimizer steps them
-all in place. Training, validation, scoring and attention maps share this
-one forward; with cross-scale attention a bag is nine graph nodes,
-whatever its size. Every intermediate that can leave the finite range is
-checked, and the error names the layer. Each kernel fixes the order in
-which it adds terms, and checkpoints depend on that order to the bit.
+all in place. ``forward_bag`` runs one bag through the kernels as
+autodiff nodes, one per layer: with cross-scale attention a training
+step is nine graph nodes, whatever the bag size. ``forward_bags`` runs
+equal-size bags through the same kernels with no graph, stacked on a
+leading axis a block at a time, for validation and scoring; attention
+maps run each patient's locations through the encoder and attention
+kernels as one group, for the scores alone. A stacked bag gives the bits
+it gives alone, because each scale enters as a contiguous (B, E, n)
+array and the classifier takes a (B, K*F, 1) column per bag, so every
+matmul runs per bag on the strides of a lone bag. Every intermediate
+that can leave the finite range is checked, and the error names the
+layer. Each kernel fixes the order in which it adds terms, and
+checkpoints depend on that order to the bit.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -179,14 +187,23 @@ def init_params(cfg: ModelConfig, seed: int = 0) -> ModelParams:
     return ModelParams(cfg, np.concatenate(draws))
 
 
+def _encode(x: np.ndarray, params: ModelParams, scale: int) -> tuple[np.ndarray, ...]:
+    """Encoder kernel: (..., E, n) inputs -> (..., L, n) encodings, then the
+    pre-activation and hidden layer the backward reads."""
+    w1, b1, w2, b2 = (params.tensors[f"encoder{scale}.{p}"].data for p in ("w1", "b1", "w2", "b2"))
+    op = "mi_fcn_encode"
+    with np.errstate(over="ignore", invalid="ignore"):
+        pre = ad.check_finite(w1 @ x + b1, op)
+        h = np.maximum(pre, 0.0)
+        out = ad.check_finite(w2 @ h + b2, op)
+    return out, pre, h
+
+
 def mi_fcn_encode(x: Tensor, scale: int, params: ModelParams) -> Tensor:
     """Two fully-connected layers with a ReLU between, (E, n) -> (L, n)."""
     w1, b1, w2, b2 = (params.tensors[f"encoder{scale}.{p}"] for p in ("w1", "b1", "w2", "b2"))
     xd, w1d, w2d = x.data, w1.data, w2.data
-    with np.errstate(over="ignore", invalid="ignore"):
-        pre = ad.check_finite(w1d @ xd + b1.data, "mi_fcn_encode")
-        h = np.maximum(pre, 0.0)
-        out = w2d @ h + b2.data
+    out, pre, h = _encode(xd, params, scale)
 
     def grad_fn(g):
         g_pre = (w2d.T @ g) * (pre > 0.0)
@@ -208,6 +225,36 @@ class CrossScaleAttentionOutput:
     scores: np.ndarray  # (S, n), positive, each column sums to 1; no gradient
 
 
+def _attention_weights(
+    pairs: list[tuple[Tensor, Tensor]], shared: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """V and the w^T rows of the attention: (D, L) and (1, D) when shared,
+    else stacked per scale, (S, D, L) and (S, 1, D). w^T is copied to a
+    C-contiguous row, as the primitive transpose does."""
+    if shared:
+        return pairs[0][0].data, pairs[0][1].data.T.copy()
+    return np.stack([v.data for v, _ in pairs]), np.stack([w.data.T.copy() for _, w in pairs])
+
+
+def _attend(f: np.ndarray, v: np.ndarray, w_rows: np.ndarray, tanh: bool) -> tuple[np.ndarray, ...]:
+    """Cross-scale attention kernel: (..., S, L, n) encodings -> scores
+    (..., S, n) softmaxed over the scales, then the pre-activation and
+    activation the backward reads."""
+    op = "cross_scale_attention"
+    with np.errstate(over="ignore", invalid="ignore"):
+        pre = ad.check_finite(v @ f, op)  # (..., S, D, n)
+        act = np.tanh(pre) if tanh else np.maximum(pre, 0.0)
+        logits = ad.check_finite(w_rows @ act, op)[..., 0, :]  # (..., S, n)
+    return ad.softmax_array(logits, -2), pre, act
+
+
+def _fuse_scales(f: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """The (..., L, n) sum of the (..., S, L, n) encodings weighted by their
+    (..., S, n) scores, added over the scales in scale order."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return ad.check_finite((f * scores[..., None, :]).sum(axis=-3), "cross_scale_attention")
+
+
 def cross_scale_attention(
     encodings: list[Tensor], params: ModelParams, cfg: ModelConfig
 ) -> CrossScaleAttentionOutput:
@@ -221,28 +268,17 @@ def cross_scale_attention(
     """
     if len(encodings) < 1:
         raise ContractError("cross_scale_attention needs at least one scale encoding")
-    op = "cross_scale_attention"
     tanh = cfg.attention_activation == "tanh"
     shared = cfg.attention_sharing == "shared"
     pairs = [params.attention_pair(s) for s in range(len(encodings))]
     attn_params = list(dict.fromkeys(t for pair in pairs for t in pair))
     # Scales are stacked on a leading axis. A 3-d matmul makes, per scale,
     # the same BLAS call on the same strides as a 2-d one, so results match
-    # a per-scale loop to the bit. w^T is copied to a C-contiguous row, as
-    # the primitive transpose does.
+    # a per-scale loop to the bit.
     f = np.stack([e.data for e in encodings])  # (S, L, n)
-    if shared:
-        v, w_rows = pairs[0][0].data, pairs[0][1].data.T.copy()  # (D, L), (1, D)
-    else:
-        v = np.stack([v.data for v, _ in pairs])  # (S, D, L)
-        w_rows = np.stack([w.data.T.copy() for _, w in pairs])  # (S, 1, D)
-    with np.errstate(over="ignore", invalid="ignore"):
-        pre = ad.check_finite(v @ f, op)  # (S, D, n)
-        act = np.tanh(pre) if tanh else np.maximum(pre, 0.0)
-        logits = ad.check_finite(w_rows @ act, op)[:, 0]  # (S, n)
-        scores = ad.softmax_array(logits, 0)
-        # summed over scales in scale order
-        fused = (f * scores[:, None]).sum(axis=0)
+    v, w_rows = _attention_weights(pairs, shared)
+    scores, pre, act = _attend(f, v, w_rows, tanh)
+    fused = _fuse_scales(f, scores)
 
     def grad_fn(g):
         g_logits = (g * f).sum(axis=1)
@@ -258,8 +294,42 @@ def cross_scale_attention(
             g_params = [gp for s in range(len(pairs)) for gp in (g_v[s], g_w[s].T.copy())]
         return (*g_f, *g_params)
 
-    fused_t = ad.custom_op(op, fused, (*encodings, *attn_params), grad_fn)
+    fused_t = ad.custom_op("cross_scale_attention", fused, (*encodings, *attn_params), grad_fn)
     return CrossScaleAttentionOutput(fused_t, scores)
+
+
+def _pool(
+    x: np.ndarray, mask: np.ndarray, v: np.ndarray, w_row: np.ndarray, u: np.ndarray | None
+) -> tuple[np.ndarray, ...]:
+    """Per-cluster pooling kernel: (..., F, m) items and (..., K, m) masks ->
+    pooled (..., F, K) and weights (..., K, m), then the transposed
+    weights, tanh layer, gate (None unless ``u`` is given) and activation
+    the backward reads."""
+    op = "instance_pool"
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = np.tanh(ad.check_finite(v @ x, op))
+        gate = None if u is None else ad.sigmoid_array(ad.check_finite(u @ x, op))
+        act = h if u is None else h * gate
+        logits = ad.check_finite(w_row @ act, op)  # (..., 1, m)
+    # softmax of the logits row within each mask row; an empty row stays zero
+    masked = np.where(mask, logits, -np.inf)
+    top = masked.max(axis=-1, keepdims=True)
+    top[~mask.any(axis=-1)] = 0.0  # exp(-inf) below gives zeros, not NaN
+    e = np.exp(masked - top)
+    total = e.sum(axis=-1, keepdims=True)
+    weights = e / np.where(total > 0.0, total, 1.0)
+    weights_t = weights.swapaxes(-1, -2).copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        pooled = ad.check_finite(x @ weights_t, op)
+    return pooled, weights, weights_t, h, gate, act
+
+
+def _pool_weights(params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """V, the C-contiguous w^T row (as the primitive transpose gives) and,
+    for gated pooling, U."""
+    t = params.tensors
+    u = t["pool.u"].data if "pool.u" in t else None
+    return t["pool.v"].data, t["pool.w"].data.T.copy(), u
 
 
 def instance_pool(
@@ -284,28 +354,13 @@ def instance_pool(
         raise ContractError(f"instance_pool: mask must be boolean, got {mask.dtype}")
     if mask.ndim != 2 or mask.shape[1] != items.shape[1]:
         raise DimensionError(f"instance_pool: mask {mask.shape} does not fit items {items.shape}")
-    op = "instance_pool"
     gated = pooling == "gated"
     t = params.tensors
     v, w = t["pool.v"], t["pool.w"]
     u = t["pool.u"] if gated else None
-    xd, vd = items.data, v.data
-    w_row = w.data.T.copy()  # C-contiguous, as the primitive transpose gives
-    with np.errstate(over="ignore", invalid="ignore"):
-        h = np.tanh(ad.check_finite(vd @ xd, op))
-        gate = ad.sigmoid_array(ad.check_finite(u.data @ xd, op)) if gated else None
-        act = h * gate if gated else h
-        logits = ad.check_finite(w_row @ act, op)
-    # softmax of the logits row within each mask row; an empty row stays zero
-    masked = np.where(mask, logits, -np.inf)
-    top = masked.max(axis=1, keepdims=True)
-    top[~mask.any(axis=1)] = 0.0  # exp(-inf) below gives zeros, not NaN
-    e = np.exp(masked - top)
-    total = e.sum(axis=1, keepdims=True)
-    weights = e / np.where(total > 0.0, total, 1.0)
-    weights_t = weights.T.copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        pooled = xd @ weights_t
+    xd = items.data
+    vd, w_row, ud = _pool_weights(params)
+    pooled, weights, weights_t, h, gate, act = _pool(xd, mask, vd, w_row, ud if gated else None)
 
     def grad_fn(g):
         g_weights = (xd.T @ g).T.copy()
@@ -319,12 +374,25 @@ def instance_pool(
             # the three paths add in a fixed order: pooling, V, U
             g_items = g @ weights_t.T + vd.T @ g_pre
             if gated:
-                g_items = g_items + u.data.T @ g_gate
+                g_items = g_items + ud.T @ g_gate
         grads = (g_items, g_pre @ xd.T, (g_logits @ act.T).T.copy())
         return grads + (g_gate @ xd.T,) if gated else grads
 
     parents = (items, v, w, u) if gated else (items, v, w)
-    return ad.custom_op(op, pooled, parents, grad_fn), weights
+    return ad.custom_op("instance_pool", pooled, parents, grad_fn), weights
+
+
+def _classify(pooled: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Classifier kernel: (..., F, K) pools -> log-probabilities (..., 2, 1),
+    then the (..., K*F, 1) input the backward reads. Each input is a column
+    of its own, so its matmul does not depend on how many are stacked."""
+    op = "classifier_head"
+    w, b = params.tensors["classifier.w"].data, params.tensors["classifier.b"].data
+    z = pooled.swapaxes(-1, -2).copy().reshape(*pooled.shape[:-2], -1, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = ad.check_finite(w @ z + b, op)
+        log_probs = ad.check_finite(ad.log_softmax_array(logits, -2), op)
+    return log_probs, z
 
 
 def classifier_head(pooled: Tensor, params: ModelParams) -> Tensor:
@@ -333,20 +401,16 @@ def classifier_head(pooled: Tensor, params: ModelParams) -> Tensor:
     Cluster k's pooled vector fills rows k*F ... k*F + F-1 of the
     classifier's input.
     """
-    op = "classifier_head"
     w, b = params.tensors["classifier.w"], params.tensors["classifier.b"]
-    z = pooled.data.T.copy().reshape(-1, 1)
     wd = w.data
-    with np.errstate(over="ignore", invalid="ignore"):
-        logits = ad.check_finite(wd @ z + b.data, op)
-    log_probs = ad.log_softmax_array(logits, 0)
+    log_probs, z = _classify(pooled.data, params)
 
     def grad_fn(g):
         g_logits = g - np.exp(log_probs) * g.sum(axis=0, keepdims=True)
         g_pooled = (wd.T @ g_logits).reshape(pooled.shape[::-1]).T.copy()
         return g_pooled, g_logits @ z.T, g_logits
 
-    return ad.custom_op(op, log_probs, (pooled, w, b), grad_fn)
+    return ad.custom_op("classifier_head", log_probs, (pooled, w, b), grad_fn)
 
 
 @dataclass(frozen=True)
@@ -368,46 +432,122 @@ def check_instance_shape(n_scales: int, dim: int, cfg: ModelConfig) -> None:
         raise ConfigError(f"instances carry {n_scales} scales, config expects {cfg.n_scales}")
 
 
-def _fuse_instances(emb: np.ndarray, params: ModelParams) -> tuple[Tensor, np.ndarray | None]:
-    """Encode and fuse n locations given as ``emb`` (n, S, E).
+def _fuse_instances(emb: np.ndarray, params: ModelParams) -> Tensor:
+    """Encode and fuse n locations given as ``emb`` (n, S, E), on the graph.
 
-    Returns the pooling items and, for cross-scale attention, the (S, n)
-    scores (else None). The items are (F, n), one column per location,
-    except for ``instance_pool``: there every scale's encoding is its own
-    item, giving (L, S*n) with the columns of scale s at s*n ... s*n + n-1.
+    Returns the (F, n) pooling items, one column per location, except for
+    ``instance_pool``: there every scale's encoding is its own item, giving
+    (L, S*n) with the columns of scale s at s*n ... s*n + n-1.
     """
     cfg = params.config
     check_instance_shape(emb.shape[1], emb.shape[2], cfg)
     encodings = [mi_fcn_encode(Tensor(emb[:, s].T), s, params) for s in cfg.encoder_scales]
     if cfg.fusion == "cross_scale_attention":
-        out = cross_scale_attention(encodings, params, cfg)
-        return out.fused, out.scores
+        return cross_scale_attention(encodings, params, cfg).fused
     if cfg.fusion == "concat":
-        return ad.concat(encodings, axis=0), None
+        return ad.concat(encodings, axis=0)
     if cfg.fusion == "instance_pool":
-        return ad.concat(encodings, axis=1), None
+        return ad.concat(encodings, axis=1)
     # add; single_scale has exactly one encoding, so it passes through
     total = encodings[0]
     for f in encodings[1:]:
         total = total + f
-    return total, None
+    return total
+
+
+def _encode_arrays(emb: np.ndarray, params: ModelParams) -> list[np.ndarray]:
+    """The (B, L, n) encodings at each encoder scale of B groups of n
+    locations given as ``emb`` (B, n, S, E), without the graph.
+
+    Each scale enters as a contiguous (B, E, n) array, so every group's
+    matmuls run on the strides a lone group's would, and give its bits.
+    """
+    cfg = params.config
+    check_instance_shape(emb.shape[2], emb.shape[3], cfg)
+    x = np.ascontiguousarray(emb.transpose(2, 0, 3, 1))  # (S, B, E, n)
+    return [_encode(x[s], params, s)[0] for s in cfg.encoder_scales]
+
+
+def _attention_scores(f: np.ndarray, params: ModelParams) -> np.ndarray:
+    """The (B, S, n) cross-scale scores of stacked encodings ``f`` (B, S, L, n)."""
+    cfg = params.config
+    pairs = [params.attention_pair(s) for s in range(cfg.n_scales)]
+    weights = _attention_weights(pairs, cfg.attention_sharing == "shared")
+    return _attend(f, *weights, cfg.attention_activation == "tanh")[0]
+
+
+def _fuse_arrays(emb: np.ndarray, params: ModelParams) -> np.ndarray:
+    """``_fuse_instances`` without the graph, for B groups of n locations
+    given as ``emb`` (B, n, S, E): (B, F, n) items, or (B, L, S*n) for
+    ``instance_pool``."""
+    cfg = params.config
+    encodings = _encode_arrays(emb, params)
+    if cfg.fusion == "cross_scale_attention":
+        f = np.stack(encodings, axis=1)
+        return _fuse_scales(f, _attention_scores(f, params))
+    if cfg.fusion == "concat":
+        return np.concatenate(encodings, axis=1)
+    if cfg.fusion == "instance_pool":
+        return np.concatenate(encodings, axis=2)
+    total = encodings[0]
+    for f in encodings[1:]:
+        total = total + f
+    return total
+
+
+def _cluster_members(clusters: np.ndarray, cfg: ModelConfig) -> np.ndarray:
+    """The (..., K, n) pooling mask of bag clusters (..., n), a ConfigError
+    if a cluster is outside the model's; with ``instance_pool`` fusion each
+    scale's copy of an instance joins its cluster."""
+    k = cfg.n_clusters
+    if clusters.size and not 0 <= clusters.min() <= clusters.max() < k:
+        raise ConfigError(f"bag clusters fall outside the model's {k} clusters")
+    members = clusters[..., None, :] == np.arange(k)[:, None]
+    return np.tile(members, cfg.n_scales) if cfg.fusion == "instance_pool" else members
 
 
 def forward_bag(bag: Bag, params: ModelParams) -> Tensor:
-    """Full bag pass: encode, fuse, pool per cluster, classify.
+    """Full bag pass on the graph: encode, fuse, pool per cluster, classify.
 
     Returns log-probabilities over the two classes as a (2, 1) tensor.
     """
     cfg = params.config
-    k = cfg.n_clusters
-    if bag.clusters.size and not 0 <= bag.clusters.min() <= bag.clusters.max() < k:
-        raise ConfigError(f"bag clusters fall outside the model's {k} clusters")
-    items, _ = _fuse_instances(bag.patient.emb[bag.index], params)
-    members = bag.clusters[None, :] == np.arange(k)[:, None]  # (K, n)
-    if cfg.fusion == "instance_pool":
-        members = np.tile(members, (1, cfg.n_scales))
+    members = _cluster_members(bag.clusters, cfg)
+    items = _fuse_instances(bag.patient.emb[bag.index], params)
     pooled, _ = instance_pool(items, params, cfg.pooling, members)
     return classifier_head(pooled, params)
+
+
+# Bag instances scored in one block by forward_bags. It bounds the
+# block's working set (a few arrays of this many instances times a layer
+# width) whatever the number of bags: at 128 the train and eval stages
+# peak no higher than one bag at a time, where 256 added about 1 MB at
+# bag 64.
+_BLOCK_INSTANCES = 128
+
+
+def forward_bags(bags: Sequence[Bag], params: ModelParams) -> np.ndarray:
+    """Log-probabilities (B, 2) of equal-size bags, with no graph.
+
+    Row i equals ``forward_bag(bags[i], params)`` to the bit: a block of
+    bags at a time runs through the same layer kernels, stacked on a
+    leading axis.
+    """
+    sizes = sorted({len(bag.index) for bag in bags})
+    if len(sizes) > 1 or sizes == [0]:
+        raise ContractError(f"forward_bags needs bags of one size >= 1, got sizes {sizes}")
+    out = np.empty((len(bags), 2))
+    if not bags:
+        return out
+    members = _cluster_members(np.stack([bag.clusters for bag in bags]), params.config)
+    pool_v, pool_w, pool_u = _pool_weights(params)
+    step = max(1, _BLOCK_INSTANCES // sizes[0])
+    for start in range(0, len(bags), step):
+        block = bags[start : start + step]
+        items = _fuse_arrays(np.stack([bag.patient.emb[bag.index] for bag in block]), params)
+        pooled = _pool(items, members[start : start + step], pool_v, pool_w, pool_u)[0]
+        out[start : start + step] = _classify(pooled, params)[0][..., 0]
+    return out
 
 
 def attention_records(
@@ -416,20 +556,22 @@ def attention_records(
     """Cross-scale attention scores for every location of the given patients.
 
     Scores depend only on the location itself, not on bag composition, so
-    each patient's locations go through one forward together. Patients
-    are looked up by id, in the order given (default: the whole dataset).
-    Values are plain Python numbers so CSV output stays repr-stable.
+    each patient's locations go through the encoders and the attention
+    scores together, without the graph and without the fused encodings the
+    scores would weight. Patients are looked up by id, in the order given
+    (default: the whole dataset). Values are plain Python numbers so CSV
+    output stays repr-stable.
     """
     if params.config.fusion != "cross_scale_attention":
         raise ConfigError("no cross-scale attention in this variant")
     chosen = dataset if patients is None else [dataset.patient(pid) for pid in patients]
     out = []
     for p in chosen:
-        _, scores = _fuse_instances(p.emb, params)
+        scores = _attention_scores(np.stack(_encode_arrays(p.emb[None], params), axis=1), params)
         out += [
             AttentionRecord(p.patient_id, loc, (x, y), tuple(col))
             for loc, (x, y), col in zip(
-                p.location_ids.tolist(), p.xy.tolist(), scores.T.tolist()
+                p.location_ids.tolist(), p.xy.tolist(), scores[0].T.tolist()
             )
         ]
     return out

@@ -25,7 +25,7 @@ from .clustering import Bag, ClusterModel, assemble_bag, patient_rng
 from .data import Dataset
 from .errors import ContractError, CrossmilError, DomainError, TrainingError
 from .errors import check_bool, check_int, check_real
-from .models import ModelConfig, ModelParams, forward_bag, init_params
+from .models import ModelConfig, ModelParams, forward_bag, forward_bags, init_params
 
 _VAL_BAG_TAG = 0x56414C  # keeps validation bag streams apart from train streams
 
@@ -180,10 +180,16 @@ def make_splits(dataset: Dataset, n_splits: int, seed: int = 0) -> SplitPlan:
 def _epoch_loss(
     ids: tuple[str, ...], params: ModelParams, bags: dict[str, Bag]
 ) -> float:
+    """Mean NLL of the bags of ``ids``, scored together without a graph.
+
+    Each bag's loss is ``nll_loss``'s -(log_probs . onehot), and the
+    losses are added as Python floats in id order.
+    """
+    batch = [bags[pid] for pid in ids]
+    onehot = np.eye(2)[[bag.label for bag in batch]]
     total = 0.0
-    for pid in ids:
-        log_probs = forward_bag(bags[pid], params)
-        total += nll_loss(log_probs, bags[pid].label).item()
+    for loss in ((forward_bags(batch, params) * onehot).sum(axis=1) * -1.0).tolist():
+        total += loss
     return total / len(ids)
 
 

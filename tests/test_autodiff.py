@@ -315,6 +315,18 @@ class TestCheckFinite:
         with pytest.raises(DomainError, match="'my_layer'"):
             ad.check_finite(arr, "my_layer")
 
+    @pytest.mark.parametrize("big", [1e308, -1e308])
+    def test_finite_values_whose_sum_overflows_are_returned(self, big):
+        arr = np.full(5, big)
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(arr.sum())
+            assert ad.check_finite(arr, "op") is arr
+
+    def test_nan_beside_values_whose_sum_overflows_is_rejected(self):
+        arr = np.array([1e308, 1e308, np.nan, 1.0])
+        with np.errstate(over="ignore"), pytest.raises(DomainError, match="'my_layer'"):
+            ad.check_finite(arr, "my_layer")
+
 
 class TestCustomOp:
     """A caller-written node: value and backward computed outside the tape."""

@@ -1,13 +1,18 @@
 import hashlib
 import json
 import math
+import os
 import pickle
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from crossmil import autodiff as ad
+from crossmil import models
 from crossmil.autodiff import Tensor
 from crossmil.checkpoint import load_checkpoint, save_checkpoint
 from crossmil.clustering import Bag
@@ -20,6 +25,7 @@ from crossmil.models import (
     classifier_head,
     cross_scale_attention,
     forward_bag,
+    forward_bags,
     init_params,
     instance_pool,
     mi_fcn_encode,
@@ -515,10 +521,11 @@ ORACLE_CONFIGS = [
 ]
 
 
-def oracle_config(fusion, pooling, sharing, activation):
+def oracle_config(fusion, pooling, sharing, activation, **widths):
     return ModelConfig(
         fusion=fusion, pooling=pooling, attention_sharing=sharing,
-        attention_activation=activation, embed_dim=5, encoder_dim=4, attention_hidden=3,
+        attention_activation=activation,
+        **{"embed_dim": 5, "encoder_dim": 4, "attention_hidden": 3, **widths},
         n_clusters=4, n_scales=3, scale_index=1 if fusion == "single_scale" else None,
     )
 
@@ -610,6 +617,124 @@ class TestBatchedForwardOracle:
         bad = Bag(bag.patient, bag.index, np.full(len(bag.index), cfg.n_clusters))
         with pytest.raises(ConfigError):
             forward_bag(bad, init_params(cfg, seed=0))
+
+
+# forward_bags block sizes, in instances: one bag per block, a few, all bags at once
+BLOCK_SIZES = (1, 3, 2**62)
+
+
+def equal_size_bags(cfg, bag_size, rng, n_bags=7):
+    """Bags of one size from patients of different sizes. Cluster 1 is
+    empty in every bag, and clusters 0 and 2 in every other bag too."""
+    bags = []
+    for j in range(n_bags):
+        n = bag_size + j
+        emb = rng.uniform(-2, 2, (n, cfg.n_scales, cfg.embed_dim))
+        patient = PatientRecord(f"p{j}", j % 2, emb, np.arange(n), rng.uniform(0, 9, (n, 2)))
+        clusters = rng.choice([0, 2, 3] if j % 2 else [3], bag_size)
+        bags.append(Bag(patient, rng.choice(n, bag_size, replace=False), clusters))
+    return bags
+
+
+def batched_mismatches(cfg, bag_size, set_block, seed=0):
+    """The block sizes at which a row of forward_bags differs in any bit
+    from forward_bag's log-probs for the same bag."""
+    params = init_params(cfg, seed=seed)
+    bags = equal_size_bags(cfg, bag_size, np.random.default_rng(seed))
+    expected = np.stack([forward_bag(bag, params).data.reshape(-1) for bag in bags])
+    bad = []
+    for block in BLOCK_SIZES:
+        set_block(block)
+        if forward_bags(bags, params).tobytes() != expected.tobytes():
+            bad.append(block)
+    return bad
+
+
+# Every variant at two BLAS threads; widths and bags of 96 put the encoder
+# matmuls above the size at which BLAS splits work over threads.
+BATCHED_CHILD = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from crossmil import models
+from test_models import ORACLE_CONFIGS, batched_mismatches, oracle_config
+bad = []
+for variant in ORACLE_CONFIGS:
+    cfg = oracle_config(*variant, embed_dim=64, encoder_dim=96, attention_hidden=32)
+    blocks = batched_mismatches(cfg, 96, lambda b: setattr(models, "_BLOCK_INSTANCES", b))
+    if blocks:
+        bad.append((variant, blocks))
+print(bad)
+sys.exit(1 if bad else 0)
+"""
+
+
+class TestForwardBags:
+    """The graph-free forward over equal-size bags, against forward_bag."""
+
+    @pytest.mark.parametrize("bag_size", [1, 8])
+    @pytest.mark.parametrize("fusion,pooling,sharing,activation", ORACLE_CONFIGS)
+    def test_rows_equal_forward_bag_bit_for_bit_at_any_block_size(
+        self, monkeypatch, fusion, pooling, sharing, activation, bag_size
+    ):
+        # the default widths: at bag 8, an encoder input fed as a strided
+        # view instead of a contiguous array changes low bits
+        cfg = oracle_config(
+            fusion, pooling, sharing, activation, embed_dim=32, encoder_dim=64, attention_hidden=32
+        )
+
+        def set_block(block):
+            monkeypatch.setattr(models, "_BLOCK_INSTANCES", block)
+
+        assert batched_mismatches(cfg, bag_size, set_block, seed=bag_size) == []
+
+    def test_rows_equal_forward_bag_bit_for_bit_at_two_blas_threads(self):
+        tests = Path(__file__).resolve().parent
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(tests.parent / "src"), os.environ.get("PYTHONPATH")])
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", BATCHED_CHILD, str(tests)],
+            env=env, capture_output=True, text=True, timeout=600,
+        )
+        assert child.returncode == 0, child.stdout + child.stderr
+        assert child.stdout.strip() == "[]"
+
+    def test_records_no_graph_nodes(self):
+        cfg = oracle_config("cross_scale_attention", "plain", "shared", "tanh")
+        bags = equal_size_bags(cfg, 4, np.random.default_rng(1))
+        params = init_params(cfg, seed=1)
+        before = next(ad._node_ids)
+        log_probs = forward_bags(bags, params)
+        assert next(ad._node_ids) == before + 1
+        assert log_probs.shape == (len(bags), 2)
+
+    def test_no_bags_give_no_rows(self):
+        assert forward_bags([], init_params(small_config())).shape == (0, 2)
+
+    def test_bags_of_unequal_size_are_a_contract_error(self):
+        cfg = oracle_config("cross_scale_attention", "plain", "shared", "tanh")
+        rng = np.random.default_rng(2)
+        bags = equal_size_bags(cfg, 3, rng) + equal_size_bags(cfg, 4, rng, n_bags=1)
+        with pytest.raises(ContractError, match=r"one size >= 1, got sizes \[3, 4\]"):
+            forward_bags(bags, init_params(cfg))
+
+    def test_clusters_outside_the_model_give_the_forward_bag_config_error(self):
+        cfg = oracle_config("cross_scale_attention", "plain", "shared", "tanh")
+        bags = equal_size_bags(cfg, 3, np.random.default_rng(3), n_bags=4)
+        bad = Bag(bags[2].patient, bags[2].index, np.full(3, cfg.n_clusters))
+        params = init_params(cfg)
+        with pytest.raises(ConfigError) as alone:
+            forward_bag(bad, params)
+        with pytest.raises(ConfigError) as batched:
+            forward_bags(bags[:2] + [bad] + bags[3:], params)
+        assert str(batched.value) == str(alone.value)
+
+    def test_wrong_embedding_dim_rejected(self):
+        cfg = oracle_config("cross_scale_attention", "plain", "shared", "tanh")
+        bad = make_bag([[np.zeros(7) for _ in range(3)]], [0])
+        with pytest.raises(ConfigError, match="dim 7"):
+            forward_bags([bad], init_params(cfg))
 
 
 def _resealed(raw: bytes) -> bytes:

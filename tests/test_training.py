@@ -301,26 +301,67 @@ class TestTrainOneSplit:
         ds = small_dataset(seed=8)
         cm = cluster_dataset(ds, "5x", k=4, seed=8)
         tc = TrainConfig(epochs=2, learning_rate=1e-3, bag_size=4, n_splits=2, seed=8)
-        plan = make_splits(ds, 2, seed=8)
+        split = make_splits(ds, 2, seed=8).splits[0]
 
-        last_bag = {"pid": None}
-        stepped_pids = []
-        real_forward = training.forward_bag
-        real_step = Adam.step
+        events = []  # ("forward", pid), ("forward_bags", pids) and ("step", None), in call order
+        real_forward, real_forward_bags, real_step = (
+            training.forward_bag, training.forward_bags, Adam.step
+        )
 
         def spy_forward(bag, params):
-            last_bag["pid"] = bag.patient_id
+            events.append(("forward", bag.patient_id))
             return real_forward(bag, params)
 
+        def spy_forward_bags(bags, params):
+            events.append(("forward_bags", tuple(b.patient_id for b in bags)))
+            return real_forward_bags(bags, params)
+
         def spy_step(self):
-            stepped_pids.append(last_bag["pid"])
+            events.append(("step", None))
             return real_step(self)
 
         monkeypatch.setattr(training, "forward_bag", spy_forward)
+        monkeypatch.setattr(training, "forward_bags", spy_forward_bags)
         monkeypatch.setattr(Adam, "step", spy_step)
-        train_one_split(ds, plan.splits[0], cm, tc, small_model(ds))
-        assert stepped_pids and set(stepped_pids) == set(plan.splits[0].train_ids)
-        assert set(stepped_pids).isdisjoint(plan.splits[0].val_ids)
+        train_one_split(ds, split, cm, tc, small_model(ds))
+
+        # validation: one batch per epoch, of exactly the validation ids
+        batches = [e for e in events if e[0] == "forward_bags"]
+        assert batches == [("forward_bags", split.val_ids)] * tc.epochs
+        # training: every step follows a forward of a training patient's bag
+        steps = [i for i, e in enumerate(events) if e[0] == "step"]
+        assert len(steps) == tc.epochs * len(split.train_ids)
+        stepped = [events[i - 1] for i in steps]
+        assert all(kind == "forward" and pid in split.train_ids for kind, pid in stepped)
+        assert {pid for _, pid in stepped} == set(split.train_ids)
+        forwarded = {pid for kind, pid in events if kind == "forward"}
+        assert forwarded.isdisjoint(split.val_ids)
+
+    def test_a_poisoned_bag_in_the_validation_batch_names_split_epoch_and_layer(self, monkeypatch):
+        import crossmil.training as training
+
+        ds = small_dataset(seed=7)
+        cm = cluster_dataset(ds, "5x", k=4, seed=7)
+        tc = TrainConfig(epochs=2, learning_rate=1e-3, bag_size=4, n_splits=2, seed=7)
+        split = make_splits(ds, 2, seed=7).splits[1]
+        poisoned = split.val_ids[1]
+        # a scale the cluster model does not read, so labelling still works
+        scale = (cm.scale_index + 1) % ds.n_scales
+        ds.patient(poisoned).emb[:, scale, 0] = np.inf
+        batches = []
+        real_forward_bags = training.forward_bags
+
+        def spy_forward_bags(bags, params):
+            batches.append([b.patient_id for b in bags])
+            return real_forward_bags(bags, params)
+
+        monkeypatch.setattr(training, "forward_bags", spy_forward_bags)
+        with pytest.raises(TrainingError) as err:
+            train_one_split(ds, split, cm, tc, small_model(ds), split_id=1)
+        assert len(split.val_ids) > 1 and batches == [list(split.val_ids)]
+        assert (err.value.split_id, err.value.epoch) == (1, 0)
+        message = str(err.value)
+        assert "'mi_fcn_encode'" in message and "(split 1, epoch 0)" in message
 
 
 class TestTrainAll:
