@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -35,7 +36,6 @@ class GridGeometry:
 class Heatmap:
     scale_label: str
     values: np.ndarray  # (n_rows, n_cols); NaN = no data, else in [0, 1]
-    geometry: GridGeometry
 
 
 def aggregate_records(per_model: list[list[AttentionRecord]]) -> np.ndarray:
@@ -83,7 +83,7 @@ def geometry_for(xy: np.ndarray, cell_size: float) -> GridGeometry:
 
 
 def render_heatmaps(
-    xy: np.ndarray, scores: np.ndarray, geometry: GridGeometry, scale_labels: list[str]
+    xy: np.ndarray, scores: np.ndarray, geometry: GridGeometry, scale_labels: Sequence[str]
 ) -> list[Heatmap]:
     """One heatmap per scale; a cell's value is the mean score of its points,
     added in location order."""
@@ -104,7 +104,7 @@ def render_heatmaps(
     counts = np.bincount(cells, minlength=len(sums))[:, None]
     means = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
     planes = means.T.reshape(n_scales, g.n_rows, g.n_cols)
-    return [Heatmap(label, plane, geometry) for label, plane in zip(scale_labels, planes)]
+    return [Heatmap(label, plane) for label, plane in zip(scale_labels, planes)]
 
 
 def heatmap_to_pgm(heatmap: Heatmap) -> bytes:

@@ -295,12 +295,11 @@ def cmd_attn_map(args) -> int:
     out = Path(args.out_dir)
     _archive_model(config, cfg, cfg.n_clusters)
     write_resolved_config(config, out)
-    labels = [s.label for s in dataset.scales]
     maps = []
     for p, geometry in zip(patients, geometries):
         per_model = [attention_records(dataset, params, patients=[p.patient_id]) for params in models]
         scores = normalize_per_scale(aggregate_records(per_model))
-        for heatmap in render_heatmaps(p.xy, scores, geometry, labels):
+        for heatmap in render_heatmaps(p.xy, scores, geometry, dataset.scale_labels):
             write_heatmap(heatmap, out / f"{p.patient_id}_scale-{heatmap.scale_label}.pgm")
         maps.append((p, scores))
     write_records_csv(maps, out / "attention_records.csv")

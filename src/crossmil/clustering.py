@@ -26,8 +26,11 @@ MULTI_SCALE = "multi"
 class KMeansResult:
     centroids: np.ndarray
     labels: np.ndarray
-    sse_history: tuple[float, ...]
-    n_iter: int
+    sse_history: tuple[float, ...]  # one entry per Lloyd iteration
+
+    @property
+    def n_iter(self) -> int:
+        return len(self.sse_history)
 
 
 def _sq_distances(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -97,7 +100,7 @@ def kmeans(
         centroids = new_centroids
         if shift < tol:
             break
-    return KMeansResult(centroids, labels, tuple(sse_history), len(sse_history))
+    return KMeansResult(centroids, labels, tuple(sse_history))
 
 
 def _features(emb: np.ndarray, scale_index: int | None) -> np.ndarray:
@@ -109,10 +112,13 @@ def _features(emb: np.ndarray, scale_index: int | None) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ClusterModel:
-    k: int
     centroids: np.ndarray  # (k, d)
     clustering_scale: str  # a scale label, or "multi"
     scale_index: int | None  # None when clustering_scale == "multi"
+
+    @property
+    def k(self) -> int:
+        return len(self.centroids)
 
     def label(self, patient: PatientRecord) -> np.ndarray:
         """Nearest-centroid cluster of each of the patient's locations, shape (n,)."""
@@ -134,17 +140,14 @@ class ClusterModel:
 def _resolve_scale_choice(dataset: Dataset, scale_choice) -> tuple[str, int | None]:
     if scale_choice == MULTI_SCALE:
         return MULTI_SCALE, None
+    labels = dataset.scale_labels
     if isinstance(scale_choice, int):
-        if not 0 <= scale_choice < dataset.n_scales:
-            raise ContractError(f"scale index {scale_choice} not in [0, {dataset.n_scales})")
-        return dataset.scales[scale_choice].label, scale_choice
-    for s in dataset.scales:
-        if s.label == scale_choice:
-            return s.label, s.index
-    raise ContractError(
-        f"unknown scale {scale_choice!r}; expected one of "
-        f"{[s.label for s in dataset.scales] + [MULTI_SCALE]}"
-    )
+        if not 0 <= scale_choice < len(labels):
+            raise ContractError(f"scale index {scale_choice} not in [0, {len(labels)})")
+        return labels[scale_choice], scale_choice
+    if scale_choice in labels:
+        return scale_choice, labels.index(scale_choice)
+    raise ContractError(f"unknown scale {scale_choice!r}; expected one of {[*labels, MULTI_SCALE]}")
 
 
 def cluster_dataset(dataset: Dataset, scale_choice, k: int, seed: int = 0) -> ClusterModel:
@@ -153,7 +156,7 @@ def cluster_dataset(dataset: Dataset, scale_choice, k: int, seed: int = 0) -> Cl
     if not len(dataset):
         raise ContractError("no vectors to cluster (empty dataset)")
     x = np.concatenate([_features(p.emb, scale_index) for p in dataset])
-    return ClusterModel(k, kmeans(x, k, seed=seed).centroids, label, scale_index)
+    return ClusterModel(kmeans(x, k, seed=seed).centroids, label, scale_index)
 
 
 # cluster_model.json: {"k": int, "clustering_scale": label or "multi",
@@ -184,16 +187,17 @@ def load_cluster_model(path: str | Path) -> ClusterModel:
         raise FormatError(f"cluster model file is missing key {e}") from e
     except ValueError as e:  # ragged rows or non-numeric entries
         raise FormatError(f"cluster model centroids are not an array of numbers: {e}") from e
-    if centroids.ndim != 2 or len(centroids) != k or not np.isfinite(centroids).all():
+    valid = type(k) is int and centroids.ndim == 2 and len(centroids) == k
+    if not (valid and np.isfinite(centroids).all()):
         raise FormatError(
-            f"cluster model centroids must be a finite ({k}, d) array, got shape {centroids.shape}"
+            f"cluster model centroids must be a finite ({k!r}, d) array, got shape {centroids.shape}"
         )
     multi = scale == MULTI_SCALE
     if not (scale_index is None if multi else isinstance(scale_index, int) and scale_index >= 0):
         raise FormatError(
             f"cluster model scale_index {scale_index!r} does not fit clustering_scale {scale!r}"
         )
-    return ClusterModel(k, centroids, scale, scale_index)
+    return ClusterModel(centroids, scale, scale_index)
 
 
 @dataclass(frozen=True, eq=False)

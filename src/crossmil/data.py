@@ -21,10 +21,12 @@ DEFAULT_SCALE_LABELS = ("20x", "10x", "5x")
 GRID_CELL = 256.0  # synthetic patch pitch, level-0 pixel units
 
 
-@dataclass(frozen=True)
-class ScaleId:
-    index: int
-    label: str
+def _check_name(value, what: str, error: type[Exception]) -> None:
+    """Raise ``error`` unless ``value``, a patient id or scale label, can
+    name an output file and fill a CSV field."""
+    if type(value) is not str or value == "" or set("/\\,\r\n").intersection(value):
+        rule = "a non-empty string without '/', '\\', ',', CR or LF"
+        raise error(f"{what} must be {rule}, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,8 +43,11 @@ class PatientRecord:
     signal_locations: frozenset[int] = frozenset()
 
     def __post_init__(self):
-        if self.label not in (0, 1):
-            raise ContractError(f"patient {self.patient_id}: label must be 0 or 1")
+        _check_name(self.patient_id, "patient id", ContractError)
+        if type(self.label) is not int or self.label not in (0, 1):
+            raise ContractError(
+                f"patient {self.patient_id}: label must be 0 or 1, got {self.label!r}"
+            )
         n = len(self.emb)
         shapes_ok = self.location_ids.shape == (n,) and self.xy.shape == (n, 2)
         if self.emb.ndim != 3 or n == 0 or not shapes_ok:
@@ -55,7 +60,7 @@ class PatientRecord:
 @dataclass(frozen=True)
 class Dataset:
     patients: tuple[PatientRecord, ...]
-    scales: tuple[ScaleId, ...]
+    scale_labels: tuple[str, ...]  # scale s is labelled scale_labels[s]
     _by_id: dict[str, PatientRecord] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -68,7 +73,7 @@ class Dataset:
 
     @property
     def n_scales(self) -> int:
-        return len(self.scales)
+        return len(self.scale_labels)
 
     @property
     def dim(self) -> int:
@@ -87,12 +92,10 @@ class Dataset:
             raise ContractError(f"unknown patient id {patient_id!r}") from None
 
 
-def default_scales(n_scales: int) -> tuple[ScaleId, ...]:
+def default_scales(n_scales: int) -> tuple[str, ...]:
     if n_scales == 3:
-        labels = DEFAULT_SCALE_LABELS
-    else:
-        labels = tuple(f"s{i}" for i in range(n_scales))
-    return tuple(ScaleId(i, lab) for i, lab in enumerate(labels))
+        return DEFAULT_SCALE_LABELS
+    return tuple(f"s{i}" for i in range(n_scales))
 
 
 @dataclass(frozen=True)
@@ -194,7 +197,7 @@ def split_train_test(dataset: Dataset, n_test_per_class: int) -> tuple[Dataset, 
         cut = len(group) - n_test_per_class
         train.extend(group[:cut])
         test.extend(group[cut:])
-    return Dataset(tuple(train), dataset.scales), Dataset(tuple(test), dataset.scales)
+    return Dataset(tuple(train), dataset.scale_labels), Dataset(tuple(test), dataset.scale_labels)
 
 
 # --- on-disk format -------------------------------------------------------
@@ -217,7 +220,7 @@ def save_dataset(dataset: Dataset, out_dir: str | Path) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     entries = []
-    labels = [s.label for s in dataset.scales]
+    labels = list(dataset.scale_labels)
     signal = {}
     for p in dataset:
         fname = f"{p.patient_id}.npy"
@@ -275,7 +278,7 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
 
     patients = []
     seen: set[str] = set()
-    scales: tuple[ScaleId, ...] | None = None
+    scale_labels: tuple[str, ...] | None = None
     first_dim: int | None = None
     if not isinstance(doc["patients"], list):
         raise FormatError("manifest 'patients' must be a list")
@@ -287,22 +290,24 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
             who = f"patient {entry['patient_id']}" if "patient_id" in entry else f"entry {index}"
             raise FormatError(f"manifest {who} lacks key(s) {', '.join(map(repr, missing))}")
         pid, label = entry["patient_id"], entry["label"]
+        _check_name(pid, f"manifest entry {index}: patient_id", FormatError)
         if pid in seen:
             raise FormatError(f"manifest lists patient {pid} more than once")
         seen.add(pid)
+        _check_entry_fields(entry, pid)
         n_scales, dim = entry["n_scales"], entry["dim"]
         if first_dim is None:
             first_dim = dim
         elif dim != first_dim:
             raise FormatError(f"patient {pid}: dim {dim} differs from dataset dim {first_dim}")
-        entry_scales = tuple(ScaleId(i, lab) for i, lab in enumerate(entry["scale_labels"]))
-        if n_scales != len(entry_scales):
+        entry_labels = tuple(entry["scale_labels"])
+        if n_scales != len(entry_labels):
             raise FormatError(
-                f"patient {pid}: n_scales {n_scales} but {len(entry_scales)} scale_labels"
+                f"patient {pid}: n_scales {n_scales} but {len(entry_labels)} scale_labels"
             )
-        if scales is None:
-            scales = entry_scales
-        elif scales != entry_scales:
+        if scale_labels is None:
+            scale_labels = entry_labels
+        elif scale_labels != entry_labels:
             raise FormatError(f"patient {pid}: scale_labels differ from previous patients")
         path = base / entry["file"]
         if path.suffix not in _READERS:
@@ -318,12 +323,27 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
         if unknown:
             raise FormatError(f"{gt_path}: patient {pid} has no location(s) {unknown[:5]}")
         patients.append(PatientRecord(pid, label, emb, location_ids, xy, planted))
-    if scales is None:
+    if scale_labels is None:
         raise IntegrityError("manifest lists no patients")
     strangers = sorted(set(signal) - seen)
     if strangers:
         raise FormatError(f"{gt_path}: patient(s) {strangers[:5]} are not in the manifest")
-    return Dataset(tuple(patients), scales)
+    return Dataset(tuple(patients), scale_labels)
+
+
+def _check_entry_fields(entry: dict, pid: str) -> None:
+    """FormatError naming the patient unless the entry's file is a string,
+    its counts are ints >= 1 and its scale labels are a list of names."""
+    if not isinstance(entry["file"], str):
+        raise FormatError(f"patient {pid}: file must be a string, got {entry['file']!r}")
+    for key in ("n_locations", "n_scales", "dim"):
+        if type(entry[key]) is not int or entry[key] < 1:
+            raise FormatError(f"patient {pid}: {key} must be an integer >= 1, got {entry[key]!r}")
+    labels = entry["scale_labels"]
+    if not isinstance(labels, list):
+        raise FormatError(f"patient {pid}: scale_labels must be a list, got {labels!r}")
+    for label in labels:
+        _check_name(label, f"patient {pid}: a scale label", FormatError)
 
 
 def _read_ground_truth(path: Path) -> dict[str, list[int]]:

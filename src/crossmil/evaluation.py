@@ -27,7 +27,7 @@ import numpy as np
 
 from .clustering import ClusterModel, assemble_bag, patient_rng
 from .data import Dataset
-from .errors import ConfigError, ContractError, MetricError, check_choice
+from .errors import ConfigError, ContractError, FormatError, MetricError, check_choice
 from .models import ModelParams, forward_bags
 from .models import forward_bag  # noqa: F401  the benchmark's tracer wraps it here
 
@@ -163,7 +163,6 @@ class DelongResult:
     auc_b: float
     z: float
     p_value: float
-    degenerate: bool = False
 
 
 def _structural_components(s: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
@@ -196,7 +195,7 @@ def delong_test(scores_a, scores_b, labels) -> DelongResult:
     if var <= 0.0:
         if auc_a == auc_b:
             return DelongResult(auc_a, auc_b, 0.0, 1.0)
-        return DelongResult(auc_a, auc_b, math.inf, 0.0, degenerate=True)
+        return DelongResult(auc_a, auc_b, math.inf, 0.0)
     z = (auc_a - auc_b) / math.sqrt(var)
     p = math.erfc(abs(z) / math.sqrt(2.0))
     return DelongResult(auc_a, auc_b, z, p)
@@ -263,11 +262,14 @@ class ScoredPatient:
     patient_id: str
     label: int
     score: float  # P(class=1), averaged over split models
-    predicted: int
 
     def __post_init__(self):
         if not 0.0 <= self.score <= 1.0:
             raise ContractError(f"score must be in [0, 1], got {self.score}")
+
+    @property
+    def predicted(self) -> int:
+        return int(self.score >= 0.5)
 
 
 @dataclass(frozen=True)
@@ -377,8 +379,7 @@ def evaluate(
     per_model, labels, ids = score_patients(models, dataset, cluster_model, bag_size, seed)
     pooled = per_model.mean(axis=0)
     scored = [
-        ScoredPatient(pid, int(lab), float(sc), int(sc >= 0.5))
-        for pid, lab, sc in zip(ids, labels, pooled)
+        ScoredPatient(pid, int(lab), float(sc)) for pid, lab, sc in zip(ids, labels, pooled)
     ]
     if mode == "ensemble":
         return report_from_scores(pooled, labels), scored
@@ -437,9 +438,18 @@ def read_scores(path: str | Path) -> tuple[list[str], np.ndarray, np.ndarray]:
     if not lines or lines[0] != "patient_id,label,score,predicted":
         raise ContractError(f"{path}: not a scores CSV")
     ids, labels, scores = [], [], []
-    for line in lines[1:]:
-        pid, lab, sc, _ = line.split(",")
+    for number, line in enumerate(lines[1:], start=2):
+        fields = line.split(",")
+        try:
+            if len(fields) != 4:
+                raise ValueError(f"has {len(fields)} fields, expected 4")
+            pid, lab, sc, _ = fields
+            if lab not in ("0", "1"):
+                raise ValueError(f"label {lab!r} is not 0 or 1")
+            score = float(sc)
+        except ValueError as e:
+            raise FormatError(f"{path}: line {number}: {e}") from None
         ids.append(pid)
         labels.append(int(lab))
-        scores.append(float(sc))
+        scores.append(score)
     return ids, np.asarray(labels, dtype=np.int64), np.asarray(scores)

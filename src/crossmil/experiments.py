@@ -19,13 +19,10 @@ def train_and_evaluate(
     cluster_model: ClusterModel,
     model_cfg: ModelConfig,
     train_cfg: TrainConfig,
-    eval_seed: int = 0,
-    eval_mode: str = "ensemble",
 ) -> tuple[EvalReport, list[ScoredPatient], list[TrainedModel]]:
     models = train_all(train_dataset, cluster_model, train_cfg, model_cfg)
     report, scored = evaluate(
-        [m.params for m in models], test_dataset, cluster_model,
-        bag_size=train_cfg.bag_size, seed=eval_seed, mode=eval_mode,
+        [m.params for m in models], test_dataset, cluster_model, bag_size=train_cfg.bag_size
     )
     return report, scored, models
 

@@ -432,6 +432,15 @@ def check_instance_shape(n_scales: int, dim: int, cfg: ModelConfig) -> None:
         raise ConfigError(f"instances carry {n_scales} scales, config expects {cfg.n_scales}")
 
 
+def _scale_inputs(emb: np.ndarray, cfg: ModelConfig) -> np.ndarray:
+    """Every scale's (..., E, n) input for locations ``emb`` (..., n, S, E),
+    stacked as (S, ..., E, n), once the instances are checked against
+    ``cfg``. Both forwards take it, since the layout fixes the bits: each
+    (E, n) slice is C-contiguous, so a stacked bag runs as a lone one."""
+    check_instance_shape(emb.shape[-2], emb.shape[-1], cfg)
+    return np.ascontiguousarray(np.moveaxis(emb, -2, 0).swapaxes(-1, -2))
+
+
 def _fuse_instances(emb: np.ndarray, params: ModelParams) -> Tensor:
     """Encode and fuse n locations given as ``emb`` (n, S, E), on the graph.
 
@@ -440,8 +449,8 @@ def _fuse_instances(emb: np.ndarray, params: ModelParams) -> Tensor:
     (L, S*n) with the columns of scale s at s*n ... s*n + n-1.
     """
     cfg = params.config
-    check_instance_shape(emb.shape[1], emb.shape[2], cfg)
-    encodings = [mi_fcn_encode(Tensor(emb[:, s].T), s, params) for s in cfg.encoder_scales]
+    x = _scale_inputs(emb, cfg)
+    encodings = [mi_fcn_encode(Tensor(x[s]), s, params) for s in cfg.encoder_scales]
     if cfg.fusion == "cross_scale_attention":
         return cross_scale_attention(encodings, params, cfg).fused
     if cfg.fusion == "concat":
@@ -457,15 +466,9 @@ def _fuse_instances(emb: np.ndarray, params: ModelParams) -> Tensor:
 
 def _encode_arrays(emb: np.ndarray, params: ModelParams) -> list[np.ndarray]:
     """The (B, L, n) encodings at each encoder scale of B groups of n
-    locations given as ``emb`` (B, n, S, E), without the graph.
-
-    Each scale enters as a contiguous (B, E, n) array, so every group's
-    matmuls run on the strides a lone group's would, and give its bits.
-    """
-    cfg = params.config
-    check_instance_shape(emb.shape[2], emb.shape[3], cfg)
-    x = np.ascontiguousarray(emb.transpose(2, 0, 3, 1))  # (S, B, E, n)
-    return [_encode(x[s], params, s)[0] for s in cfg.encoder_scales]
+    locations given as ``emb`` (B, n, S, E), without the graph."""
+    x = _scale_inputs(emb, params.config)
+    return [_encode(x[s], params, s)[0] for s in params.config.encoder_scales]
 
 
 def _attention_scores(f: np.ndarray, params: ModelParams) -> np.ndarray:

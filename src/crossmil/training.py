@@ -60,11 +60,6 @@ class Split:
     val_ids: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class SplitPlan:
-    splits: tuple[Split, ...]
-
-
 @dataclass
 class TrainedModel:
     params: ModelParams
@@ -113,7 +108,7 @@ class Adam:
         self._named = list(params.tensors.items())
         n = params.flat.size
         self.m, self.v = np.zeros(n), np.zeros(n)
-        self._g, self._upd, self._m_next, self._v_next = np.empty((4, n))
+        self._g, self._upd = np.empty((2, n))
 
     def step(self) -> None:
         self.t += 1
@@ -122,18 +117,16 @@ class Adam:
         for name, t in self._named:
             if t.grad is None:
                 raise ContractError(f"parameter {name} has no gradient")
-        g, upd, m, v = self._g, self._upd, self._m_next, self._v_next
+        g, upd, m, v = self._g, self._upd, self.m, self.v
         np.concatenate([t.grad.reshape(-1) for _, t in self._named], out=g)
         # m = beta1 * m + (1 - beta1) * g;  v = beta2 * v + (1 - beta2) * g**2
         np.multiply(g, 1 - self.beta1, out=upd)
-        np.add(np.multiply(self.m, self.beta1, out=m), upd, out=m)
+        np.add(np.multiply(m, self.beta1, out=m), upd, out=m)
         np.multiply(np.square(g, out=upd), 1 - self.beta2, out=upd)
-        np.add(np.multiply(self.v, self.beta2, out=v), upd, out=v)
+        np.add(np.multiply(v, self.beta2, out=v), upd, out=v)
         # upd = lr * (m / b1t) / (sqrt(v / b2t) + eps)
         np.add(np.sqrt(np.divide(v, b2t, out=upd), out=upd), self.eps, out=upd)
         np.divide(np.multiply(np.divide(m, b1t, out=g), self.lr, out=g), upd, out=upd)
-        self.m, self._m_next = m, self.m
-        self.v, self._v_next = v, self.v
         np.subtract(self._values, upd, out=self._values)
 
     def zero_grad(self) -> None:
@@ -141,7 +134,7 @@ class Adam:
             t.grad = None
 
 
-def make_splits(dataset: Dataset, n_splits: int, seed: int = 0) -> SplitPlan:
+def make_splits(dataset: Dataset, n_splits: int, seed: int = 0) -> tuple[Split, ...]:
     """Class-stratified holdout splits over the training patients.
 
     Split i validates on the i-th 1/n_splits slice of each class (so the
@@ -152,7 +145,7 @@ def make_splits(dataset: Dataset, n_splits: int, seed: int = 0) -> SplitPlan:
     all_ids = [p.patient_id for p in dataset]
     if n_splits == 1:
         warnings.warn("n_splits=1: validation set equals the training set", stacklevel=2)
-        return SplitPlan((Split(tuple(all_ids), tuple(all_ids)),))
+        return (Split(tuple(all_ids), tuple(all_ids)),)
     if len(all_ids) < n_splits:
         raise ContractError(f"{len(all_ids)} patients cannot fill {n_splits} validation sets")
 
@@ -165,16 +158,13 @@ def make_splits(dataset: Dataset, n_splits: int, seed: int = 0) -> SplitPlan:
         for pos, idx in enumerate(order):
             slices[(offset + pos) % n_splits].append(ids[idx])
         offset += len(ids)
-    splits = []
-    for i in range(n_splits):
-        val = set(slices[i])
-        splits.append(
-            Split(
-                tuple(pid for pid in all_ids if pid not in val),
-                tuple(pid for pid in all_ids if pid in val),
-            )
+    return tuple(
+        Split(
+            tuple(pid for pid in all_ids if pid not in val),
+            tuple(pid for pid in all_ids if pid in val),
         )
-    return SplitPlan(tuple(splits))
+        for val in map(set, slices)
+    )
 
 
 def _epoch_loss(
@@ -285,16 +275,16 @@ def train_all(
     they do when another thread runs: a fork copies only the calling
     thread, and a lock another thread holds would stay held in the child.
     """
-    plan = make_splits(dataset, cfg.n_splits, cfg.seed)
+    splits = make_splits(dataset, cfg.n_splits, cfg.seed)
     usable_cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    n_workers = min(len(plan.splits), usable_cpus)
+    n_workers = min(len(splits), usable_cpus)
     if (
         train_one_split is not _OWN_TRAIN_ONE_SPLIT
         or threading.active_count() > 1
         or "fork" not in mp.get_all_start_methods()
     ):
         n_workers = 1
-    shares = [range(w, len(plan.splits), n_workers) for w in range(n_workers)]
+    shares = [range(w, len(splits), n_workers) for w in range(n_workers)]
 
     def train_share(split_ids: range) -> tuple[list[TrainedModel], Exception | None]:
         """Train the splits in order; stop at the first that fails."""
@@ -302,7 +292,7 @@ def train_all(
         for i in split_ids:
             try:
                 done.append(
-                    train_one_split(dataset, plan.splits[i], cluster_model, cfg, model_cfg, split_id=i)
+                    train_one_split(dataset, splits[i], cluster_model, cfg, model_cfg, split_id=i)
                 )
             except Exception as e:
                 return done, e

@@ -736,6 +736,59 @@ class TestAttnMap:
         assert outputs[0] == outputs[1]
 
 
+# (command, malformed input, fragment of the error): a manifest edit sets a
+# key of the first patient, a negative one, of the named split; a scores
+# row replaces the second row of a valid scores file.
+MALFORMED_INPUTS = [
+    ("attn-map", ("test", "patient_id", "../evil"), "entry 0: patient_id"),
+    ("eval", ("test", "patient_id", "a,b"), "entry 0: patient_id"),
+    ("train", ("train", "patient_id", 7), "entry 0: patient_id"),
+    ("cluster", ("train", "patient_id", "a\nb"), "entry 0: patient_id"),
+    ("cluster", ("train", "label", True), "neg000: label"),
+    ("cluster", ("train", "file", 7), "neg000: file"),
+    ("cluster", ("train", "dim", "8"), "neg000: dim"),
+    ("cluster", ("train", "n_locations", "9"), "neg000: n_locations"),
+    ("cluster", ("train", "n_scales", True), "neg000: n_scales"),
+    ("cluster", ("train", "scale_labels", ["20x", "10x", "5/x"]), "neg000: a scale label"),
+    ("compare", "p01,0", "line 3: has 2 fields"),
+    ("compare", "p01,x,0.5,1", "line 3: label 'x'"),
+    ("compare", "p01,0,abc,0", "line 3: could not convert"),
+]
+
+
+@pytest.mark.parametrize("command, malformed, named", MALFORMED_INPUTS)
+def test_malformed_input_exits_2_writing_nothing(
+    workspace, tmp_path, capsys, command, malformed, named
+):
+    root, c = workspace
+    out = tmp_path / "out"
+    if command == "compare":
+        good = tmp_path / "good.csv"
+        good.write_text("patient_id,label,score,predicted\np00,1,0.9,1\np01,0,0.2,0\n")
+        bad = tmp_path / "bad.csv"
+        bad.write_text(good.read_text().replace("p01,0,0.2,0", malformed))
+        argv = ["--scores", f"a={good}", "--scores", f"b={bad}"]
+    else:
+        split, key, value = malformed
+        data = tmp_path / split
+        shutil.copytree(root / "data" / split, data)
+        doc = json.loads((data / "manifest.json").read_text())
+        assert doc["patients"][0]["label"] == 0
+        doc["patients"][0][key] = value
+        (data / "manifest.json").write_text(json.dumps(doc))
+        argv = ["--data", str(data / "manifest.json")]
+        if command in ("train", "eval"):
+            argv += ["--cluster", str(root / "clust/cluster_model.json")]
+        if command in ("eval", "attn-map"):
+            argv += ["--ckpt-dir", str(root / "ckpt")]
+    before = sorted(tmp_path.rglob("*"))
+    code = main([command, "--config", c, "--out-dir", str(out), "--seed", "3", *argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and named in err and "Traceback" not in err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_csv_dataset_and_its_npy_twin_give_identical_outputs(workspace, tmp_path):
     root, c = workspace
     shutil.copytree(root / "data", tmp_path / "csv")

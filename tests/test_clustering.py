@@ -21,7 +21,7 @@ class TestKMeans:
     def test_identical_vectors_single_cluster(self):
         x = np.tile([1.5, -2.0, 0.25], (10, 1))
         result = kmeans(x, k=1, seed=0)
-        assert result.sse_history[-1] == 0.0
+        assert result.sse_history == (0.0,) and result.n_iter == 1
         np.testing.assert_array_equal(result.centroids[0], [1.5, -2.0, 0.25])
 
     def test_two_blob_recovery_matches_nearest_centroid_oracle(self):
@@ -93,7 +93,7 @@ class TestClusterDataset:
             cluster_dataset(dataset, "40x", k=4)
 
     def test_fit_restricted_to_training_patients(self, dataset):
-        negatives = Dataset(tuple(p for p in dataset if p.label == 0), dataset.scales)
+        negatives = Dataset(tuple(p for p in dataset if p.label == 0), dataset.scale_labels)
         model = cluster_dataset(negatives, "5x", k=3, seed=1)
         # only the negatives shaped the centroids ...
         fit = kmeans(np.concatenate([p.emb[:, 2] for p in negatives]), 3, seed=1)
@@ -121,9 +121,9 @@ class TestClusterDataset:
     def test_serialization_round_trip(self, dataset, tmp_path):
         model = cluster_dataset(dataset, "multi", k=4, seed=3)
         path = save_cluster_model(model, tmp_path / "cm.json")
-        assert sorted(json.loads(path.read_text())) == [
-            "centroids", "clustering_scale", "k", "scale_index"
-        ]
+        doc = json.loads(path.read_text())
+        assert sorted(doc) == ["centroids", "clustering_scale", "k", "scale_index"]
+        assert doc["k"] == model.k == len(doc["centroids"]) == 4
         loaded = load_cluster_model(path)
         assert loaded.k == model.k
         assert loaded.clustering_scale == model.clustering_scale
@@ -136,6 +136,8 @@ class TestClusterDataset:
         "edit, match",
         [
             (dict(k=5), "centroids"),
+            (dict(k=4.0), "centroids"),
+            (dict(k="4"), "centroids"),
             (dict(centroids=[1.0, 2.0]), "centroids"),
             (dict(centroids=[[1.0, 2.0], [3.0]]), "centroids"),
             (dict(centroids=[[float("nan"), 0.0]] * 4), "finite"),

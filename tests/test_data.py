@@ -21,7 +21,7 @@ from crossmil.errors import ConfigError, ContractError, FormatError, IntegrityEr
 
 
 def datasets_equal(a: Dataset, b: Dataset) -> bool:
-    if a.scales != b.scales or len(a) != len(b):
+    if a.scale_labels != b.scale_labels or len(a) != len(b):
         return False
     for pa, pb in zip(a, b):
         if (pa.patient_id, pa.label, pa.signal_locations) != (
@@ -278,6 +278,48 @@ class TestDiskFormat:
         with pytest.raises(FormatError, match=r"pos001: row 5 .*non-finite"):
             load_dataset(manifest)
 
+    @pytest.mark.parametrize(
+        "key, value, named",
+        [
+            ("patient_id", "../evil", "entry 1: patient_id"),
+            ("patient_id", "a,b", "entry 1: patient_id"),
+            ("patient_id", "a\\b", "entry 1: patient_id"),
+            ("patient_id", "a\nb", "entry 1: patient_id"),
+            ("patient_id", "a\rb", "entry 1: patient_id"),
+            ("patient_id", "", "entry 1: patient_id"),
+            ("patient_id", 7, "entry 1: patient_id"),
+            ("file", 7, "neg001: file"),
+            ("n_locations", "4", "neg001: n_locations"),
+            ("n_locations", 0, "neg001: n_locations"),
+            ("n_scales", True, "neg001: n_scales"),
+            ("dim", "5", "neg001: dim"),
+            ("dim", 5.0, "neg001: dim"),
+            ("scale_labels", "20x", "neg001: scale_labels"),
+            ("scale_labels", ["20x", "10x", 5], "neg001: a scale label"),
+            ("scale_labels", ["20x", "10x", "a/b"], "neg001: a scale label"),
+        ],
+    )
+    def test_manifest_field_of_wrong_type_is_a_format_error_naming_the_entry(
+        self, dataset, tmp_path, key, value, named
+    ):
+        manifest = save_dataset(dataset, tmp_path)
+        doc = json.loads(manifest.read_text())
+        doc["patients"][1][key] = value
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=named):
+            load_dataset(manifest)
+
+    @pytest.mark.parametrize("label", [True, 2, 1.0, "1"])
+    def test_manifest_label_other_than_int_0_or_1_names_the_patient(
+        self, dataset, tmp_path, label
+    ):
+        manifest = save_dataset(dataset, tmp_path)
+        doc = json.loads(manifest.read_text())
+        doc["patients"][1]["label"] = label
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(ContractError, match="neg001: label must be 0 or 1"):
+            load_dataset(manifest)
+
     def test_duplicate_patient_id_in_manifest_rejected(self, dataset, tmp_path):
         manifest = save_dataset(dataset, tmp_path)
         doc = json.loads(manifest.read_text())
@@ -447,6 +489,16 @@ class TestDatasetIndex:
             assert ds.patient(p.patient_id) is p
         with pytest.raises(ContractError, match="nobody"):
             ds.patient("nobody")
+
+    @pytest.mark.parametrize("pid", ["", "a/b", "a\\b", "a,b", "a\rb", "a\nb", 7, None])
+    def test_patient_id_must_be_a_name(self, pid):
+        with pytest.raises(ContractError, match="patient id must be a non-empty string"):
+            patient(pid, 0)
+
+    @pytest.mark.parametrize("label", [True, False, 1.0, 2, "0"])
+    def test_label_must_be_the_int_0_or_1(self, label):
+        with pytest.raises(ContractError, match="case0: label must be 0 or 1"):
+            patient("case0", label)
 
     def test_patient_arrays_must_agree(self):
         with pytest.raises(ContractError, match="case0"):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from crossmil import evaluation
 from crossmil.clustering import cluster_dataset
 from crossmil.data import SyntheticSpec, generate_synthetic
-from crossmil.errors import ConfigError, ContractError, MetricError
+from crossmil.errors import ConfigError, ContractError, FormatError, MetricError
 from crossmil.evaluation import (
     _midranks,
     _replicate_diffs,
@@ -255,6 +255,11 @@ class TestDelong:
             chance = rng.uniform(0, 1, 200)
             assert delong_test(strong, chance, labels).p_value < 0.01
 
+    def test_zero_variance_with_unequal_aucs_gives_infinite_z(self):
+        # one positive and one negative: no placement variance, AUCs 1 and 0
+        result = delong_test([0.9, 0.1], [0.1, 0.9], [1, 0])
+        assert (result.auc_a, result.auc_b, result.z, result.p_value) == (1.0, 0.0, math.inf, 0.0)
+
     def test_mismatched_labels_rejected(self):
         with pytest.raises(ContractError):
             delong_test([0.1, 0.9], [0.2, 0.8], [0, 1, 1])
@@ -473,12 +478,40 @@ class TestEvaluate:
         report = report_from_scores([0.9, 0.1], [1, 0])
         from crossmil.evaluation import ScoredPatient
 
-        scored = [ScoredPatient("a", 1, 0.9, 1), ScoredPatient("b", 0, 0.1, 0)]
+        scored = [ScoredPatient("a", 1, 0.9), ScoredPatient("b", 0, 0.1)]
         path = write_scores(scored, tmp_path / "scores.csv")
         ids, labels, values = read_scores(path)
         assert ids == ["a", "b"]
         np.testing.assert_array_equal(labels, [1, 0])
         np.testing.assert_array_equal(values, [0.9, 0.1])
+
+    def test_predicted_is_the_score_at_or_above_one_half(self, tmp_path):
+        from crossmil.evaluation import ScoredPatient
+
+        scored = [ScoredPatient("a", 0, 0.5), ScoredPatient("b", 1, 0.49999999999999994)]
+        assert [s.predicted for s in scored] == [1, 0]
+        assert write_scores(scored, tmp_path / "scores.csv").read_text() == (
+            "patient_id,label,score,predicted\na,0,0.5,1\nb,1,0.49999999999999994,0\n"
+        )
+
+    @pytest.mark.parametrize(
+        "row, problem",
+        [
+            ("b,0", "has 2 fields, expected 4"),
+            ("b,0,0.1,0,extra", "has 5 fields, expected 4"),
+            ("b,x,0.1,0", "label 'x' is not 0 or 1"),
+            ("b,2,0.1,0", "label '2' is not 0 or 1"),
+            ("b,0,abc,0", "abc"),
+            ("", "has 1 fields"),
+        ],
+    )
+    def test_malformed_scores_row_is_a_format_error_naming_file_and_line(
+        self, tmp_path, row, problem
+    ):
+        path = tmp_path / "scores.csv"
+        path.write_text(f"patient_id,label,score,predicted\na,1,0.9,1\n{row}\nc,0,0.2,0\n")
+        with pytest.raises(FormatError, match=rf"scores\.csv: line 3: .*{problem}"):
+            read_scores(path)
 
 
 

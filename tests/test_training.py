@@ -102,20 +102,20 @@ class TestTrainConfig:
 class TestMakeSplits:
     def test_ten_patients_ten_splits_is_leave_one_out(self):
         ds = small_dataset(n_per_class=5, n_locations=4)
-        plan = make_splits(ds, 10, seed=1)
-        vals = [s.val_ids for s in plan.splits]
+        splits = make_splits(ds, 10, seed=1)
+        vals = [s.val_ids for s in splits]
         assert all(len(v) == 1 for v in vals)
         assert len({v[0] for v in vals}) == 10
 
     def test_validation_sets_partition_patients(self):
         ds = small_dataset(n_per_class=7, n_locations=4)
-        plan = make_splits(ds, 3, seed=2)
-        seen = [pid for s in plan.splits for pid in s.val_ids]
+        splits = make_splits(ds, 3, seed=2)
+        seen = [pid for s in splits for pid in s.val_ids]
         assert sorted(seen) == sorted(p.patient_id for p in ds)
 
     def test_train_and_val_disjoint(self):
         ds = small_dataset(n_per_class=6, n_locations=4)
-        for split in make_splits(ds, 4, seed=3).splits:
+        for split in make_splits(ds, 4, seed=3):
             assert set(split.train_ids).isdisjoint(split.val_ids)
             assert set(split.train_ids) | set(split.val_ids) == {
                 p.patient_id for p in ds
@@ -124,8 +124,8 @@ class TestMakeSplits:
     def test_single_split_warns_and_degenerates(self):
         ds = small_dataset(n_per_class=3, n_locations=4)
         with pytest.warns(UserWarning, match="n_splits=1"):
-            plan = make_splits(ds, 1)
-        assert plan.splits[0].train_ids == plan.splits[0].val_ids
+            splits = make_splits(ds, 1)
+        assert splits[0].train_ids == splits[0].val_ids
 
     def test_too_few_patients_rejected(self):
         ds = small_dataset(n_per_class=2, n_locations=4)
@@ -138,7 +138,7 @@ class TestMakeSplits:
 
     def test_stratification_balances_classes(self):
         ds = small_dataset(n_per_class=6, n_locations=4)
-        for split in make_splits(ds, 3, seed=4).splits:
+        for split in make_splits(ds, 3, seed=4):
             labels = [0 if pid.startswith("neg") else 1 for pid in split.val_ids]
             assert sum(labels) == 2 and len(labels) == 4
 
@@ -206,8 +206,8 @@ class TestTrainOneSplit:
         cm = cluster_dataset(ds, "5x", k=4, seed=5)
         mc = small_model(ds)
         tc = TrainConfig(epochs=4, learning_rate=0.0, bag_size=4, n_splits=2, seed=5)
-        plan = make_splits(ds, 2, seed=5)
-        trained = train_one_split(ds, plan.splits[0], cm, tc, mc)
+        splits = make_splits(ds, 2, seed=5)
+        trained = train_one_split(ds, splits[0], cm, tc, mc)
         assert len(set(trained.val_curve)) == 1  # constant validation loss
         fresh = init_params(mc, seed=int(np.random.default_rng([5, 0]).integers(2**31)))
         for name in fresh.names():
@@ -225,8 +225,8 @@ class TestTrainOneSplit:
         mc = ModelConfig(embed_dim=16, encoder_dim=16, attention_hidden=8,
                          n_clusters=4, n_scales=3)
         tc = TrainConfig(epochs=20, learning_rate=1e-3, bag_size=4, n_splits=2, seed=0)
-        plan = make_splits(ds, 2, seed=0)
-        trained = train_one_split(ds, plan.splits[0], cm, tc, mc)
+        splits = make_splits(ds, 2, seed=0)
+        trained = train_one_split(ds, splits[0], cm, tc, mc)
         assert abs(min(trained.val_curve) - math.log(2)) <= 0.1
 
     def test_separable_data_halves_training_loss(self):
@@ -239,8 +239,8 @@ class TestTrainOneSplit:
         mc = ModelConfig(embed_dim=32, encoder_dim=32, attention_hidden=16,
                          n_clusters=8, n_scales=3)
         tc = TrainConfig(epochs=30, learning_rate=1e-3, bag_size=8, n_splits=2, seed=1)
-        plan = make_splits(ds, 2, seed=1)
-        trained = train_one_split(ds, plan.splits[0], cm, tc, mc)
+        splits = make_splits(ds, 2, seed=1)
+        trained = train_one_split(ds, splits[0], cm, tc, mc)
         assert min(trained.train_curve) <= 0.5 * trained.train_curve[0]
 
     def test_selection_epoch_is_argmin_of_val_curve(self):
@@ -248,22 +248,22 @@ class TestTrainOneSplit:
         cm = cluster_dataset(ds, "5x", k=4, seed=6)
         # a rate high enough that validation loss is lowest before the last epoch
         tc = TrainConfig(epochs=6, learning_rate=0.1, bag_size=4, n_splits=2, seed=6)
-        plan = make_splits(ds, 2, seed=6)
-        trained = train_one_split(ds, plan.splits[0], cm, tc, small_model(ds))
+        splits = make_splits(ds, 2, seed=6)
+        trained = train_one_split(ds, splits[0], cm, tc, small_model(ds))
         assert trained.selection_epoch == int(np.argmin(trained.val_curve))
         assert trained.selection_epoch < tc.epochs - 1
         # the returned parameters are the selected epoch's: a run stopped there ends on them
         stopped = dataclasses.replace(tc, epochs=trained.selection_epoch + 1)
-        shorter = train_one_split(ds, plan.splits[0], cm, stopped, small_model(ds))
+        shorter = train_one_split(ds, splits[0], cm, stopped, small_model(ds))
         np.testing.assert_array_equal(trained.params.flat, shorter.params.flat)
 
     def test_divergence_raises_training_error_with_epoch(self):
         ds = small_dataset(seed=7)
         cm = cluster_dataset(ds, "5x", k=4, seed=7)
         tc = TrainConfig(epochs=3, learning_rate=1e150, bag_size=4, n_splits=2, seed=7)
-        plan = make_splits(ds, 2, seed=7)
+        splits = make_splits(ds, 2, seed=7)
         with pytest.raises(TrainingError) as err:
-            train_one_split(ds, plan.splits[0], cm, tc, small_model(ds))
+            train_one_split(ds, splits[0], cm, tc, small_model(ds))
         assert err.value.epoch in (0, 1, 2)
         assert err.value.split_id == 0
 
@@ -301,7 +301,7 @@ class TestTrainOneSplit:
         ds = small_dataset(seed=8)
         cm = cluster_dataset(ds, "5x", k=4, seed=8)
         tc = TrainConfig(epochs=2, learning_rate=1e-3, bag_size=4, n_splits=2, seed=8)
-        split = make_splits(ds, 2, seed=8).splits[0]
+        split = make_splits(ds, 2, seed=8)[0]
 
         events = []  # ("forward", pid), ("forward_bags", pids) and ("step", None), in call order
         real_forward, real_forward_bags, real_step = (
@@ -343,7 +343,7 @@ class TestTrainOneSplit:
         ds = small_dataset(seed=7)
         cm = cluster_dataset(ds, "5x", k=4, seed=7)
         tc = TrainConfig(epochs=2, learning_rate=1e-3, bag_size=4, n_splits=2, seed=7)
-        split = make_splits(ds, 2, seed=7).splits[1]
+        split = make_splits(ds, 2, seed=7)[1]
         poisoned = split.val_ids[1]
         # a scale the cluster model does not read, so labelling still works
         scale = (cm.scale_index + 1) % ds.n_scales
@@ -371,8 +371,8 @@ class TestTrainAll:
         tc = TrainConfig(epochs=2, learning_rate=1e-3, bag_size=4, n_splits=2, seed=9)
         models = train_all(ds, cm, tc, small_model(ds))
         assert len(models) == 2
-        plan = make_splits(ds, 2, seed=9)
-        assert set(plan.splits[0].val_ids) != set(plan.splits[1].val_ids)
+        splits = make_splits(ds, 2, seed=9)
+        assert set(splits[0].val_ids) != set(splits[1].val_ids)
         assert all(m.selection_epoch < tc.epochs for m in models)
 
     def test_identical_seeds_identical_checkpoints(self, tmp_path):
@@ -437,8 +437,8 @@ class TestParallelSplits:
         models = train_all(ds, cm, tc, small_model(ds))
         assert len(started) == 1 and started[0].exitcode == 0
         assert [m.split_id for m in models] == [0, 1, 2, 3, 4]
-        plan = make_splits(ds, 5, seed=13)
-        for m, split in zip(models, plan.splits):
+        splits = make_splits(ds, 5, seed=13)
+        for m, split in zip(models, splits):
             ref = train_one_split(ds, split, cm, tc, small_model(ds), split_id=m.split_id)
             assert m.params.flat.tobytes() == ref.params.flat.tobytes()
             assert (m.selection_epoch, m.train_curve, m.val_curve) == (
