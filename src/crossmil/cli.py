@@ -29,7 +29,7 @@ from .attention_maps import (
 from .checkpoint import load_checkpoint, save_checkpoint
 from .clustering import cluster_dataset, load_cluster_model, save_cluster_model
 from .data import Dataset, SyntheticSpec, generate_synthetic, load_dataset, save_dataset, split_train_test
-from .errors import ConfigError, CrossmilError, check_choice, check_int, check_real
+from .errors import ConfigError, CrossmilError, check_choice, check_int, check_real, read_text
 from .evaluation import (
     EVAL_MODES,
     comparison_table,
@@ -71,7 +71,7 @@ def load_config(path: str | None) -> dict:
     if not p.exists():
         raise ConfigError(f"config file not found: {p}")
     try:
-        user = json.loads(p.read_text())
+        user = json.loads(read_text(p, ConfigError))
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}") from e
     if not isinstance(user, dict):

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, PatientRecord
-from .errors import ConfigError, ContractError, FormatError
+from .errors import ConfigError, ContractError, FormatError, read_text
 
 MULTI_SCALE = "multi"
 
@@ -177,7 +177,7 @@ def save_cluster_model(model: ClusterModel, path: str | Path) -> Path:
 
 def load_cluster_model(path: str | Path) -> ClusterModel:
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(read_text(Path(path)))
     except json.JSONDecodeError as e:
         raise FormatError(f"cluster model file is not valid JSON: {e}") from e
     try:

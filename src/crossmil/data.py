@@ -15,7 +15,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, FormatError, IntegrityError, check_int, check_real
+from .errors import (
+    ConfigError,
+    ContractError,
+    FormatError,
+    IntegrityError,
+    check_int,
+    check_real,
+    read_text,
+)
 
 DEFAULT_SCALE_LABELS = ("20x", "10x", "5x")
 GRID_CELL = 256.0  # synthetic patch pitch, level-0 pixel units
@@ -267,7 +275,7 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
     if not manifest_path.exists():
         raise IntegrityError(f"manifest not found: {manifest_path}")
     try:
-        doc = json.loads(manifest_path.read_text())
+        doc = json.loads(read_text(manifest_path))
     except json.JSONDecodeError as e:
         raise FormatError(f"manifest is not valid JSON: {e}") from e
     if not isinstance(doc, dict) or "patients" not in doc:
@@ -333,7 +341,8 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
 
 def _check_entry_fields(entry: dict, pid: str) -> None:
     """FormatError naming the patient unless the entry's file is a string,
-    its counts are ints >= 1 and its scale labels are a list of names."""
+    its counts are ints >= 1 and its scale labels are a list of distinct
+    names."""
     if not isinstance(entry["file"], str):
         raise FormatError(f"patient {pid}: file must be a string, got {entry['file']!r}")
     for key in ("n_locations", "n_scales", "dim"):
@@ -344,6 +353,8 @@ def _check_entry_fields(entry: dict, pid: str) -> None:
         raise FormatError(f"patient {pid}: scale_labels must be a list, got {labels!r}")
     for label in labels:
         _check_name(label, f"patient {pid}: a scale label", FormatError)
+    if len(set(labels)) != len(labels):
+        raise FormatError(f"patient {pid}: scale_labels repeat a label: {labels!r}")
 
 
 def _read_ground_truth(path: Path) -> dict[str, list[int]]:
@@ -351,8 +362,8 @@ def _read_ground_truth(path: Path) -> dict[str, list[int]]:
     if not path.exists():
         return {}
     try:
-        doc = json.loads(path.read_text())
-    except ValueError as e:  # not JSON, or not UTF-8
+        doc = json.loads(read_text(path))
+    except json.JSONDecodeError as e:
         raise FormatError(f"{path}: not valid JSON: {e}") from e
     if not isinstance(doc, dict) or not all(
         isinstance(ids, list) and all(type(i) is int for i in ids) for ids in doc.values()
@@ -380,7 +391,7 @@ def _read_npy(path: Path, pid: str, dim: int, n_scales: int) -> np.ndarray:
 
 def _read_csv(path: Path, pid: str, dim: int, n_scales: int) -> np.ndarray:
     """One patient's ``(rows, 4 + dim)`` float64 table parsed from a CSV file."""
-    lines = path.read_text().splitlines()
+    lines = read_text(path).splitlines()
     expected = "location_id,scale,x,y," + ",".join(f"e{i}" for i in range(dim))
     if not lines or lines[0] != expected:
         raise FormatError(f"patient {pid}: unexpected CSV header in {path.name}")

@@ -6,6 +6,7 @@ problems) and ``OSError`` to exit code 3 (I/O problems).
 """
 
 import math
+from pathlib import Path
 
 
 class CrossmilError(Exception):
@@ -78,6 +79,15 @@ def check_real(
         if high != math.inf:
             bounds = f"in {'(' if open_low else '['}{low}, {high}{')' if open_high else ']'}"
         raise ConfigError(f"{name} must be a finite number {bounds}, got {value!r}")
+
+
+def read_text(path: Path, error: type[CrossmilError] = FormatError) -> str:
+    """The UTF-8 text of the file at ``path``; bytes that are not UTF-8
+    raise ``error`` naming the file."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise error(f"{path}: not UTF-8 text: {e}") from None
 
 
 def check_choice(name: str, value, choices: tuple) -> None:

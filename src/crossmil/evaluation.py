@@ -27,7 +27,7 @@ import numpy as np
 
 from .clustering import ClusterModel, assemble_bag, patient_rng
 from .data import Dataset
-from .errors import ConfigError, ContractError, FormatError, MetricError, check_choice
+from .errors import ConfigError, ContractError, FormatError, MetricError, check_choice, read_text
 from .models import ModelParams, forward_bags
 from .models import forward_bag  # noqa: F401  the benchmark's tracer wraps it here
 
@@ -434,7 +434,7 @@ def write_scores(scored: list[ScoredPatient], path: str | Path) -> Path:
 
 
 def read_scores(path: str | Path) -> tuple[list[str], np.ndarray, np.ndarray]:
-    lines = Path(path).read_text().splitlines()
+    lines = read_text(Path(path)).splitlines()
     if not lines or lines[0] != "patient_id,label,score,predicted":
         raise ContractError(f"{path}: not a scores CSV")
     ids, labels, scores = [], [], []

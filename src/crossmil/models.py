@@ -2,15 +2,17 @@
 baseline fusion schemes, attention pooling, and the bag classifier.
 
 A bag travels through the model as feature-major matrices, one column
-per instance: each scale's n instances form an (E, n) input. Each layer
-has one forward kernel, plain numpy on whole matrices with an optional
-leading batch axis, and a backward written out by hand:
+per instance, with the scales on an array axis: the n instances enter as
+(S', E, n), an (E, n) slice per encoder scale (S' = 1 for
+``single_scale``, else S). Each layer has one forward kernel, plain numpy
+with an optional leading batch axis, and a backward written by hand:
 
-- ``mi_fcn_encode``: two fully-connected layers with a ReLU between,
-  (E, n) -> (L, n);
+- ``mi_fcn_encode``: per scale, two fully-connected layers with a ReLU
+  between, (S', E, n) -> (S', L, n);
 - ``cross_scale_attention``: per-scale logits w^T act(V f_s), softmaxed
-  over the scale axis into (S, n) scores that weight the fused (L, n)
-  columns;
+  over the scale axis into (S, n) scores that weight the (S, L, n)
+  encodings into fused (L, n) columns;
+- ``fuse``: the other fusions, a reshape or a sum over the scales;
 - ``instance_pool``: one attention-logit row over the items, softmaxed
   within each row of a (K, n) cluster-membership mask into weights that
   pool the columns into one (F, 1) vector per cluster (zeros for an
@@ -20,18 +22,18 @@ leading batch axis, and a backward written out by hand:
 
 Parameters are views into one flat vector, so the optimizer steps them
 all in place. ``forward_bag`` runs one bag through the kernels as
-autodiff nodes, one per layer: with cross-scale attention a training
-step is nine graph nodes, whatever the bag size. ``forward_bags`` runs
-equal-size bags through the same kernels with no graph, stacked on a
-leading axis a block at a time, for validation and scoring; attention
-maps run each patient's locations through the encoder and attention
-kernels as one group, for the scores alone. A stacked bag gives the bits
-it gives alone, because each scale enters as a contiguous (B, E, n)
-array and the classifier takes a (B, K*F, 1) column per bag, so every
-matmul runs per bag on the strides of a lone bag. Every intermediate
-that can leave the finite range is checked, and the error names the
-layer. Each kernel fixes the order in which it adds terms, and
-checkpoints depend on that order to the bit.
+autodiff nodes, one per layer: a training step is six graph nodes
+(input, encoder, fusion, pooling, head and loss), whatever the fusion
+and bag size. ``forward_bags`` runs equal-size bags through the same
+kernels with no graph, stacked on a leading axis a block at a time, for
+validation and scoring; attention maps run each patient's locations
+through the encoder and attention kernels as one group, for the scores
+alone. A stacked bag or scale gives the bits it gives alone, because
+each (E, n) input slice is contiguous and the classifier takes a
+(B, K*F, 1) column per bag, so every matmul runs on the strides of a
+lone one. Every intermediate that can leave the finite range is checked,
+and the error names the layer. Each kernel fixes the order in which it
+adds terms, and checkpoints depend on that order to the bit.
 """
 
 from __future__ import annotations
@@ -187,36 +189,51 @@ def init_params(cfg: ModelConfig, seed: int = 0) -> ModelParams:
     return ModelParams(cfg, np.concatenate(draws))
 
 
-def _encode(x: np.ndarray, params: ModelParams, scale: int) -> tuple[np.ndarray, ...]:
-    """Encoder kernel: (..., E, n) inputs -> (..., L, n) encodings, then the
-    pre-activation and hidden layer the backward reads."""
-    w1, b1, w2, b2 = (params.tensors[f"encoder{scale}.{p}"].data for p in ("w1", "b1", "w2", "b2"))
+def _encoder_tensors(params: ModelParams) -> list[tuple[Tensor, ...]]:
+    """(W1, b1, W2, b2) of each encoder scale, in ``param_layout`` order."""
+    t, kinds = params.tensors, ("w1", "b1", "w2", "b2")
+    return [tuple(t[f"encoder{s}.{p}"] for p in kinds) for s in params.config.encoder_scales]
+
+
+def _encoder_weights(params: ModelParams) -> list[np.ndarray]:
+    """W1, b1, W2 and b2, each stacked over the S' encoder scales, as
+    (S', L, E), (S', L, 1) and so on."""
+    return [np.stack([t.data for t in kind]) for kind in zip(*_encoder_tensors(params))]
+
+
+def _encode(x: np.ndarray, weights: list[np.ndarray]) -> tuple[np.ndarray, ...]:
+    """Encoder kernel: (..., S', E, n) inputs at the S' encoder scales and
+    their ``_encoder_weights`` -> (..., S', L, n) encodings, then the
+    hidden layer the backward reads. A stacked matmul makes, per scale, the
+    BLAS call a lone (E, n) input makes, so the bits match. The biases and
+    the ReLU apply in place, which keeps the working set to x, h and out."""
+    w1, b1, w2, b2 = weights
     op = "mi_fcn_encode"
     with np.errstate(over="ignore", invalid="ignore"):
-        pre = ad.check_finite(w1 @ x + b1, op)
-        h = np.maximum(pre, 0.0)
-        out = ad.check_finite(w2 @ h + b2, op)
-    return out, pre, h
+        h = w1 @ x
+        h += b1
+        np.maximum(ad.check_finite(h, op), 0.0, out=h)
+        out = w2 @ h
+        out += b2
+    return ad.check_finite(out, op), h
 
 
-def mi_fcn_encode(x: Tensor, scale: int, params: ModelParams) -> Tensor:
-    """Two fully-connected layers with a ReLU between, (E, n) -> (L, n)."""
-    w1, b1, w2, b2 = (params.tensors[f"encoder{scale}.{p}"] for p in ("w1", "b1", "w2", "b2"))
-    xd, w1d, w2d = x.data, w1.data, w2.data
-    out, pre, h = _encode(xd, params, scale)
+def mi_fcn_encode(x: Tensor, params: ModelParams) -> Tensor:
+    """Two fully-connected layers with a ReLU between, one encoder per scale:
+    (S', E, n) -> (S', L, n), where S' counts the encoder scales."""
+    w1, _, w2, _ = weights = _encoder_weights(params)
+    xd = x.data
+    out, h = _encode(xd, weights)
 
     def grad_fn(g):
-        g_pre = (w2d.T @ g) * (pre > 0.0)
-        g_x = w1d.T @ g_pre if x.requires_grad else None
-        return (
-            g_x,
-            g_pre @ xd.T,
-            g_pre.sum(axis=1, keepdims=True),
-            g @ h.T,
-            g.sum(axis=1, keepdims=True),
-        )
+        g_pre = (w2.swapaxes(-1, -2) @ g) * (h > 0.0)  # h > 0 where its pre-activation is
+        g_x = w1.swapaxes(-1, -2) @ g_pre if x.requires_grad else None
+        g_w1, g_b1 = g_pre @ xd.swapaxes(-1, -2), g_pre.sum(axis=-1, keepdims=True)
+        g_w2, g_b2 = g @ h.swapaxes(-1, -2), g.sum(axis=-1, keepdims=True)
+        return (g_x, *(grad[s] for s in range(len(xd)) for grad in (g_w1, g_b1, g_w2, g_b2)))
 
-    return ad.custom_op("mi_fcn_encode", out, (x, w1, b1, w2, b2), grad_fn)
+    weights = [t for scale in _encoder_tensors(params) for t in scale]
+    return ad.custom_op("mi_fcn_encode", out, (x, *weights), grad_fn)
 
 
 @dataclass
@@ -225,13 +242,12 @@ class CrossScaleAttentionOutput:
     scores: np.ndarray  # (S, n), positive, each column sums to 1; no gradient
 
 
-def _attention_weights(
-    pairs: list[tuple[Tensor, Tensor]], shared: bool
-) -> tuple[np.ndarray, np.ndarray]:
+def _attention_weights(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """V and the w^T rows of the attention: (D, L) and (1, D) when shared,
     else stacked per scale, (S, D, L) and (S, 1, D). w^T is copied to a
     C-contiguous row, as the primitive transpose does."""
-    if shared:
+    pairs = [params.attention_pair(s) for s in range(params.config.n_scales)]
+    if params.config.attention_sharing == "shared":
         return pairs[0][0].data, pairs[0][1].data.T.copy()
     return np.stack([v.data for v, _ in pairs]), np.stack([w.data.T.copy() for _, w in pairs])
 
@@ -255,28 +271,22 @@ def _fuse_scales(f: np.ndarray, scores: np.ndarray) -> np.ndarray:
         return ad.check_finite((f * scores[..., None, :]).sum(axis=-3), "cross_scale_attention")
 
 
-def cross_scale_attention(
-    encodings: list[Tensor], params: ModelParams, cfg: ModelConfig
-) -> CrossScaleAttentionOutput:
+def cross_scale_attention(encodings: Tensor, params: ModelParams) -> CrossScaleAttentionOutput:
     """Softmax-weighted fusion of each location's per-scale encodings.
 
-    ``encodings[s]`` holds the (L, n) encodings of n locations at scale s.
-    Per scale, logit_s = w^T act(V f_s) is a (1, n) row; the (S, n) logits
-    are softmaxed over the scale axis into scores a, and location i's
-    fused column is sum_s a[s, i] f_s[:, i]. Gradients reach the encodings
-    and the attention parameters through ``fused``.
+    ``encodings`` (S, L, n) holds the (L, n) encodings f_s of n locations
+    at each scale s. Per scale, logit_s = w^T act(V f_s) is a (1, n) row;
+    the (S, n) logits are softmaxed over the scale axis into scores a, and
+    location i's fused column is sum_s a[s, i] f_s[:, i]. Gradients reach
+    the encodings and the attention parameters through ``fused``.
     """
-    if len(encodings) < 1:
-        raise ContractError("cross_scale_attention needs at least one scale encoding")
+    f, cfg = encodings.data, params.config
+    if f.ndim != 3 or len(f) != cfg.n_scales:
+        raise ContractError(f"cross_scale_attention needs ({cfg.n_scales}, L, n), got {f.shape}")
     tanh = cfg.attention_activation == "tanh"
     shared = cfg.attention_sharing == "shared"
-    pairs = [params.attention_pair(s) for s in range(len(encodings))]
-    attn_params = list(dict.fromkeys(t for pair in pairs for t in pair))
-    # Scales are stacked on a leading axis. A 3-d matmul makes, per scale,
-    # the same BLAS call on the same strides as a 2-d one, so results match
-    # a per-scale loop to the bit.
-    f = np.stack([e.data for e in encodings])  # (S, L, n)
-    v, w_rows = _attention_weights(pairs, shared)
+    attn_params = list(dict.fromkeys(t for s in range(len(f)) for t in params.attention_pair(s)))
+    v, w_rows = _attention_weights(params)
     scores, pre, act = _attend(f, v, w_rows, tanh)
     fused = _fuse_scales(f, scores)
 
@@ -291,10 +301,10 @@ def cross_scale_attention(
         if shared:  # the per-scale gradients summed in scale order
             g_params = (g_v.sum(axis=0), g_w.sum(axis=0).T.copy())
         else:
-            g_params = [gp for s in range(len(pairs)) for gp in (g_v[s], g_w[s].T.copy())]
-        return (*g_f, *g_params)
+            g_params = [gp for s in range(len(f)) for gp in (g_v[s], g_w[s].T.copy())]
+        return (g_f, *g_params)
 
-    fused_t = ad.custom_op("cross_scale_attention", fused, (*encodings, *attn_params), grad_fn)
+    fused_t = ad.custom_op("cross_scale_attention", fused, (encodings, *attn_params), grad_fn)
     return CrossScaleAttentionOutput(fused_t, scores)
 
 
@@ -333,9 +343,10 @@ def _pool_weights(params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 
 def instance_pool(
-    items: Tensor, params: ModelParams, pooling: str, mask: np.ndarray | None = None
+    items: Tensor, params: ModelParams, mask: np.ndarray | None = None
 ) -> tuple[Tensor, np.ndarray]:
-    """Attention pooling of the m columns of ``items`` (F, m) into K pools.
+    """Attention pooling, plain or gated as ``params`` are, of the m columns
+    of ``items`` (F, m) into K pools.
 
     Row k of the boolean (K, m) ``mask`` marks the items pool k takes;
     without a mask there is one pool of every item. Returns (pooled,
@@ -354,13 +365,12 @@ def instance_pool(
         raise ContractError(f"instance_pool: mask must be boolean, got {mask.dtype}")
     if mask.ndim != 2 or mask.shape[1] != items.shape[1]:
         raise DimensionError(f"instance_pool: mask {mask.shape} does not fit items {items.shape}")
-    gated = pooling == "gated"
+    gated = params.config.pooling == "gated"
     t = params.tensors
-    v, w = t["pool.v"], t["pool.w"]
-    u = t["pool.u"] if gated else None
+    parents = (items, t["pool.v"], t["pool.w"]) + ((t["pool.u"],) if gated else ())
     xd = items.data
     vd, w_row, ud = _pool_weights(params)
-    pooled, weights, weights_t, h, gate, act = _pool(xd, mask, vd, w_row, ud if gated else None)
+    pooled, weights, weights_t, h, gate, act = _pool(xd, mask, vd, w_row, ud)
 
     def grad_fn(g):
         g_weights = (xd.T @ g).T.copy()
@@ -378,7 +388,6 @@ def instance_pool(
         grads = (g_items, g_pre @ xd.T, (g_logits @ act.T).T.copy())
         return grads + (g_gate @ xd.T,) if gated else grads
 
-    parents = (items, v, w, u) if gated else (items, v, w)
     return ad.custom_op("instance_pool", pooled, parents, grad_fn), weights
 
 
@@ -433,69 +442,52 @@ def check_instance_shape(n_scales: int, dim: int, cfg: ModelConfig) -> None:
 
 
 def _scale_inputs(emb: np.ndarray, cfg: ModelConfig) -> np.ndarray:
-    """Every scale's (..., E, n) input for locations ``emb`` (..., n, S, E),
-    stacked as (S, ..., E, n), once the instances are checked against
-    ``cfg``. Both forwards take it, since the layout fixes the bits: each
-    (E, n) slice is C-contiguous, so a stacked bag runs as a lone one."""
+    """The (..., S', E, n) inputs at the S' encoder scales of locations
+    ``emb`` (..., n, S, E), once the instances are checked against ``cfg``.
+    Both forwards take it, since the layout fixes the bits: each (E, n)
+    slice is C-contiguous, so a stacked bag runs as a lone one."""
     check_instance_shape(emb.shape[-2], emb.shape[-1], cfg)
-    return np.ascontiguousarray(np.moveaxis(emb, -2, 0).swapaxes(-1, -2))
-
-
-def _fuse_instances(emb: np.ndarray, params: ModelParams) -> Tensor:
-    """Encode and fuse n locations given as ``emb`` (n, S, E), on the graph.
-
-    Returns the (F, n) pooling items, one column per location, except for
-    ``instance_pool``: there every scale's encoding is its own item, giving
-    (L, S*n) with the columns of scale s at s*n ... s*n + n-1.
-    """
-    cfg = params.config
-    x = _scale_inputs(emb, cfg)
-    encodings = [mi_fcn_encode(Tensor(x[s]), s, params) for s in cfg.encoder_scales]
-    if cfg.fusion == "cross_scale_attention":
-        return cross_scale_attention(encodings, params, cfg).fused
-    if cfg.fusion == "concat":
-        return ad.concat(encodings, axis=0)
-    if cfg.fusion == "instance_pool":
-        return ad.concat(encodings, axis=1)
-    # add; single_scale has exactly one encoding, so it passes through
-    total = encodings[0]
-    for f in encodings[1:]:
-        total = total + f
-    return total
-
-
-def _encode_arrays(emb: np.ndarray, params: ModelParams) -> list[np.ndarray]:
-    """The (B, L, n) encodings at each encoder scale of B groups of n
-    locations given as ``emb`` (B, n, S, E), without the graph."""
-    x = _scale_inputs(emb, params.config)
-    return [_encode(x[s], params, s)[0] for s in params.config.encoder_scales]
+    first = cfg.encoder_scales[0]
+    scales = emb[..., first : first + len(cfg.encoder_scales), :]
+    return np.ascontiguousarray(np.moveaxis(scales, -2, -3).swapaxes(-1, -2))
 
 
 def _attention_scores(f: np.ndarray, params: ModelParams) -> np.ndarray:
-    """The (B, S, n) cross-scale scores of stacked encodings ``f`` (B, S, L, n)."""
-    cfg = params.config
-    pairs = [params.attention_pair(s) for s in range(cfg.n_scales)]
-    weights = _attention_weights(pairs, cfg.attention_sharing == "shared")
-    return _attend(f, *weights, cfg.attention_activation == "tanh")[0]
+    """The (..., S, n) cross-scale scores of encodings ``f`` (..., S, L, n)."""
+    tanh = params.config.attention_activation == "tanh"
+    return _attend(f, *_attention_weights(params), tanh)[0]
 
 
-def _fuse_arrays(emb: np.ndarray, params: ModelParams) -> np.ndarray:
-    """``_fuse_instances`` without the graph, for B groups of n locations
-    given as ``emb`` (B, n, S, E): (B, F, n) items, or (B, L, S*n) for
-    ``instance_pool``."""
-    cfg = params.config
-    encodings = _encode_arrays(emb, params)
-    if cfg.fusion == "cross_scale_attention":
-        f = np.stack(encodings, axis=1)
-        return _fuse_scales(f, _attention_scores(f, params))
-    if cfg.fusion == "concat":
-        return np.concatenate(encodings, axis=1)
-    if cfg.fusion == "instance_pool":
-        return np.concatenate(encodings, axis=2)
-    total = encodings[0]
-    for f in encodings[1:]:
-        total = total + f
-    return total
+def _fuse(f: np.ndarray, fusion: str) -> np.ndarray:
+    """The pooling items of encodings ``f`` (..., S, L, n) under a fusion
+    without attention: for ``concat`` the (..., S*L, n) stacked features;
+    for ``instance_pool`` (..., L, S*n), every scale's encoding an item of
+    its own, with the columns of scale s at s*n ... s*n + n-1; for ``add``
+    the (..., L, n) sum over the scales, in scale order, which passes
+    ``single_scale``'s one scale through."""
+    *lead, s, l, n = f.shape
+    if fusion == "concat":
+        return f.reshape(*lead, s * l, n)
+    if fusion == "instance_pool":
+        # at n = 1 the reshape is a strided view, and strides change the bits
+        return np.ascontiguousarray(f.swapaxes(-3, -2).reshape(*lead, l, s * n))
+    return f.sum(axis=-3)
+
+
+def fuse(f: Tensor, fusion: str) -> Tensor:
+    """``_fuse`` of encodings ``f`` (S, L, n) as one graph node, whose
+    backward lays the items' gradient out as (S, L, n)."""
+    s, l, n = f.shape
+
+    def grad_fn(g):
+        if fusion == "concat":
+            return (g.reshape(s, l, n),)
+        if fusion == "instance_pool":
+            return (g.reshape(l, s, n).swapaxes(0, 1).copy(),)
+        # each scale gets the sum's gradient, C-contiguous as the encoder's sums need
+        return (np.broadcast_to(g, (s, l, n)).copy(),)
+
+    return ad.custom_op(fusion, _fuse(f.data, fusion), (f,), grad_fn)
 
 
 def _cluster_members(clusters: np.ndarray, cfg: ModelConfig) -> np.ndarray:
@@ -516,8 +508,10 @@ def forward_bag(bag: Bag, params: ModelParams) -> Tensor:
     """
     cfg = params.config
     members = _cluster_members(bag.clusters, cfg)
-    items = _fuse_instances(bag.patient.emb[bag.index], params)
-    pooled, _ = instance_pool(items, params, cfg.pooling, members)
+    f = mi_fcn_encode(Tensor(_scale_inputs(bag.patient.emb[bag.index], cfg)), params)
+    attend = cfg.fusion == "cross_scale_attention"
+    items = cross_scale_attention(f, params).fused if attend else fuse(f, cfg.fusion)
+    pooled, _ = instance_pool(items, params, members)
     return classifier_head(pooled, params)
 
 
@@ -542,12 +536,17 @@ def forward_bags(bags: Sequence[Bag], params: ModelParams) -> np.ndarray:
     out = np.empty((len(bags), 2))
     if not bags:
         return out
-    members = _cluster_members(np.stack([bag.clusters for bag in bags]), params.config)
+    cfg = params.config
+    attend = cfg.fusion == "cross_scale_attention"
+    members = _cluster_members(np.stack([bag.clusters for bag in bags]), cfg)
+    encoder = _encoder_weights(params)
     pool_v, pool_w, pool_u = _pool_weights(params)
     step = max(1, _BLOCK_INSTANCES // sizes[0])
     for start in range(0, len(bags), step):
-        block = bags[start : start + step]
-        items = _fuse_arrays(np.stack([bag.patient.emb[bag.index] for bag in block]), params)
+        block = [bag.patient.emb[bag.index] for bag in bags[start : start + step]]
+        f = _encode(_scale_inputs(np.stack(block), cfg), encoder)[0]
+        items = _fuse_scales(f, _attention_scores(f, params)) if attend else _fuse(f, cfg.fusion)
+        del f  # else this block's encodings stay alive while the next block encodes
         pooled = _pool(items, members[start : start + step], pool_v, pool_w, pool_u)[0]
         out[start : start + step] = _classify(pooled, params)[0][..., 0]
     return out
@@ -568,13 +567,12 @@ def attention_records(
     if params.config.fusion != "cross_scale_attention":
         raise ConfigError("no cross-scale attention in this variant")
     chosen = dataset if patients is None else [dataset.patient(pid) for pid in patients]
+    encoder = _encoder_weights(params)
     out = []
     for p in chosen:
-        scores = _attention_scores(np.stack(_encode_arrays(p.emb[None], params), axis=1), params)
+        scores = _attention_scores(_encode(_scale_inputs(p.emb, params.config), encoder)[0], params)
         out += [
             AttentionRecord(p.patient_id, loc, (x, y), tuple(col))
-            for loc, (x, y), col in zip(
-                p.location_ids.tolist(), p.xy.tolist(), scores[0].T.tolist()
-            )
+            for loc, (x, y), col in zip(p.location_ids.tolist(), p.xy.tolist(), scores.T.tolist())
         ]
     return out

@@ -93,12 +93,13 @@ def test_c01_gradient_suite_all_layers_20_seeds():
         cfg = ModelConfig(embed_dim=4, encoder_dim=3, attention_hidden=2,
                           n_clusters=2, n_scales=3)
         params = init_params(cfg, seed=seed)
-        x = Tensor(rng.uniform(-2, 2, (4, 1)))
-        probe = Tensor(rng.uniform(-1, 1, (3, 1)))
-        enc_tensors = [params.tensors[n] for n in params.names() if n.startswith("encoder0")]
+        # one draw each, fed to every scale's encoder
+        x = Tensor(np.tile(rng.uniform(-2, 2, (4, 1)), (3, 1, 1)))
+        probe = Tensor(np.tile(rng.uniform(-1, 1, (3, 1)), (3, 1, 1)))
+        enc_tensors = [params.tensors[n] for n in params.names() if n.startswith("encoder")]
 
         def enc_loss():
-            return (mi_fcn_encode(x, 0, params) * probe).sum()
+            return (mi_fcn_encode(x, params) * probe).sum()
 
         ad.zero_grads(enc_tensors)
         ad.backward(enc_loss())
@@ -115,14 +116,14 @@ def test_c01_gradient_suite_all_layers_20_seeds():
                     attention_activation=activation,
                 )
                 vparams = init_params(vcfg, seed=seed + 100)
-                fs = [Tensor(rng.uniform(-2, 2, (3, 1))) for _ in range(3)]
+                fs = Tensor(rng.uniform(-2, 2, (3, 3, 1)))
                 vprobe = Tensor(rng.uniform(-1, 1, (3, 1)))
                 attn_tensors = [
                     vparams.tensors[n] for n in vparams.names() if n.startswith("attn")
                 ]
 
                 def attn_loss():
-                    out = cross_scale_attention(fs, vparams, vcfg)
+                    out = cross_scale_attention(fs, vparams)
                     return (out.fused * vprobe).sum()
 
                 ad.zero_grads(attn_tensors)
@@ -141,7 +142,7 @@ def test_c01_gradient_suite_all_layers_20_seeds():
             pool_tensors = [pparams.tensors[n] for n in pparams.names() if n.startswith("pool")]
 
             def pool_loss():
-                pooled, _ = instance_pool(ad.concat(hs, axis=1), pparams, pooling)
+                pooled, _ = instance_pool(ad.concat(hs, axis=1), pparams)
                 return (pooled * pprobe).sum()
 
             ad.zero_grads(pool_tensors)
@@ -181,16 +182,16 @@ def test_c02_attention_scores_normalize():
     rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(1000):
-        fs = [Tensor(rng.uniform(-2, 2, (6, 1))) for _ in range(3)]
-        scores = cross_scale_attention(fs, params, cfg).scores
+        fs = Tensor(rng.uniform(-2, 2, (3, 6, 1)))
+        scores = cross_scale_attention(fs, params).scores
         worst = max(worst, abs(scores.sum() - 1.0))
         assert (scores > 0).all()
     assert worst <= 1e-9
 
     params.tensors["attn.w"].data = np.zeros((4, 1))
     for _ in range(100):
-        fs = [Tensor(rng.uniform(-2, 2, (6, 1))) for _ in range(3)]
-        scores = cross_scale_attention(fs, params, cfg).scores
+        fs = Tensor(rng.uniform(-2, 2, (3, 6, 1)))
+        scores = cross_scale_attention(fs, params).scores
         assert np.abs(scores - 1.0 / 3.0).max() <= 1e-12
     _pass(2, f"1000 instances sum to 1 within {worst:.1e}; zero kernel is uniform to 1e-12")
 

@@ -750,6 +750,7 @@ MALFORMED_INPUTS = [
     ("cluster", ("train", "n_locations", "9"), "neg000: n_locations"),
     ("cluster", ("train", "n_scales", True), "neg000: n_scales"),
     ("cluster", ("train", "scale_labels", ["20x", "10x", "5/x"]), "neg000: a scale label"),
+    ("attn-map", ("test", "scale_labels", ["20x", "20x", "5x"]), "scale_labels repeat a label"),
     ("compare", "p01,0", "line 3: has 2 fields"),
     ("compare", "p01,x,0.5,1", "line 3: label 'x'"),
     ("compare", "p01,0,abc,0", "line 3: could not convert"),
@@ -786,6 +787,35 @@ def test_malformed_input_exits_2_writing_nothing(
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and named in err and "Traceback" not in err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("case", ["manifest", "cluster model", "config", "scores", "csv table"])
+def test_input_that_is_not_utf8_exits_2_naming_the_file(workspace, tmp_path, capsys, case):
+    """A \\xff byte appended to one text input of the command that reads it."""
+    root, c = workspace
+    manifest, cluster = tmp_path / "train/manifest.json", tmp_path / "cluster_model.json"
+    config, scores = tmp_path / "config.json", tmp_path / "scores.csv"
+    shutil.copytree(root / "data/train", tmp_path / "train")
+    if case == "csv table":
+        to_csv_store(manifest)
+    shutil.copy(root / "clust/cluster_model.json", cluster)
+    shutil.copy(c, config)
+    scores.write_text("patient_id,label,score,predicted\np00,1,0.9,1\np01,0,0.2,0\n")
+    shutil.copy(scores, f"{scores}.good")
+    command, bad, argv = {
+        "manifest": ("cluster", manifest, ["--data", str(manifest)]),
+        "cluster model": ("train", cluster, ["--data", str(manifest), "--cluster", str(cluster)]),
+        "config": ("gen-data", config, []),
+        "scores": ("compare", scores, ["--scores", f"a={scores}.good", "--scores", f"b={scores}"]),
+        "csv table": ("cluster", tmp_path / "train/neg000.csv", ["--data", str(manifest)]),
+    }[case]
+    bad.write_bytes(bad.read_bytes() + b"\xff")
+    before = sorted(tmp_path.rglob("*"))
+    code = main([command, "--config", str(config), "--out-dir", str(tmp_path / "out"), *argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{bad}: not UTF-8 text" in err and "Traceback" not in err
     assert sorted(tmp_path.rglob("*")) == before
 
 
