@@ -30,8 +30,10 @@ from .models import (
     init_params,
     instance_pool,
     mi_fcn_encode,
+    nll_loss,
+    train_step,
 )
-from .training import TrainConfig, make_splits, nll_loss, train_all, train_one_split
+from .training import TrainConfig, make_splits, train_all, train_one_split
 
 __all__ = [
     "AttentionRecord",
@@ -67,4 +69,5 @@ __all__ = [
     "split_train_test",
     "train_all",
     "train_one_split",
+    "train_step",
 ]

@@ -363,8 +363,9 @@ def backward(loss: Tensor) -> dict[int, np.ndarray]:
                 if parent.nid in flowing:
                     flowing[parent.nid] = flowing[parent.nid] + pg
                 elif pg is g or np.may_share_memory(pg, g):
-                    # g is this node's own .grad, and may reach other parents
-                    flowing[parent.nid] = np.array(pg, dtype=np.float64, copy=True)
+                    # g is this node's own .grad, and may reach other parents;
+                    # C order, as a strided gradient would add in another order
+                    flowing[parent.nid] = np.array(pg, dtype=np.float64, order="C")
                 else:
                     flowing[parent.nid] = pg
     return params

@@ -3,7 +3,9 @@
 Training follows a fixed recipe: per epoch, one cluster-balanced bag per
 training patient, NLL loss per bag, one adaptive-moment gradient step
 per bag, then a validation pass; the returned parameters are the ones
-with the lowest validation loss. Splits train on up to
+with the lowest validation loss. A step makes no graph:
+``models.train_step`` writes the bag's gradient straight into the
+optimizer's flat buffer, and ``Adam.step`` reads it. Splits train on up to
 ``min(n_splits, usable CPUs)`` processes, with the same bytes as the
 sequential loop.
 """
@@ -19,13 +21,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Tensor
 from .clustering import Bag, ClusterModel, assemble_bag, patient_rng
 from .data import Dataset
 from .errors import ContractError, CrossmilError, DomainError, TrainingError
 from .errors import check_bool, check_int, check_real
-from .models import ModelConfig, ModelParams, forward_bag, forward_bags, init_params
+from .models import ModelConfig, ModelParams, forward_bags, init_params, train_step
+from .models import forward_bag  # noqa: F401  the benchmark's tracer wraps it here
 
 _VAL_BAG_TAG = 0x56414C  # keeps validation bag streams apart from train streams
 
@@ -69,35 +70,17 @@ class TrainedModel:
     val_curve: list[float] = field(default_factory=list)
 
 
-def nll_loss(log_probs: Tensor, label: int) -> Tensor:
-    """Negative log-likelihood of the true class; stays on the graph."""
-    if label not in (0, 1):
-        raise ContractError(f"label must be 0 or 1, got {label}")
-    lp = log_probs.data.reshape(-1)
-    if lp.shape[0] != 2:
-        raise ContractError(f"log_probs must have 2 entries, got shape {log_probs.shape}")
-    if lp.max() > 1e-9 or abs(np.logaddexp(lp[0], lp[1])) > 1e-6:
-        raise ContractError("log_probs are not log-probabilities (logsumexp != 0)")
-    onehot = np.zeros_like(log_probs.data)
-    onehot.reshape(-1)[label] = 1.0
-    # -(log_probs . onehot), rounded as a product, a sum and a negation
-    value = (log_probs.data * onehot).sum() * -1.0
-
-    def grad_fn(g):
-        return (np.broadcast_to(g * -1.0, onehot.shape) * onehot,)
-
-    return ad.custom_op("nll_loss", value, (log_probs,), grad_fn)
-
-
 class Adam:
     """First-order adaptive-moment updates over a model's parameters.
 
     The values, the moments, the gradient and the update live in flat
     float64 buffers laid out like ``params.flat``, which is the values
-    buffer and which every tensor views, so a step is a few whole-buffer
-    operations in place. Each element goes through the per-tensor
-    formula's operations in the same order, so results are the same to
-    the bit. Every parameter needs a gradient.
+    buffer and which every parameter view shares, so a step is a few
+    whole-buffer operations in place. Each element goes through the
+    per-tensor formula's operations in the same order, so results are the
+    same to the bit. Before each step the caller writes every
+    parameter's gradient into ``grad`` (``train_step`` does); the step
+    then uses that buffer as scratch.
     """
 
     def __init__(self, params: ModelParams, cfg: TrainConfig):
@@ -105,20 +88,15 @@ class Adam:
         self.beta1, self.beta2, self.eps = cfg.beta1, cfg.beta2, cfg.eps
         self.t = 0
         self._values = params.flat
-        self._named = list(params.tensors.items())
         n = params.flat.size
         self.m, self.v = np.zeros(n), np.zeros(n)
-        self._g, self._upd = np.empty((2, n))
+        self.grad, self._upd = np.empty((2, n))
 
     def step(self) -> None:
         self.t += 1
         b1t = 1.0 - self.beta1**self.t
         b2t = 1.0 - self.beta2**self.t
-        for name, t in self._named:
-            if t.grad is None:
-                raise ContractError(f"parameter {name} has no gradient")
-        g, upd, m, v = self._g, self._upd, self.m, self.v
-        np.concatenate([t.grad.reshape(-1) for _, t in self._named], out=g)
+        g, upd, m, v = self.grad, self._upd, self.m, self.v
         # m = beta1 * m + (1 - beta1) * g;  v = beta2 * v + (1 - beta2) * g**2
         np.multiply(g, 1 - self.beta1, out=upd)
         np.add(np.multiply(m, self.beta1, out=m), upd, out=m)
@@ -128,10 +106,6 @@ class Adam:
         np.add(np.sqrt(np.divide(v, b2t, out=upd), out=upd), self.eps, out=upd)
         np.divide(np.multiply(np.divide(m, b1t, out=g), self.lr, out=g), upd, out=upd)
         np.subtract(self._values, upd, out=self._values)
-
-    def zero_grad(self) -> None:
-        for _, t in self._named:
-            t.grad = None
 
 
 def make_splits(dataset: Dataset, n_splits: int, seed: int = 0) -> tuple[Split, ...]:
@@ -226,11 +200,7 @@ def train_one_split(
             for pid in order:
                 bag = epoch_bags[pid]
                 assert bag.patient_id in train_set  # validation data must never reach a gradient
-                log_probs = forward_bag(bag, params)
-                loss = nll_loss(log_probs, bag.label)
-                running += loss.item()
-                opt.zero_grad()
-                ad.backward(loss)
+                running += train_step(bag, params, opt.grad)
                 opt.step()
             # the last step's parameters reach a forward pass first here
             val_loss = _epoch_loss(split.val_ids, params, val_bags)
@@ -247,7 +217,6 @@ def train_one_split(
             best_flat = params.flat.copy()
 
     params.flat[:] = best_flat
-    opt.zero_grad()
     return TrainedModel(params, split_id, best_epoch, train_curve, val_curve)
 
 

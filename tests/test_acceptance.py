@@ -33,8 +33,9 @@ from crossmil.models import (
     init_params,
     instance_pool,
     mi_fcn_encode,
+    nll_loss,
 )
-from crossmil.training import TrainConfig, nll_loss
+from crossmil.training import TrainConfig
 from helpers import central_difference
 
 SIGNAL_SEEDS = (0, 1, 2)
@@ -188,7 +189,7 @@ def test_c02_attention_scores_normalize():
         assert (scores > 0).all()
     assert worst <= 1e-9
 
-    params.tensors["attn.w"].data = np.zeros((4, 1))
+    params.tensors["attn.w"].data[...] = np.zeros((4, 1))
     for _ in range(100):
         fs = Tensor(rng.uniform(-2, 2, (3, 6, 1)))
         scores = cross_scale_attention(fs, params).scores

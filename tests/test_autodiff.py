@@ -298,6 +298,16 @@ class TestBackward:
         ad.backward(ad.reduce_sum(ad.custom_op("fresh", a.data.copy(), (a,), lambda g: (fresh,))))
         assert a.grad is fresh
 
+    def test_a_broadcast_view_of_the_upstream_gradient_reaches_its_parent_c_contiguous(self):
+        # a strided gradient would make the parent's later sums add in another order
+        a = Tensor(np.ones((3, 2, 4)), requires_grad=True)
+        node = ad.custom_op(
+            "spread", a.data[0].copy(), (a,), lambda g: (np.broadcast_to(g, (3, 2, 4)),)
+        )
+        ad.backward(ad.reduce_sum(node * 3.0))
+        assert a.grad.flags.c_contiguous
+        np.testing.assert_array_equal(a.grad, np.full((3, 2, 4), 3.0))
+
     def test_nan_input_rejected_at_construction(self):
         with pytest.raises(DomainError):
             Tensor([np.nan])

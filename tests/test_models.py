@@ -29,9 +29,11 @@ from crossmil.models import (
     init_params,
     instance_pool,
     mi_fcn_encode,
+    nll_loss,
     param_layout,
+    train_step,
 )
-from crossmil.training import nll_loss
+from crossmil.training import Adam, TrainConfig
 from helpers import (
     assert_grads_close,
     central_difference,
@@ -79,17 +81,17 @@ class TestMiFcn:
         params = init_params(cfg, seed=0)
         for name, t in params.tensors.items():
             if name.startswith("encoder0"):
-                t.data = np.zeros_like(t.data)
+                t.data[...] = 0.0
         out = mi_fcn_encode(Tensor(np.ones((3, 4, 1))), params)
         np.testing.assert_array_equal(out.data[0], np.zeros((3, 1)))
 
     def test_relu_zeroes_negative_coordinate(self):
         cfg = small_config(embed_dim=3, encoder_dim=3)
         params = init_params(cfg, seed=0)
-        params.tensors["encoder0.w1"].data = np.eye(3)
-        params.tensors["encoder0.b1"].data = np.zeros((3, 1))
-        params.tensors["encoder0.w2"].data = np.eye(3)
-        params.tensors["encoder0.b2"].data = np.zeros((3, 1))
+        params.tensors["encoder0.w1"].data[...] = np.eye(3)
+        params.tensors["encoder0.b1"].data[...] = np.zeros((3, 1))
+        params.tensors["encoder0.w2"].data[...] = np.eye(3)
+        params.tensors["encoder0.b2"].data[...] = np.zeros((3, 1))
         out = mi_fcn_encode(Tensor(np.tile([[2.0], [-5.0], [1.0]], (3, 1, 1))), params)
         np.testing.assert_array_equal(out.data[0], [[2.0], [0.0], [1.0]])
 
@@ -123,7 +125,7 @@ class TestCrossScaleAttention:
     def test_zero_kernel_gives_uniform_scores_and_mean_fusion(self):
         cfg = small_config()
         params = init_params(cfg, seed=1)
-        params.tensors["attn.w"].data = np.zeros((2, 1))
+        params.tensors["attn.w"].data[...] = np.zeros((2, 1))
         rng = np.random.default_rng(2)
         fs = Tensor(rng.uniform(-1, 1, (3, 3, 1)))
         out = cross_scale_attention(fs, params)
@@ -617,6 +619,7 @@ class TestBatchedForwardOracle:
         emb = rng.uniform(-1, 1, (64, cfg.n_scales, cfg.embed_dim))
         patient = PatientRecord("p0", 1, emb, np.arange(64), rng.uniform(0, 9, (64, 2)))
         counts = []
+        params.tensors  # the parameter leaves, built on first use
         for bag_size in (8, 64):
             bag = Bag(patient, np.arange(bag_size), rng.integers(0, cfg.n_clusters, bag_size))
             before = next(ad._node_ids)
@@ -630,6 +633,72 @@ class TestBatchedForwardOracle:
         bad = Bag(bag.patient, bag.index, np.full(len(bag.index), cfg.n_clusters))
         with pytest.raises(ConfigError):
             forward_bag(bad, init_params(cfg, seed=0))
+
+
+class TestTrainStep:
+    """The graph-free training step against the graph it replaces."""
+
+    @pytest.mark.parametrize("bag_size", [1, 8])
+    @pytest.mark.parametrize("fusion,pooling,sharing,activation", ORACLE_CONFIGS)
+    def test_gradient_buffer_is_the_tapes_bit_for_bit_over_adam_steps(
+        self, fusion, pooling, sharing, activation, bag_size
+    ):
+        cfg = oracle_config(
+            fusion, pooling, sharing, activation, embed_dim=32, encoder_dim=64, attention_hidden=32
+        )
+        step_params, tape_params = init_params(cfg, seed=bag_size), init_params(cfg, seed=bag_size)
+        tc = TrainConfig(learning_rate=1e-2)
+        step_opt, tape_opt = Adam(step_params, tc), Adam(tape_params, tc)
+        leaves = [tape_params[name] for name in tape_params.names()]
+        for bag in equal_size_bags(cfg, bag_size, np.random.default_rng(bag_size), n_bags=3):
+            step_opt.grad[:] = np.nan  # every slot must be written
+            loss = train_step(bag, step_params, step_opt.grad)
+            assert np.isfinite(step_opt.grad).all()
+            tape_loss = nll_loss(forward_bag(bag, tape_params), bag.label)
+            ad.backward(tape_loss)
+            tape_opt.grad[:] = np.concatenate([t.grad.reshape(-1) for t in leaves])
+            ad.zero_grads(leaves)
+            assert step_opt.grad.tobytes() == tape_opt.grad.tobytes()
+            assert loss == tape_loss.item()
+            step_opt.step()
+            tape_opt.step()
+        assert step_params.flat.tobytes() == tape_params.flat.tobytes()
+        assert step_params.flat.tobytes() != init_params(cfg, seed=bag_size).flat.tobytes()
+
+    @pytest.mark.parametrize(
+        "layer,fusion",
+        [
+            ("leaf", "cross_scale_attention"),
+            ("mi_fcn_encode", "cross_scale_attention"),
+            ("cross_scale_attention", "cross_scale_attention"),
+            ("add", "add"),
+            ("instance_pool", "concat"),
+            ("classifier_head", "instance_pool"),
+        ],
+    )
+    def test_a_non_finite_value_names_the_layer_the_graph_names(self, layer, fusion):
+        cfg = oracle_config(fusion, "gated", "shared", "tanh")
+        params = init_params(cfg, seed=5)
+        bag = equal_size_bags(cfg, 4, np.random.default_rng(5), n_bags=1)[0]
+        grad = np.empty_like(params.flat)
+        train_step(bag, params, grad)  # finite before the poison
+        t = params.tensors
+        if layer == "leaf":
+            bag.patient.emb[bag.index[0], 2, 0] = np.inf
+        elif layer == "add":  # every scale's encoding finite, their sum not
+            for s in range(3):
+                t[f"encoder{s}.w2"].data[...] = 0.0
+                t[f"encoder{s}.b2"].data[...] = 1e308
+        else:
+            name = {"mi_fcn_encode": "encoder0.w1", "cross_scale_attention": "attn.v",
+                    "instance_pool": "pool.v", "classifier_head": "classifier.w"}[layer]
+            t[name].data[0, 0] = np.inf
+        # a node's own finiteness check sums its value, which overflows at "add"
+        with pytest.raises(DomainError) as graph, np.errstate(over="ignore"):
+            nll_loss(forward_bag(bag, params), bag.label)
+        with pytest.raises(DomainError) as step:
+            train_step(bag, params, grad)
+        assert str(step.value) == str(graph.value) == f"non-finite values in result of '{layer}'"
 
 
 # forward_bags block sizes, in instances: one bag per block, a few, all bags at once

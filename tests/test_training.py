@@ -8,17 +8,17 @@ import threading
 import numpy as np
 import pytest
 
+from crossmil import autodiff as ad
 from crossmil.autodiff import Tensor
 from crossmil.checkpoint import save_checkpoint
 from crossmil.clustering import cluster_dataset
 from crossmil.data import SyntheticSpec, generate_synthetic
 from crossmil.errors import ConfigError, ContractError, CrossmilError, TrainingError
-from crossmil.models import ModelConfig, init_params
+from crossmil.models import ModelConfig, init_params, nll_loss
 from crossmil.training import (
     Adam,
     TrainConfig,
     make_splits,
-    nll_loss,
     train_all,
     train_one_split,
     write_loss_curves,
@@ -165,9 +165,9 @@ class TestAdam:
         rng = np.random.default_rng(13)
         for step in range(1, 7):
             grads = {n: rng.normal(size=t.data.shape) for n, t in loop.tensors.items()}
-            for params in (flat, loop):
-                for n, t in params.tensors.items():
-                    t.grad = grads[n].copy()
+            opt.grad[:] = np.concatenate([grads[n].reshape(-1) for n in flat.names()])
+            for n, t in loop.tensors.items():
+                t.grad = grads[n].copy()
             opt.step()
             per_tensor_adam_step(loop, m, v, step, tc)
         # the loop rebinds each tensor's data, so compare tensors, not ``flat``
@@ -176,24 +176,12 @@ class TestAdam:
             assert flat.tensors[name].data.tobytes() == loop.tensors[name].data.tobytes(), name
             assert flat.tensors[name].data.tobytes() != init.tensors[name].data.tobytes(), name
 
-    def test_missing_gradient_is_an_error_naming_the_parameter(self):
-        params = init_params(small_model(small_dataset(seed=15)), seed=3)
-        opt = Adam(params, TrainConfig(learning_rate=1e-2))
-        for t in params.tensors.values():
-            t.grad = np.ones_like(t.data)
-        params.tensors["pool.w"].grad = None
-        before = params.flat.copy()
-        with pytest.raises(ContractError, match="pool.w"):
-            opt.step()
-        np.testing.assert_array_equal(params.flat, before)
-
     def test_unpickled_values_stay_views_that_a_step_moves(self):
         mc = small_model(small_dataset(seed=14))
         other = init_params(mc, seed=2)
         params = pickle.loads(pickle.dumps(other))
         opt = Adam(params, TrainConfig(learning_rate=1e-2))
-        for t in params.tensors.values():
-            t.grad = np.ones_like(t.data)
+        opt.grad[:] = 1.0
         opt.step()
         for name, t in params.tensors.items():
             assert np.shares_memory(t.data, params.flat)
@@ -303,14 +291,14 @@ class TestTrainOneSplit:
         tc = TrainConfig(epochs=2, learning_rate=1e-3, bag_size=4, n_splits=2, seed=8)
         split = make_splits(ds, 2, seed=8)[0]
 
-        events = []  # ("forward", pid), ("forward_bags", pids) and ("step", None), in call order
-        real_forward, real_forward_bags, real_step = (
-            training.forward_bag, training.forward_bags, Adam.step
+        events = []  # ("train_step", pid), ("forward_bags", pids) and ("step", None), in call order
+        real_train_step, real_forward_bags, real_step = (
+            training.train_step, training.forward_bags, Adam.step
         )
 
-        def spy_forward(bag, params):
-            events.append(("forward", bag.patient_id))
-            return real_forward(bag, params)
+        def spy_train_step(bag, params, grad):
+            events.append(("train_step", bag.patient_id))
+            return real_train_step(bag, params, grad)
 
         def spy_forward_bags(bags, params):
             events.append(("forward_bags", tuple(b.patient_id for b in bags)))
@@ -320,7 +308,7 @@ class TestTrainOneSplit:
             events.append(("step", None))
             return real_step(self)
 
-        monkeypatch.setattr(training, "forward_bag", spy_forward)
+        monkeypatch.setattr(training, "train_step", spy_train_step)
         monkeypatch.setattr(training, "forward_bags", spy_forward_bags)
         monkeypatch.setattr(Adam, "step", spy_step)
         train_one_split(ds, split, cm, tc, small_model(ds))
@@ -328,14 +316,28 @@ class TestTrainOneSplit:
         # validation: one batch per epoch, of exactly the validation ids
         batches = [e for e in events if e[0] == "forward_bags"]
         assert batches == [("forward_bags", split.val_ids)] * tc.epochs
-        # training: every step follows a forward of a training patient's bag
+        # training: every step follows a train_step of a training patient's bag
         steps = [i for i, e in enumerate(events) if e[0] == "step"]
         assert len(steps) == tc.epochs * len(split.train_ids)
         stepped = [events[i - 1] for i in steps]
-        assert all(kind == "forward" and pid in split.train_ids for kind, pid in stepped)
+        assert all(kind == "train_step" and pid in split.train_ids for kind, pid in stepped)
         assert {pid for _, pid in stepped} == set(split.train_ids)
-        forwarded = {pid for kind, pid in events if kind == "forward"}
+        forwarded = {pid for kind, pid in events if kind == "train_step"}
         assert forwarded.isdisjoint(split.val_ids)
+
+    def test_makes_no_graph(self, monkeypatch):
+        ds = small_dataset(seed=9)
+        cm = cluster_dataset(ds, "5x", k=4, seed=9)
+        tc = TrainConfig(epochs=2, learning_rate=1e-3, bag_size=4, n_splits=2, seed=9)
+
+        def no_backward(loss):
+            raise AssertionError("training swept a graph")
+
+        monkeypatch.setattr(ad, "backward", no_backward)
+        before = next(ad._node_ids)
+        trained = train_one_split(ds, make_splits(ds, 2, seed=9)[0], cm, tc, small_model(ds))
+        assert next(ad._node_ids) == before + 1
+        assert len(trained.train_curve) == 2
 
     def test_a_poisoned_bag_in_the_validation_batch_names_split_epoch_and_layer(self, monkeypatch):
         import crossmil.training as training
