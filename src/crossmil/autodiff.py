@@ -7,10 +7,12 @@ graph once in reverse topological order. Broadcasting is deliberately
 restricted to scalar-with-tensor and equal shapes so that shape bugs
 fail loudly instead of silently fanning out.
 
-The primitives below serve small graphs and the tests' reference
-forward. A whole model layer is one ``custom_op`` instead: its caller
-computes the value with numpy kernels (``softmax_array`` and friends are
-shared with the primitives) and writes the backward by hand.
+The primitives below serve small graphs, such as the tests' per-instance
+reference forward of the model; ``custom_op`` makes a node whose value
+and backward its caller computes. The model itself builds no graph: its
+layers are numpy kernels with hand-written backward kernels, and they
+share the array helpers here (``check_finite``, ``softmax_array`` and
+friends) with the primitives.
 """
 
 from __future__ import annotations

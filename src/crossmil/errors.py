@@ -14,7 +14,7 @@ class CrossmilError(Exception):
 
 
 class DimensionError(CrossmilError):
-    """Tensor shapes or axes do not fit the requested operation."""
+    """Array shapes or axes do not fit the requested operation."""
 
 
 class DomainError(CrossmilError):

@@ -29,7 +29,6 @@ from .clustering import ClusterModel, assemble_bag, patient_rng
 from .data import Dataset
 from .errors import ConfigError, ContractError, FormatError, MetricError, check_choice, read_text
 from .models import ModelParams, forward_bags
-from .models import forward_bag  # noqa: F401  the benchmark's tracer wraps it here
 
 EVAL_MODES = ("ensemble", "per_split")
 

@@ -4,39 +4,38 @@ baseline fusion schemes, attention pooling, and the bag classifier.
 A bag travels through the model as feature-major matrices, one column
 per instance, with the scales on an array axis: the n instances enter as
 (S', E, n), an (E, n) slice per encoder scale (S' = 1 for
-``single_scale``, else S). Each layer has one forward kernel, plain numpy
-with an optional leading batch axis, and a backward written by hand:
+``single_scale``, else S). Each layer is one forward kernel, plain numpy
+with an optional leading batch axis, and one backward kernel written by
+hand. By the name its errors give, each layer is:
 
-- ``mi_fcn_encode``: per scale, two fully-connected layers with a ReLU
-  between, (S', E, n) -> (S', L, n);
-- ``cross_scale_attention``: per-scale logits w^T act(V f_s), softmaxed
-  over the scale axis into (S, n) scores that weight the (S, L, n)
-  encodings into fused (L, n) columns;
-- ``fuse``: the other fusions, a reshape or a sum over the scales;
-- ``instance_pool``: one attention-logit row over the items, softmaxed
-  within each row of a (K, n) cluster-membership mask into weights that
-  pool the columns into one (F, 1) vector per cluster (zeros for an
-  empty cluster);
-- ``classifier_head``: a linear map of the concatenated pools and a
-  log-softmax, (F, K) -> (2, 1).
+- ``mi_fcn_encode`` (``_encode``): per scale, two fully-connected layers
+  with a ReLU between, (S', E, n) -> (S', L, n);
+- ``cross_scale_attention`` (``_attend``, ``_fuse_scales``): per-scale
+  logits w^T act(V f_s), softmaxed over the scale axis into (S, n)
+  scores that weight the (S, L, n) encodings into fused (L, n) columns;
+- the fusion's own name (``_fuse``) for the other fusions: a reshape or
+  a sum over the scales;
+- ``instance_pool`` (``_pool``): one attention-logit row over the items,
+  softmaxed within each row of a (K, n) cluster-membership mask into
+  weights that pool the columns into one (F, 1) vector per cluster
+  (zeros for an empty cluster);
+- ``classifier_head`` (``_classify``): a linear map of the concatenated
+  pools and a log-softmax, (F, K) -> (2, 1);
+- ``nll_loss`` (``_nll``): the negative log-probability of the true class.
 
-The loss, ``nll_loss``, is the negative log-probability of the true
-class. Each layer's backward is one kernel too, which maps the gradient
-of its output to its input's and writes its parameters' gradients into
-given arrays.
+Each backward kernel maps the gradient of its layer's output to its
+input's (the encoder's input is data and gets none) and writes its
+parameters' gradients into given arrays.
 
 Parameters are views into one flat vector, so the optimizer steps them
 all in place; each kernel reads its weights as views of that vector,
 one kind stacked over the scales where the layer has one per scale.
-``train_step`` is a training step: the forward kernels, then the
-backward kernels from the loss down to the encoder, each parameter's
-gradient written into its slot of a buffer laid out like the flat
-vector, with no graph. ``forward_bag`` runs one bag through the same
-kernels as autodiff nodes, one per layer, six with the input and the
-loss; it and the Tensor layer functions are the graph API the tests
-check gradients on. ``forward_bags`` runs equal-size bags through the
-forward kernels stacked on a leading axis a block at a time, for
-validation and scoring; attention maps run each patient's locations
+``train_step`` is the one place that composes the backward: the forward
+kernels, then the backward kernels from the loss down to the encoder,
+each parameter's gradient written into its slot of a gradient buffer
+laid out like the parameters. ``forward_bags`` runs equal-size bags
+through the forward kernels stacked on a leading axis a block at a time,
+for validation and scoring; attention maps run each patient's locations
 through the encoder and attention kernels as one group, for the scores
 alone. A stacked bag or scale gives the bits it gives alone, because
 each (E, n) input slice is contiguous and the classifier takes a
@@ -58,10 +57,9 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
 from .clustering import Bag
 from .data import Dataset
-from .errors import ConfigError, ContractError, DimensionError, check_choice, check_int
+from .errors import ConfigError, ContractError, check_choice, check_int
 
 FUSIONS = ("cross_scale_attention", "concat", "add", "single_scale", "instance_pool")
 SHARINGS = ("shared", "per_scale")
@@ -139,12 +137,11 @@ class ModelParams:
 
     ``flat``, a copy of the values given, holds every parameter in
     ``param_layout(config)`` order. ``layers``, the arrays the kernels
-    read, and ``tensors``, the graph leaves the Tensor layer functions
-    take (built on first use, so the graph-free paths make none), are
-    views into it, so an optimizer can step them all in place. Write
-    values through the views: a tensor whose ``data`` is rebound no
-    longer follows ``flat``. A pickled ``ModelParams`` is its config and
-    ``flat``; unpickling builds the views again.
+    read, are views into it, so an optimizer can step them all in place.
+    A gradient buffer is a ``ModelParams`` too: ``train_step`` writes
+    through its ``layers``, and the optimizer reads its ``flat``. A
+    pickled ``ModelParams`` is its config and ``flat``; unpickling builds
+    the views again.
     """
 
     def __init__(self, config: ModelConfig, flat: np.ndarray):
@@ -158,23 +155,8 @@ class ModelParams:
     def __reduce__(self):
         return ModelParams, (self.config, self.flat)
 
-    @functools.cached_property
-    def tensors(self) -> dict[str, Tensor]:
-        return {
-            name: Tensor(_view(self.flat, start, shape), requires_grad=True)
-            for name, (start, shape) in _offsets(self.config).items()
-        }
-
-    def __getitem__(self, name: str) -> Tensor:
-        return self.tensors[name]
-
     def names(self) -> list[str]:
         return list(_offsets(self.config))
-
-    def attention_pair(self, scale: int) -> tuple[Tensor, Tensor]:
-        if self.config.attention_sharing == "shared":
-            return self.tensors["attn.v"], self.tensors["attn.w"]
-        return self.tensors[f"attn{scale}.v"], self.tensors[f"attn{scale}.w"]
 
 
 def param_layout(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], int]]:
@@ -295,46 +277,23 @@ def _encode(x: np.ndarray, weights: Sequence[np.ndarray]) -> tuple[np.ndarray, .
 
 def _encode_backward(
     g: np.ndarray, x: np.ndarray, h: np.ndarray, weights: Sequence[np.ndarray],
-    grads: Sequence[np.ndarray], need_x: bool,
-) -> np.ndarray | None:
+    grads: Sequence[np.ndarray],
+) -> None:
     """Encoder backward: the gradient g (S', L, n) of the encodings ->
     the W1, b1, W2 and b2 gradients, written into ``grads`` (stacked as
-    ``weights`` are), and the input's gradient if ``need_x``."""
-    w1, _, w2, _ = weights
+    ``weights`` are). The input is data, so it gets no gradient."""
+    _, _, w2, _ = weights
     g_w1, g_b1, g_w2, g_b2 = grads
     g_pre = (w2.swapaxes(-1, -2) @ g) * (h > 0.0)  # h > 0 where its pre-activation is
     np.matmul(g_pre, x.swapaxes(-1, -2), out=g_w1)
     np.sum(g_pre, axis=-1, keepdims=True, out=g_b1)
     np.matmul(g, h.swapaxes(-1, -2), out=g_w2)
     np.sum(g, axis=-1, keepdims=True, out=g_b2)
-    return w1.swapaxes(-1, -2) @ g_pre if need_x else None
-
-
-def mi_fcn_encode(x: Tensor, params: ModelParams) -> Tensor:
-    """Two fully-connected layers with a ReLU between, one encoder per scale:
-    (S', E, n) -> (S', L, n), where S' counts the encoder scales."""
-    weights, xd = params.layers.encoder, x.data
-    out, h = _encode(xd, weights)
-
-    def grad_fn(g):
-        grads = [np.empty_like(w) for w in weights]
-        g_x = _encode_backward(g, xd, h, weights, grads, x.requires_grad)
-        return (g_x, *(grad[s] for s in range(len(xd)) for grad in grads))
-
-    kinds = ("w1", "b1", "w2", "b2")
-    leaves = [params[f"encoder{s}.{kind}"] for s in params.config.encoder_scales for kind in kinds]
-    return ad.custom_op("mi_fcn_encode", out, (x, *leaves), grad_fn)
-
-
-@dataclass
-class CrossScaleAttentionOutput:
-    fused: Tensor  # (L, n)
-    scores: np.ndarray  # (S, n), positive, each column sums to 1; no gradient
 
 
 def _attend(f: np.ndarray, v: np.ndarray, w_rows: np.ndarray, tanh: bool) -> tuple[np.ndarray, ...]:
     """Cross-scale attention kernel: (..., S, L, n) encodings, V and the
-    C-contiguous w^T rows (as the primitive transpose gives) -> scores
+    C-contiguous w^T rows -> scores
     (..., S, n) softmaxed over the scales, then the pre-activation and
     activation the backward reads."""
     op = "cross_scale_attention"
@@ -376,43 +335,13 @@ def _attend_backward(
     return g * scores[:, None] + v.swapaxes(-1, -2) @ g_pre
 
 
-def cross_scale_attention(encodings: Tensor, params: ModelParams) -> CrossScaleAttentionOutput:
-    """Softmax-weighted fusion of each location's per-scale encodings.
-
-    ``encodings`` (S, L, n) holds the (L, n) encodings f_s of n locations
-    at each scale s. Per scale, logit_s = w^T act(V f_s) is a (1, n) row;
-    the (S, n) logits are softmaxed over the scale axis into scores a, and
-    location i's fused column is sum_s a[s, i] f_s[:, i]. Gradients reach
-    the encodings and the attention parameters through ``fused``.
-    """
-    f, cfg = encodings.data, params.config
-    if f.ndim != 3 or len(f) != cfg.n_scales:
-        raise ContractError(f"cross_scale_attention needs ({cfg.n_scales}, L, n), got {f.shape}")
-    tanh = cfg.attention_activation == "tanh"
-    leaves = list(dict.fromkeys(t for s in range(len(f)) for t in params.attention_pair(s)))
-    layer = params.layers.attention
-    saved = _attend(f, *layer, tanh)
-    fused = _fuse_scales(f, saved[0])
-
-    def grad_fn(g):
-        g_v, g_w_rows = grads = [np.empty_like(a) for a in layer]
-        g_f = _attend_backward(g, f, saved, layer, tanh, grads)
-        if g_v.ndim == 2:
-            return g_f, g_v, g_w_rows.reshape(-1, 1)
-        return (g_f, *(gp for s in range(len(f)) for gp in (g_v[s], g_w_rows[s].reshape(-1, 1))))
-
-    fused_t = ad.custom_op("cross_scale_attention", fused, (encodings, *leaves), grad_fn)
-    return CrossScaleAttentionOutput(fused_t, saved[0])
-
-
 def _pool(
     x: np.ndarray, mask: np.ndarray, v: np.ndarray, w_row: np.ndarray, u: np.ndarray | None
 ) -> tuple[np.ndarray, ...]:
     """Per-cluster pooling kernel: (..., F, m) items and (..., K, m) masks ->
     pooled (..., F, K) and weights (..., K, m), then the transposed
     weights, tanh layer, gate (None unless ``u`` is given) and activation
-    the backward reads. ``w_row`` is w^T as a C-contiguous row, as the
-    primitive transpose gives."""
+    the backward reads. ``w_row`` is w^T as a C-contiguous row."""
     op = "instance_pool"
     with np.errstate(over="ignore", invalid="ignore"):
         h = np.tanh(ad.check_finite(v @ x, op))
@@ -434,12 +363,12 @@ def _pool(
 
 def _pool_backward(
     g: np.ndarray, x: np.ndarray, saved: Sequence[np.ndarray | None],
-    layer: Sequence[np.ndarray | None], grads: Sequence[np.ndarray | None], need_x: bool,
-) -> np.ndarray | None:
+    layer: Sequence[np.ndarray | None], grads: Sequence[np.ndarray | None],
+) -> np.ndarray:
     """Pooling backward: the gradient g (F, K) of the pools, the items x
     (F, m) and what ``_pool`` ``saved`` after the pools -> the V, w^T-row
     and U gradients, written into ``grads`` (laid out as ``layer``, U's
-    None without a gate), and the items' gradient if ``need_x``."""
+    None without a gate), and the items' gradient."""
     weights, weights_t, h, gate, act = saved
     v, w_row, u = layer
     g_v, g_w_row, g_u = grads
@@ -453,49 +382,9 @@ def _pool_backward(
     if u is not None:
         g_gate = g_act * h * gate * (1.0 - gate)
         np.matmul(g_gate, x.T, out=g_u)
-    if not need_x:
-        return None
     # the three paths add in a fixed order: pooling, V, U
     g_x = g @ weights_t.T + v.T @ g_pre
     return g_x if u is None else g_x + u.T @ g_gate
-
-
-def instance_pool(
-    items: Tensor, params: ModelParams, mask: np.ndarray | None = None
-) -> tuple[Tensor, np.ndarray]:
-    """Attention pooling, plain or gated as ``params`` are, of the m columns
-    of ``items`` (F, m) into K pools.
-
-    Row k of the boolean (K, m) ``mask`` marks the items pool k takes;
-    without a mask there is one pool of every item. Returns (pooled,
-    weights): pooled is (F, K), column k the attention-weighted sum of
-    pool k's items (zeros for an empty pool), and weights is the (K, m)
-    array of attention weights, through which no gradient flows of its
-    own. Gradients reach the items and the pooling parameters through
-    ``pooled``.
-    """
-    if items.data.ndim != 2 or items.shape[1] == 0:
-        raise ContractError(f"instance_pool needs at least one (F, 1) item, got {items.shape}")
-    if mask is None:
-        mask = np.ones((1, items.shape[1]), dtype=bool)
-    mask = np.asarray(mask)
-    if mask.dtype != np.bool_:
-        raise ContractError(f"instance_pool: mask must be boolean, got {mask.dtype}")
-    if mask.ndim != 2 or mask.shape[1] != items.shape[1]:
-        raise DimensionError(f"instance_pool: mask {mask.shape} does not fit items {items.shape}")
-    gated = params.config.pooling == "gated"
-    leaves = [params["pool.v"], params["pool.w"]] + ([params["pool.u"]] if gated else [])
-    xd, layer = items.data, params.layers.pool
-    pooled, *saved = _pool(xd, mask, *layer)
-
-    def grad_fn(g):
-        grads = [None if a is None else np.empty_like(a) for a in layer]
-        g_items = _pool_backward(g, xd, saved, layer, grads, items.requires_grad)
-        g_v, g_w_row, g_u = grads
-        return (g_items, g_v, g_w_row.reshape(-1, 1)) + ((g_u,) if gated else ())
-
-    weights = saved[0]
-    return ad.custom_op("instance_pool", pooled, (items, *leaves), grad_fn), weights
 
 
 def _classify(pooled: np.ndarray, layer: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -527,23 +416,6 @@ def _classify_backward(
     return (layer[0].T @ g_logits).reshape(shape[::-1]).T.copy()
 
 
-def classifier_head(pooled: Tensor, params: ModelParams) -> Tensor:
-    """Log-probabilities (2, 1) of a linear map of the K pooled columns (F, K).
-
-    Cluster k's pooled vector fills rows k*F ... k*F + F-1 of the
-    classifier's input.
-    """
-    layer = params.layers.classifier
-    saved = _classify(pooled.data, layer)
-
-    def grad_fn(g):
-        grads = [np.empty_like(a) for a in layer]
-        return (_classify_backward(g, saved, pooled.shape, layer, grads), *grads)
-
-    leaves = (params["classifier.w"], params["classifier.b"])
-    return ad.custom_op("classifier_head", saved[0], (pooled, *leaves), grad_fn)
-
-
 def _nll(log_probs: np.ndarray, label: int) -> tuple[np.ndarray, np.ndarray]:
     """Loss kernel: log-probabilities (2, 1) and the true class -> the
     loss -(log_probs . onehot), rounded as a product, a sum and a
@@ -562,12 +434,6 @@ def _nll(log_probs: np.ndarray, label: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _nll_backward(g: np.ndarray, onehot: np.ndarray) -> np.ndarray:
     return np.broadcast_to(g * -1.0, onehot.shape) * onehot
-
-
-def nll_loss(log_probs: Tensor, label: int) -> Tensor:
-    """Negative log-likelihood of the true class; stays on the graph."""
-    value, onehot = _nll(log_probs.data, label)
-    return ad.custom_op("nll_loss", value, (log_probs,), lambda g: (_nll_backward(g, onehot),))
 
 
 @dataclass(frozen=True)
@@ -638,12 +504,6 @@ def _fuse_backward(g: np.ndarray, shape: tuple[int, int, int], fusion: str) -> n
     return np.broadcast_to(g, (s, l, n)).copy()
 
 
-def fuse(f: Tensor, fusion: str) -> Tensor:
-    """``_fuse`` of encodings ``f`` (S, L, n) as one graph node."""
-    items = _fuse(f.data, fusion)
-    return ad.custom_op(fusion, items, (f,), lambda g: (_fuse_backward(g, f.shape, fusion),))
-
-
 def _cluster_members(clusters: np.ndarray, cfg: ModelConfig) -> np.ndarray:
     """The (..., K, n) pooling mask of bag clusters (..., n), a ConfigError
     if a cluster is outside the model's; with ``instance_pool`` fusion each
@@ -655,34 +515,19 @@ def _cluster_members(clusters: np.ndarray, cfg: ModelConfig) -> np.ndarray:
     return np.tile(members, cfg.n_scales) if cfg.fusion == "instance_pool" else members
 
 
-def forward_bag(bag: Bag, params: ModelParams) -> Tensor:
-    """Full bag pass on the graph: encode, fuse, pool per cluster, classify.
-
-    Returns log-probabilities over the two classes as a (2, 1) tensor.
-    """
-    cfg = params.config
-    members = _cluster_members(bag.clusters, cfg)
-    f = mi_fcn_encode(Tensor(_scale_inputs(bag.patient.emb[bag.index], cfg)), params)
-    attend = cfg.fusion == "cross_scale_attention"
-    items = cross_scale_attention(f, params).fused if attend else fuse(f, cfg.fusion)
-    pooled, _ = instance_pool(items, params, members)
-    return classifier_head(pooled, params)
-
-
-def train_step(bag: Bag, params: ModelParams, grad: np.ndarray) -> float:
+def train_step(bag: Bag, params: ModelParams, grad: ModelParams) -> float:
     """The loss of one training bag, with its gradient written into
-    ``grad``, a buffer laid out like ``params.flat``, and no graph.
+    ``grad``, a gradient buffer of the same config.
 
-    The forward kernels run as ``forward_bag`` runs them, then each
-    layer's backward kernel from the loss down to the encoder, as the
-    tape's sweep reaches them, writing every parameter's gradient into
-    its slot. The loss and every slot equal, to the bit,
-    ``nll_loss(forward_bag(bag, params), bag.label)`` and the ``.grad``
-    its backward gives each tensor, and a value that leaves the finite
-    range raises the error the graph would, naming the same layer.
+    The forward kernels run as ``forward_bags`` runs them on one bag, so
+    the loss is, to the bit, the one ``forward_bags([bag], params)``'s
+    log-probabilities give. Then each layer's backward kernel runs, from
+    the loss down to the encoder, writing every parameter's gradient
+    through ``grad.layers`` into its slot of ``grad.flat``. A value that
+    leaves the finite range raises an error naming its layer.
     """
     cfg = params.config
-    layers, slots = params.layers, _layer_arrays(grad, cfg)
+    layers, slots = params.layers, grad.layers
     members = _cluster_members(bag.clusters, cfg)
     x = ad.check_finite(_scale_inputs(bag.patient.emb[bag.index], cfg), "leaf")
     f, h = _encode(x, layers.encoder)
@@ -698,12 +543,12 @@ def train_step(bag: Bag, params: ModelParams, grad: np.ndarray) -> float:
 
     g = _nll_backward(np.ones_like(loss), onehot)
     g = _classify_backward(g, (log_probs, z), pooled.shape, layers.classifier, slots.classifier)
-    g = _pool_backward(g, items, pool_saved, layers.pool, slots.pool, need_x=True)
+    g = _pool_backward(g, items, pool_saved, layers.pool, slots.pool)
     if attend:
         g = _attend_backward(g, f, attended, layers.attention, tanh, slots.attention)
     else:
         g = _fuse_backward(g, f.shape, cfg.fusion)
-    _encode_backward(g, x, h, layers.encoder, slots.encoder, need_x=False)
+    _encode_backward(g, x, h, layers.encoder, slots.encoder)
     return float(loss)
 
 
@@ -716,10 +561,10 @@ _BLOCK_INSTANCES = 128
 
 
 def forward_bags(bags: Sequence[Bag], params: ModelParams) -> np.ndarray:
-    """Log-probabilities (B, 2) of equal-size bags, with no graph.
+    """Log-probabilities (B, 2) of equal-size bags.
 
-    Row i equals ``forward_bag(bags[i], params)`` to the bit: a block of
-    bags at a time runs through the same layer kernels, stacked on a
+    Row i equals ``forward_bags([bags[i]], params)`` to the bit: a block
+    of bags at a time runs through the layer kernels, stacked on a
     leading axis.
     """
     sizes = sorted({len(bag.index) for bag in bags})
@@ -750,8 +595,8 @@ def attention_records(
 
     Scores depend only on the location itself, not on bag composition, so
     each patient's locations go through the encoders and the attention
-    scores together, without the graph and without the fused encodings the
-    scores would weight. Patients are looked up by id, in the order given
+    scores together, without the fused encodings the scores would weight.
+    Patients are looked up by id, in the order given
     (default: the whole dataset). Values are plain Python numbers so CSV
     output stays repr-stable.
     """

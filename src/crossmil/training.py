@@ -3,9 +3,9 @@
 Training follows a fixed recipe: per epoch, one cluster-balanced bag per
 training patient, NLL loss per bag, one adaptive-moment gradient step
 per bag, then a validation pass; the returned parameters are the ones
-with the lowest validation loss. A step makes no graph:
-``models.train_step`` writes the bag's gradient straight into the
-optimizer's flat buffer, and ``Adam.step`` reads it. Splits train on up to
+with the lowest validation loss. A step is ``models.train_step``, which
+writes the bag's gradient straight into the optimizer's gradient buffer,
+then ``Adam.step``, which reads it. Splits train on up to
 ``min(n_splits, usable CPUs)`` processes, with the same bytes as the
 sequential loop.
 """
@@ -26,7 +26,6 @@ from .data import Dataset
 from .errors import ContractError, CrossmilError, DomainError, TrainingError
 from .errors import check_bool, check_int, check_real
 from .models import ModelConfig, ModelParams, forward_bags, init_params, train_step
-from .models import forward_bag  # noqa: F401  the benchmark's tracer wraps it here
 
 _VAL_BAG_TAG = 0x56414C  # keeps validation bag streams apart from train streams
 
@@ -78,9 +77,10 @@ class Adam:
     buffer and which every parameter view shares, so a step is a few
     whole-buffer operations in place. Each element goes through the
     per-tensor formula's operations in the same order, so results are the
-    same to the bit. Before each step the caller writes every
-    parameter's gradient into ``grad`` (``train_step`` does); the step
-    then uses that buffer as scratch.
+    same to the bit. ``grad`` is a ``ModelParams`` of the model's config,
+    so its views are built once: before each step the caller writes every
+    parameter's gradient through its ``layers`` (``train_step`` does),
+    and the step reads ``grad.flat``, then uses it as scratch.
     """
 
     def __init__(self, params: ModelParams, cfg: TrainConfig):
@@ -89,14 +89,14 @@ class Adam:
         self.t = 0
         self._values = params.flat
         n = params.flat.size
-        self.m, self.v = np.zeros(n), np.zeros(n)
-        self.grad, self._upd = np.empty((2, n))
+        self.m, self.v, self._upd = np.zeros(n), np.zeros(n), np.empty(n)
+        self.grad = ModelParams(params.config, np.zeros(n))
 
     def step(self) -> None:
         self.t += 1
         b1t = 1.0 - self.beta1**self.t
         b2t = 1.0 - self.beta2**self.t
-        g, upd, m, v = self.grad, self._upd, self.m, self.v
+        g, upd, m, v = self.grad.flat, self._upd, self.m, self.v
         # m = beta1 * m + (1 - beta1) * g;  v = beta2 * v + (1 - beta2) * g**2
         np.multiply(g, 1 - self.beta1, out=upd)
         np.add(np.multiply(m, self.beta1, out=m), upd, out=m)
@@ -144,10 +144,12 @@ def make_splits(dataset: Dataset, n_splits: int, seed: int = 0) -> tuple[Split, 
 def _epoch_loss(
     ids: tuple[str, ...], params: ModelParams, bags: dict[str, Bag]
 ) -> float:
-    """Mean NLL of the bags of ``ids``, scored together without a graph.
+    """Mean NLL of the bags of ``ids``, scored together in one forward.
 
-    Each bag's loss is ``nll_loss``'s -(log_probs . onehot), and the
-    losses are added as Python floats in id order.
+    Each bag's loss is -(log_probs . onehot), rounded as
+    ``models._nll`` rounds it, so a bag scored alone gives the loss
+    ``train_step`` returns for it, to the bit. The losses are added as
+    Python floats in id order.
     """
     batch = [bags[pid] for pid in ids]
     onehot = np.eye(2)[[bag.label for bag in batch]]

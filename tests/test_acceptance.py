@@ -13,8 +13,6 @@ import time
 import numpy as np
 import pytest
 
-from crossmil import autodiff as ad
-from crossmil.autodiff import Tensor
 from crossmil.cli import main
 from crossmil.clustering import cluster_dataset, kmeans
 from crossmil.data import SyntheticSpec, generate_synthetic, split_train_test
@@ -28,26 +26,29 @@ from crossmil.evaluation import (
 from crossmil.experiments import bag_size_ablation, train_and_evaluate, write_ablation_csv
 from crossmil.models import (
     ModelConfig,
+    ModelParams,
+    _attend,
+    _attend_backward,
+    _classify,
+    _classify_backward,
+    _encode,
+    _encode_backward,
+    _fuse_scales,
+    _nll,
+    _nll_backward,
+    _pool,
+    _pool_backward,
     attention_records,
-    cross_scale_attention,
     init_params,
-    instance_pool,
-    mi_fcn_encode,
-    nll_loss,
 )
 from crossmil.training import TrainConfig
-from helpers import central_difference
+from helpers import central_difference, param_views, relative_error
 
 SIGNAL_SEEDS = (0, 1, 2)
 
 
 def _pass(criterion, detail):
     print(f"\n[criterion {criterion:2d}] PASS: {detail}")
-
-
-def _rel_err(analytic, numeric):
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1.0)
-    return float((np.abs(analytic - numeric) / denom).max())
 
 
 @pytest.fixture(scope="module")
@@ -85,8 +86,22 @@ def signal_runs():
 
 
 def test_c01_gradient_suite_all_layers_20_seeds():
+    """Each layer's backward kernel against central differences of its
+    forward kernel, for every parameter the layer reads."""
     start = time.perf_counter()
     worst = 0.0
+
+    def error(params, prefix, loss, backward):
+        """Worst relative error over the parameters named ``prefix``...
+        between the slots ``backward(slots)`` writes and central
+        differences of ``loss()``."""
+        grad = ModelParams(params.config, np.zeros_like(params.flat))
+        backward(grad.layers)
+        values, slots = param_views(params), param_views(grad)
+        names = [n for n in params.names() if n.startswith(prefix)]
+        numeric = central_difference(loss, [values[n] for n in names])
+        return max(relative_error(slots[n], num) for n, num in zip(names, numeric))
+
     for seed in range(20):
         rng = np.random.default_rng(seed)
 
@@ -94,19 +109,15 @@ def test_c01_gradient_suite_all_layers_20_seeds():
         cfg = ModelConfig(embed_dim=4, encoder_dim=3, attention_hidden=2,
                           n_clusters=2, n_scales=3)
         params = init_params(cfg, seed=seed)
+        enc = params.layers.encoder
         # one draw each, fed to every scale's encoder
-        x = Tensor(np.tile(rng.uniform(-2, 2, (4, 1)), (3, 1, 1)))
-        probe = Tensor(np.tile(rng.uniform(-1, 1, (3, 1)), (3, 1, 1)))
-        enc_tensors = [params.tensors[n] for n in params.names() if n.startswith("encoder")]
-
-        def enc_loss():
-            return (mi_fcn_encode(x, params) * probe).sum()
-
-        ad.zero_grads(enc_tensors)
-        ad.backward(enc_loss())
-        numeric = central_difference(lambda: enc_loss().item(), enc_tensors)
-        for t, num in zip(enc_tensors, numeric):
-            worst = max(worst, _rel_err(t.grad, num))
+        x = np.tile(rng.uniform(-2, 2, (4, 1)), (3, 1, 1))
+        probe = np.tile(rng.uniform(-1, 1, (3, 1)), (3, 1, 1))
+        worst = max(worst, error(
+            params, "encoder",
+            lambda: float((_encode(x, enc)[0] * probe).sum()),
+            lambda slots: _encode_backward(probe, x, _encode(x, enc)[1], enc, slots.encoder),
+        ))
 
         # cross-scale attention, all four design variants
         for sharing in ("shared", "per_scale"):
@@ -117,58 +128,56 @@ def test_c01_gradient_suite_all_layers_20_seeds():
                     attention_activation=activation,
                 )
                 vparams = init_params(vcfg, seed=seed + 100)
-                fs = Tensor(rng.uniform(-2, 2, (3, 3, 1)))
-                vprobe = Tensor(rng.uniform(-1, 1, (3, 1)))
-                attn_tensors = [
-                    vparams.tensors[n] for n in vparams.names() if n.startswith("attn")
-                ]
+                attn, tanh = vparams.layers.attention, activation == "tanh"
+                fs = rng.uniform(-2, 2, (3, 3, 1))
+                vprobe = rng.uniform(-1, 1, (3, 1))
 
                 def attn_loss():
-                    out = cross_scale_attention(fs, vparams)
-                    return (out.fused * vprobe).sum()
+                    return float((_fuse_scales(fs, _attend(fs, *attn, tanh)[0]) * vprobe).sum())
 
-                ad.zero_grads(attn_tensors)
-                ad.backward(attn_loss())
-                numeric = central_difference(lambda: attn_loss().item(), attn_tensors)
-                for t, num in zip(attn_tensors, numeric):
-                    worst = max(worst, _rel_err(t.grad, num))
+                def attn_backward(slots):
+                    saved = _attend(fs, *attn, tanh)
+                    _attend_backward(vprobe, fs, saved, attn, tanh, slots.attention)
+
+                worst = max(worst, error(vparams, "attn", attn_loss, attn_backward))
 
         # attention pooling, plain and gated
         for pooling in ("plain", "gated"):
             pcfg = ModelConfig(embed_dim=4, encoder_dim=3, attention_hidden=2,
                                n_clusters=2, n_scales=3, pooling=pooling)
             pparams = init_params(pcfg, seed=seed + 200)
-            hs = [Tensor(rng.uniform(-2, 2, (3, 1))) for _ in range(4)]
-            pprobe = Tensor(rng.uniform(-1, 1, (3, 1)))
-            pool_tensors = [pparams.tensors[n] for n in pparams.names() if n.startswith("pool")]
+            pool = pparams.layers.pool
+            items = np.hstack([rng.uniform(-2, 2, (3, 1)) for _ in range(4)])
+            pprobe = rng.uniform(-1, 1, (3, 1))
+            one_pool = np.ones((1, 4), dtype=bool)
 
             def pool_loss():
-                pooled, _ = instance_pool(ad.concat(hs, axis=1), pparams)
-                return (pooled * pprobe).sum()
+                return float((_pool(items, one_pool, *pool)[0] * pprobe).sum())
 
-            ad.zero_grads(pool_tensors)
-            ad.backward(pool_loss())
-            numeric = central_difference(lambda: pool_loss().item(), pool_tensors)
-            for t, num in zip(pool_tensors, numeric):
-                worst = max(worst, _rel_err(t.grad, num))
+            def pool_backward(slots):
+                saved = _pool(items, one_pool, *pool)[1:]
+                _pool_backward(pprobe, items, saved, pool, slots.pool)
+
+            worst = max(worst, error(pparams, "pool", pool_loss, pool_backward))
 
         # classifier head through log-softmax and NLL
         ccfg = ModelConfig(embed_dim=4, encoder_dim=3, attention_hidden=2,
                            n_clusters=2, n_scales=3)
         cparams = init_params(ccfg, seed=seed + 300)
-        z = Tensor(rng.uniform(-2, 2, (2 * 3, 1)))
+        clf = cparams.layers.classifier
+        z = rng.uniform(-2, 2, (2 * 3, 1))
         label = int(rng.integers(2))
-        clf_tensors = [cparams.tensors["classifier.w"], cparams.tensors["classifier.b"]]
+        pooled = z.reshape(2, 3).T.copy()  # the (F, K) pools whose column z is
 
         def clf_loss():
-            logits = cparams.tensors["classifier.w"] @ z + cparams.tensors["classifier.b"]
-            return nll_loss(ad.log_softmax(logits, axis=0), label)
+            return float(_nll(_classify(pooled, clf)[0], label)[0])
 
-        ad.zero_grads(clf_tensors)
-        ad.backward(clf_loss())
-        numeric = central_difference(lambda: clf_loss().item(), clf_tensors)
-        for t, num in zip(clf_tensors, numeric):
-            worst = max(worst, _rel_err(t.grad, num))
+        def clf_backward(slots):
+            saved = _classify(pooled, clf)
+            g = _nll_backward(np.ones(()), _nll(saved[0], label)[1])
+            _classify_backward(g, saved, pooled.shape, clf, slots.classifier)
+
+        worst = max(worst, error(cparams, "classifier", clf_loss, clf_backward))
 
     elapsed = time.perf_counter() - start
     assert worst <= 1e-4, f"worst relative gradient error {worst}"
@@ -183,16 +192,14 @@ def test_c02_attention_scores_normalize():
     rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(1000):
-        fs = Tensor(rng.uniform(-2, 2, (3, 6, 1)))
-        scores = cross_scale_attention(fs, params).scores
+        scores = _attend(rng.uniform(-2, 2, (3, 6, 1)), *params.layers.attention, False)[0]
         worst = max(worst, abs(scores.sum() - 1.0))
         assert (scores > 0).all()
     assert worst <= 1e-9
 
-    params.tensors["attn.w"].data[...] = np.zeros((4, 1))
+    param_views(params)["attn.w"][...] = np.zeros((4, 1))
     for _ in range(100):
-        fs = Tensor(rng.uniform(-2, 2, (3, 6, 1)))
-        scores = cross_scale_attention(fs, params).scores
+        scores = _attend(rng.uniform(-2, 2, (3, 6, 1)), *params.layers.attention, False)[0]
         assert np.abs(scores - 1.0 / 3.0).max() <= 1e-12
     _pass(2, f"1000 instances sum to 1 within {worst:.1e}; zero kernel is uniform to 1e-12")
 

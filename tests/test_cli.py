@@ -485,7 +485,7 @@ class TestEval:
         loaded = _load_checkpoints(tmp_path)
         for params, split in zip(loaded, (9, 10, 100), strict=True):
             expected = init_params(cfg, seed=split)
-            np.testing.assert_array_equal(params["classifier.w"].data, expected["classifier.w"].data)
+            np.testing.assert_array_equal(params.layers.classifier[0], expected.layers.classifier[0])
 
     def test_eval_without_checkpoints_exits_2(self, workspace, tmp_path):
         root, c = workspace

@@ -9,12 +9,11 @@ import numpy as np
 import pytest
 
 from crossmil import autodiff as ad
-from crossmil.autodiff import Tensor
 from crossmil.checkpoint import save_checkpoint
 from crossmil.clustering import cluster_dataset
 from crossmil.data import SyntheticSpec, generate_synthetic
 from crossmil.errors import ConfigError, ContractError, CrossmilError, TrainingError
-from crossmil.models import ModelConfig, init_params, nll_loss
+from crossmil.models import ModelConfig, _nll, init_params
 from crossmil.training import (
     Adam,
     TrainConfig,
@@ -23,6 +22,7 @@ from crossmil.training import (
     train_one_split,
     write_loss_curves,
 )
+from helpers import leaf_tensors, named_layer_arrays, param_views
 
 
 def small_dataset(seed=0, signal=1.0, n_per_class=6, n_locations=10, dim=8):
@@ -53,32 +53,37 @@ def small_model(dataset, k=4):
     )
 
 
+def nll(log_probs, label):
+    """The loss kernel's value for a (2, 1) log-probability column."""
+    return float(_nll(np.asarray(log_probs, dtype=float), label)[0])
+
+
 class TestNllLoss:
     def test_even_split_gives_ln_two(self):
-        lp = Tensor(np.log([[0.5], [0.5]]))
-        assert nll_loss(lp, 1).item() == pytest.approx(math.log(2), abs=1e-12)
+        lp = np.log([[0.5], [0.5]])
+        assert nll(lp, 1) == pytest.approx(math.log(2), abs=1e-12)
 
     def test_confident_correct_goes_to_zero(self):
         for eps in (1e-3, 1e-6, 1e-9):
-            lp = Tensor(np.log([[1 - eps], [eps]]))
-            assert nll_loss(lp, 0).item() == pytest.approx(0.0, abs=2 * eps)
+            lp = np.log([[1 - eps], [eps]])
+            assert nll(lp, 0) == pytest.approx(0.0, abs=2 * eps)
 
     def test_matches_direct_negative_log(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             p = rng.uniform(0.01, 0.99)
-            lp = Tensor(np.log([[p], [1 - p]]))
-            assert nll_loss(lp, 0).item() == -math.log(p)
-            assert nll_loss(lp, 1).item() == -math.log(1 - p)
+            lp = np.log([[p], [1 - p]])
+            assert nll(lp, 0) == -math.log(p)
+            assert nll(lp, 1) == -math.log(1 - p)
 
     def test_invalid_label_rejected(self):
-        lp = Tensor(np.log([[0.5], [0.5]]))
+        lp = np.log([[0.5], [0.5]])
         with pytest.raises(ContractError):
-            nll_loss(lp, 2)
+            nll(lp, 2)
 
     def test_unnormalized_input_rejected(self):
         with pytest.raises(ContractError):
-            nll_loss(Tensor([[-0.1], [-0.1]]), 0)
+            nll([[-0.1], [-0.1]], 0)
 
 
 class TestTrainConfig:
@@ -143,12 +148,11 @@ class TestMakeSplits:
             assert sum(labels) == 2 and len(labels) == 4
 
 
-def per_tensor_adam_step(params, m, v, t, cfg):
+def per_tensor_adam_step(tensors, m, v, t, cfg):
     """The per-tensor update the flat Adam must reproduce bit for bit."""
     b1t = 1.0 - cfg.beta1**t
     b2t = 1.0 - cfg.beta2**t
-    for name in params.names():
-        p = params.tensors[name]
+    for name, p in tensors.items():
         m[name] = cfg.beta1 * m[name] + (1 - cfg.beta1) * p.grad
         v[name] = cfg.beta2 * v[name] + (1 - cfg.beta2) * p.grad**2
         p.data = p.data - cfg.learning_rate * (m[name] / b1t) / (np.sqrt(v[name] / b2t) + cfg.eps)
@@ -158,34 +162,35 @@ class TestAdam:
     def test_flat_step_matches_per_tensor_loop_bytes(self):
         mc = small_model(small_dataset(seed=13))
         tc = TrainConfig(learning_rate=1e-2)
-        flat, loop = init_params(mc, seed=5), init_params(mc, seed=5)
+        flat, loop = init_params(mc, seed=5), leaf_tensors(init_params(mc, seed=5))
         opt = Adam(flat, tc)
-        m = {n: np.zeros_like(t.data) for n, t in loop.tensors.items()}
-        v = {n: np.zeros_like(t.data) for n, t in loop.tensors.items()}
+        m = {n: np.zeros_like(t.data) for n, t in loop.items()}
+        v = {n: np.zeros_like(t.data) for n, t in loop.items()}
         rng = np.random.default_rng(13)
         for step in range(1, 7):
-            grads = {n: rng.normal(size=t.data.shape) for n, t in loop.tensors.items()}
-            opt.grad[:] = np.concatenate([grads[n].reshape(-1) for n in flat.names()])
-            for n, t in loop.tensors.items():
+            grads = {n: rng.normal(size=t.data.shape) for n, t in loop.items()}
+            opt.grad.flat[:] = np.concatenate([grads[n].reshape(-1) for n in flat.names()])
+            for n, t in loop.items():
                 t.grad = grads[n].copy()
             opt.step()
             per_tensor_adam_step(loop, m, v, step, tc)
         # the loop rebinds each tensor's data, so compare tensors, not ``flat``
-        init = init_params(mc, seed=5)
-        for name in loop.names():
-            assert flat.tensors[name].data.tobytes() == loop.tensors[name].data.tobytes(), name
-            assert flat.tensors[name].data.tobytes() != init.tensors[name].data.tobytes(), name
+        stepped, init = param_views(flat), param_views(init_params(mc, seed=5))
+        for name, t in loop.items():
+            assert stepped[name].tobytes() == t.data.tobytes(), name
+            assert stepped[name].tobytes() != init[name].tobytes(), name
 
     def test_unpickled_values_stay_views_that_a_step_moves(self):
         mc = small_model(small_dataset(seed=14))
         other = init_params(mc, seed=2)
         params = pickle.loads(pickle.dumps(other))
         opt = Adam(params, TrainConfig(learning_rate=1e-2))
-        opt.grad[:] = 1.0
+        opt.grad.flat[:] = 1.0
         opt.step()
-        for name, t in params.tensors.items():
-            assert np.shares_memory(t.data, params.flat)
-            assert (t.data < other.tensors[name].data).all()
+        before = param_views(other)
+        for name, a in named_layer_arrays(params).items():
+            assert np.shares_memory(a, params.flat)
+            assert (a.reshape(-1) < before[name].reshape(-1)).all()
 
 
 class TestTrainOneSplit:
@@ -198,10 +203,9 @@ class TestTrainOneSplit:
         trained = train_one_split(ds, splits[0], cm, tc, mc)
         assert len(set(trained.val_curve)) == 1  # constant validation loss
         fresh = init_params(mc, seed=int(np.random.default_rng([5, 0]).integers(2**31)))
+        trained_values, fresh_values = param_views(trained.params), param_views(fresh)
         for name in fresh.names():
-            np.testing.assert_array_equal(
-                trained.params.tensors[name].data, fresh.tensors[name].data
-            )
+            np.testing.assert_array_equal(trained_values[name], fresh_values[name])
 
     def test_no_signal_best_val_loss_near_chance(self):
         # pilot over seeds 0..2 stayed within 0.045 of ln 2; bound is 0.1
@@ -266,7 +270,7 @@ class TestTrainOneSplit:
         def poisoned_init(cfg, seed=0):
             params = init_params(cfg, seed)
             if seed == split1_seed:
-                params.tensors["attn.v"].data[0, 0] = np.inf
+                param_views(params)["attn.v"][0, 0] = np.inf
             return params
 
         monkeypatch.setattr(training, "init_params", poisoned_init)
@@ -446,7 +450,9 @@ class TestParallelSplits:
             assert (m.selection_epoch, m.train_curve, m.val_curve) == (
                 ref.selection_epoch, ref.train_curve, ref.val_curve
             )
-            assert all(t.data.base is m.params.flat for t in m.params.tensors.values())
+            assert all(
+                a.base is m.params.flat for a in named_layer_arrays(m.params).values()
+            )
 
     def test_a_worker_that_dies_is_an_error_naming_its_split(self, monkeypatch):
         # init_params is patched, not train_one_split: a replaced
