@@ -180,6 +180,8 @@ def load_cluster_model(path: str | Path) -> ClusterModel:
         doc = json.loads(read_text(Path(path)))
     except json.JSONDecodeError as e:
         raise FormatError(f"cluster model file is not valid JSON: {e}") from e
+    if not isinstance(doc, dict):
+        raise FormatError(f"cluster model file must hold a JSON object, got {type(doc).__name__}")
     try:
         k, scale, scale_index = doc["k"], doc["clustering_scale"], doc["scale_index"]
         centroids = np.asarray(doc["centroids"], dtype=np.float64)
@@ -193,7 +195,7 @@ def load_cluster_model(path: str | Path) -> ClusterModel:
             f"cluster model centroids must be a finite ({k!r}, d) array, got shape {centroids.shape}"
         )
     multi = scale == MULTI_SCALE
-    if not (scale_index is None if multi else isinstance(scale_index, int) and scale_index >= 0):
+    if not (scale_index is None if multi else type(scale_index) is int and scale_index >= 0):
         raise FormatError(
             f"cluster model scale_index {scale_index!r} does not fit clustering_scale {scale!r}"
         )

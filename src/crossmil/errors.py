@@ -13,10 +13,6 @@ class CrossmilError(Exception):
     """Base class for all package-specific errors."""
 
 
-class DimensionError(CrossmilError):
-    """Array shapes or axes do not fit the requested operation."""
-
-
 class DomainError(CrossmilError):
     """A numeric operation left its valid domain (log of non-positive,
     overflow to inf, NaN)."""

@@ -40,9 +40,11 @@ through the encoder and attention kernels as one group, for the scores
 alone. A stacked bag or scale gives the bits it gives alone, because
 each (E, n) input slice is contiguous and the classifier takes a
 (B, K*F, 1) column per bag, so every matmul runs on the strides of a
-lone one. Every intermediate that can leave the finite range is checked,
-and the error names the layer. Each kernel fixes the order in which it
-adds terms, and checkpoints depend on that order to the bit.
+lone one. Every intermediate that can leave the finite range is checked
+(``check_finite``), and the error names the layer. Each kernel fixes the
+order in which it adds terms, and checkpoints depend on that order to
+the bit. The softmax, log-softmax and sigmoid the kernels share are the
+array helpers below, shifted or split so no exponent overflows.
 """
 
 from __future__ import annotations
@@ -56,15 +58,48 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from . import autodiff as ad
 from .clustering import Bag
 from .data import Dataset
-from .errors import ConfigError, ContractError, check_choice, check_int
+from .errors import ConfigError, ContractError, DomainError, check_choice, check_int
 
 FUSIONS = ("cross_scale_attention", "concat", "add", "single_scale", "instance_pool")
 SHARINGS = ("shared", "per_scale")
 ACTIVATIONS = ("tanh", "relu")
 POOLINGS = ("plain", "gated")
+
+
+def check_finite(arr: np.ndarray, op: str) -> np.ndarray:
+    """Return ``arr``, or raise a DomainError naming ``op`` if it holds a NaN or Inf.
+
+    An overflowing sum of finite values warns as numpy does, unless the
+    caller ignores overflow, as the model layers do.
+    """
+    # a single reduction: any NaN/Inf makes the sum non-finite, and so may
+    # large finite values, which the elementwise test then rules out
+    if not math.isfinite(np.add.reduce(arr, axis=None)) and not np.isfinite(arr).all():
+        raise DomainError(f"non-finite values in result of '{op}'")
+    return arr
+
+
+def sigmoid_array(x: np.ndarray) -> np.ndarray:
+    # split on sign so neither branch exponentiates a large positive value
+    pos = x >= 0
+    y = np.empty_like(x)
+    y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ez = np.exp(x[~pos])
+    y[~pos] = ez / (1.0 + ez)
+    return y
+
+
+def softmax_array(x: np.ndarray, axis: int) -> np.ndarray:
+    shifted = x - x.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def log_softmax_array(x: np.ndarray, axis: int) -> np.ndarray:
+    shifted = x - x.max(axis=axis, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
 
 @dataclass(frozen=True)
@@ -149,7 +184,7 @@ class ModelParams:
         flat = np.array(flat, dtype=np.float64)  # owns its memory; unpickled arrays may not
         if flat.shape != (size,):
             raise ConfigError(f"{flat.shape} parameter values do not fit the config's {size}")
-        self.config, self.flat = config, ad.check_finite(flat, "leaf")
+        self.config, self.flat = config, check_finite(flat, "leaf")
         self.layers = _layer_arrays(flat, config)
 
     def __reduce__(self):
@@ -269,10 +304,10 @@ def _encode(x: np.ndarray, weights: Sequence[np.ndarray]) -> tuple[np.ndarray, .
     with np.errstate(over="ignore", invalid="ignore"):
         h = w1 @ x
         h += b1
-        np.maximum(ad.check_finite(h, op), 0.0, out=h)
+        np.maximum(check_finite(h, op), 0.0, out=h)
         out = w2 @ h
         out += b2
-        return ad.check_finite(out, op), h
+        return check_finite(out, op), h
 
 
 def _encode_backward(
@@ -298,17 +333,17 @@ def _attend(f: np.ndarray, v: np.ndarray, w_rows: np.ndarray, tanh: bool) -> tup
     activation the backward reads."""
     op = "cross_scale_attention"
     with np.errstate(over="ignore", invalid="ignore"):
-        pre = ad.check_finite(v @ f, op)  # (..., S, D, n)
+        pre = check_finite(v @ f, op)  # (..., S, D, n)
         act = np.tanh(pre) if tanh else np.maximum(pre, 0.0)
-        logits = ad.check_finite(w_rows @ act, op)[..., 0, :]  # (..., S, n)
-    return ad.softmax_array(logits, -2), pre, act
+        logits = check_finite(w_rows @ act, op)[..., 0, :]  # (..., S, n)
+    return softmax_array(logits, -2), pre, act
 
 
 def _fuse_scales(f: np.ndarray, scores: np.ndarray) -> np.ndarray:
     """The (..., L, n) sum of the (..., S, L, n) encodings weighted by their
     (..., S, n) scores, added over the scales in scale order."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return ad.check_finite((f * scores[..., None, :]).sum(axis=-3), "cross_scale_attention")
+        return check_finite((f * scores[..., None, :]).sum(axis=-3), "cross_scale_attention")
 
 
 def _attend_backward(
@@ -344,10 +379,10 @@ def _pool(
     the backward reads. ``w_row`` is w^T as a C-contiguous row."""
     op = "instance_pool"
     with np.errstate(over="ignore", invalid="ignore"):
-        h = np.tanh(ad.check_finite(v @ x, op))
-        gate = None if u is None else ad.sigmoid_array(ad.check_finite(u @ x, op))
+        h = np.tanh(check_finite(v @ x, op))
+        gate = None if u is None else sigmoid_array(check_finite(u @ x, op))
         act = h if u is None else h * gate
-        logits = ad.check_finite(w_row @ act, op)  # (..., 1, m)
+        logits = check_finite(w_row @ act, op)  # (..., 1, m)
     # softmax of the logits row within each mask row; an empty row stays zero
     masked = np.where(mask, logits, -np.inf)
     top = masked.max(axis=-1, keepdims=True)
@@ -357,7 +392,7 @@ def _pool(
     weights = e / np.where(total > 0.0, total, 1.0)
     weights_t = weights.swapaxes(-1, -2).copy()
     with np.errstate(over="ignore", invalid="ignore"):
-        pooled = ad.check_finite(x @ weights_t, op)
+        pooled = check_finite(x @ weights_t, op)
     return pooled, weights, weights_t, h, gate, act
 
 
@@ -396,8 +431,8 @@ def _classify(pooled: np.ndarray, layer: Sequence[np.ndarray]) -> tuple[np.ndarr
     w, b = layer
     z = pooled.swapaxes(-1, -2).copy().reshape(*pooled.shape[:-2], -1, 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        logits = ad.check_finite(w @ z + b, op)
-        log_probs = ad.check_finite(ad.log_softmax_array(logits, -2), op)
+        logits = check_finite(w @ z + b, op)
+        log_probs = check_finite(log_softmax_array(logits, -2), op)
     return log_probs, z
 
 
@@ -429,7 +464,7 @@ def _nll(log_probs: np.ndarray, label: int) -> tuple[np.ndarray, np.ndarray]:
         raise ContractError("log_probs are not log-probabilities (logsumexp != 0)")
     onehot = np.zeros_like(log_probs)
     onehot.reshape(-1)[label] = 1.0
-    return ad.check_finite(np.asarray((log_probs * onehot).sum() * -1.0), "nll_loss"), onehot
+    return check_finite(np.asarray((log_probs * onehot).sum() * -1.0), "nll_loss"), onehot
 
 
 def _nll_backward(g: np.ndarray, onehot: np.ndarray) -> np.ndarray:
@@ -489,7 +524,7 @@ def _fuse(f: np.ndarray, fusion: str) -> np.ndarray:
             items = np.ascontiguousarray(f.swapaxes(-3, -2).reshape(*lead, l, s * n))
         else:
             items = f.sum(axis=-3)
-        return ad.check_finite(items, fusion)
+        return check_finite(items, fusion)
 
 
 def _fuse_backward(g: np.ndarray, shape: tuple[int, int, int], fusion: str) -> np.ndarray:
@@ -529,7 +564,7 @@ def train_step(bag: Bag, params: ModelParams, grad: ModelParams) -> float:
     cfg = params.config
     layers, slots = params.layers, grad.layers
     members = _cluster_members(bag.clusters, cfg)
-    x = ad.check_finite(_scale_inputs(bag.patient.emb[bag.index], cfg), "leaf")
+    x = check_finite(_scale_inputs(bag.patient.emb[bag.index], cfg), "leaf")
     f, h = _encode(x, layers.encoder)
     attend, tanh = cfg.fusion == "cross_scale_attention", cfg.attention_activation == "tanh"
     if attend:

@@ -1,27 +1,26 @@
-"""Shared test oracles: finite differences, gradient comparison, named
-views of a model's parameters, the per-instance reference forward of the
-bag model, and the CSV fixture writer."""
+"""Shared test oracles: finite differences, complex-step gradients,
+gradient comparison, named views of a model's parameters, the
+per-instance reference forward of the bag model, and the CSV fixture
+writer."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
-from crossmil import autodiff as ad
-from crossmil.autodiff import Tensor
-from crossmil.models import _offsets, _view
+from crossmil.models import _offsets
 
 
 def central_difference(f, values, h=1e-5):
-    """Numeric gradient of scalar-valued f() w.r.t. each of ``values``:
-    an array, perturbed in place, or a tensor, whose .data is.
+    """Numeric gradient of scalar-valued f() w.r.t. each array of
+    ``values``, perturbed in place.
 
     f recomputes from the current values on every call, so this stays
     independent of the backward it checks.
     """
     grads = []
-    for t in values:
-        data = t.data if isinstance(t, Tensor) else t
+    for data in values:
         g = np.zeros_like(data)
         flat = data.reshape(-1)
         gf = g.reshape(-1)
@@ -37,6 +36,22 @@ def central_difference(f, values, h=1e-5):
     return grads
 
 
+def complex_step_gradient(loss_of, params, h=1e-30):
+    """The gradient of ``loss_of`` at ``params`` over ``params.flat``, by
+    complex step (Squire & Trapp, SIAM Review 40(1), 1998).
+
+    ``loss_of`` maps named parameter arrays, as ``named_views`` gives
+    them, to the loss. Here each array carries one leading axis of
+    directions: direction i adds ``1j * h`` to parameter i alone, so one
+    call gives every derivative, and ``loss.imag / h`` is exact to
+    rounding as long as ``loss_of`` is complex-safe: analytic in its
+    inputs, with no ``abs``, ``np.maximum`` or comparison on a value that
+    depends on the parameters, save on its real part.
+    """
+    flat = params.flat + 1j * h * np.eye(params.flat.size)
+    return loss_of(named_views(flat, params.config)).imag / h
+
+
 def assert_grads_close(analytic, numeric, rtol=1e-4, atol=1e-8):
     np.testing.assert_allclose(analytic, numeric, rtol=rtol, atol=atol)
 
@@ -48,10 +63,21 @@ def relative_error(analytic, numeric):
     return float((np.abs(analytic - numeric) / denom).max())
 
 
+def named_views(flat, cfg):
+    """Each parameter's values by name, from ``flat`` (..., P) laid out as
+    ``param_layout(cfg)`` orders them, the leading axes kept; a view of a
+    one-dimensional ``flat``."""
+    lead = flat.shape[:-1]
+    return {
+        name: flat[..., start : start + math.prod(shape)].reshape(*lead, *shape)
+        for name, (start, shape) in _offsets(cfg).items()
+    }
+
+
 def param_views(params):
     """Each parameter's values by name, as a view of ``params.flat`` (of a
     gradient buffer's too), in ``param_layout`` order."""
-    return {name: _view(params.flat, *at) for name, at in _offsets(params.config).items()}
+    return named_views(params.flat, params.config)
 
 
 def named_layer_arrays(params):
@@ -77,66 +103,86 @@ def named_layer_arrays(params):
     return named
 
 
-def leaf_tensors(params):
-    """One graph leaf per parameter, by name, each viewing its values in
-    ``params.flat``: the parameters of the reference forward."""
-    return {name: Tensor(view, requires_grad=True) for name, view in param_views(params).items()}
+# The reference below is plain numpy on (..., dim, 1) columns, any leading
+# axes riding along, and complex-safe, so ``complex_step_gradient`` can
+# differentiate it. It shares no kernel with the model.
+
+
+def _relu(x):
+    return np.where(x.real > 0, x, 0)
+
+
+def _softmax(x):
+    """Softmax over axis -2, shifted by the real part's max."""
+    e = np.exp(x - x.real.max(axis=-2, keepdims=True))
+    return e / e.sum(axis=-2, keepdims=True)
+
+
+def _log_softmax(x):
+    """Log-softmax over axis -2, shifted by the real part's max."""
+    shifted = x - x.real.max(axis=-2, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-2, keepdims=True))
+
+
+def _sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
 
 
 def _reference_encode(x, scale, t):
-    h = ad.relu(t[f"encoder{scale}.w1"] @ x + t[f"encoder{scale}.b1"])
+    h = _relu(t[f"encoder{scale}.w1"] @ x + t[f"encoder{scale}.b1"])
     return t[f"encoder{scale}.w2"] @ h + t[f"encoder{scale}.b2"]
 
 
 def _reference_cross_scale(encodings, t, cfg):
-    act = ad.tanh if cfg.attention_activation == "tanh" else ad.relu
+    act = np.tanh if cfg.attention_activation == "tanh" else _relu
     logits = []
     for s, f in enumerate(encodings):
         key = "attn" if cfg.attention_sharing == "shared" else f"attn{s}"
-        logits.append(ad.transpose(t[f"{key}.w"]) @ act(t[f"{key}.v"] @ f))
-    scores = ad.softmax(ad.concat(logits, axis=0), axis=0)
-    return ad.concat(encodings, axis=1) @ scores, scores
+        logits.append(t[f"{key}.w"].swapaxes(-1, -2) @ act(t[f"{key}.v"] @ f))
+    scores = _softmax(np.concatenate(logits, axis=-2))
+    return np.concatenate(encodings, axis=-1) @ scores, scores
 
 
 def _reference_pool(items, t, pooling):
     logits = []
     for h in items:
-        a = ad.tanh(t["pool.v"] @ h)
+        a = np.tanh(t["pool.v"] @ h)
         if pooling == "gated":
-            a = a * ad.sigmoid(t["pool.u"] @ h)
-        logits.append(ad.transpose(t["pool.w"]) @ a)
-    weights = ad.softmax(ad.concat(logits, axis=0), axis=0)
-    return ad.concat(items, axis=1) @ weights
+            a = a * _sigmoid(t["pool.u"] @ h)
+        logits.append(t["pool.w"].swapaxes(-1, -2) @ a)
+    weights = _softmax(np.concatenate(logits, axis=-2))
+    return np.concatenate(items, axis=-1) @ weights
 
 
-def reference_scores(vectors, leaves, cfg):
-    """(S, 1) cross-scale scores of one location, per-scale (E,) arrays in."""
-    encodings = [_reference_encode(Tensor(v[:, None]), s, leaves) for s, v in enumerate(vectors)]
-    return _reference_cross_scale(encodings, leaves, cfg)[1]
+def reference_scores(vectors, named, cfg):
+    """(..., S, 1) cross-scale scores of one location, per-scale (E,) arrays in."""
+    encodings = [_reference_encode(v[:, None], s, named) for s, v in enumerate(vectors)]
+    return _reference_cross_scale(encodings, named, cfg)[1]
 
 
-def reference_forward_bag(bag, leaves, cfg):
+def reference_forward_bag(bag, named, cfg):
     """Per-instance forward: every instance and scale is its own (dim, 1) column.
 
     The model code batches a bag into feature-major matrices; this is the
-    straight loop it must agree with, built from the tape's primitive ops
-    on ``leaves`` (``leaf_tensors``). Returns (log_probs, loss, [per-instance
-    (S, 1) cross-scale scores]), the loss being the NLL of the bag's label.
+    straight loop it must agree with, on the parameter arrays ``named``
+    (``param_views``, or ``named_views`` with leading axes). Returns
+    (log_probs (..., 2, 1), loss (...), [per-instance (..., S, 1)
+    cross-scale scores]), the loss being the NLL of the bag's label.
     """
     by_cluster = {c: [] for c in range(cfg.n_clusters)}
     all_scores = []
     for i, cluster in zip(bag.index.tolist(), bag.clusters.tolist()):
-        vectors = [Tensor(v[:, None]) for v in bag.patient.emb[i]]
+        vectors = [v[:, None] for v in bag.patient.emb[i]]
         if cfg.fusion == "single_scale":
-            items = [_reference_encode(vectors[cfg.scale_index], cfg.scale_index, leaves)]
+            items = [_reference_encode(vectors[cfg.scale_index], cfg.scale_index, named)]
         else:
-            encodings = [_reference_encode(x, s, leaves) for s, x in enumerate(vectors)]
+            encodings = [_reference_encode(x, s, named) for s, x in enumerate(vectors)]
             if cfg.fusion == "cross_scale_attention":
-                fused, scores = _reference_cross_scale(encodings, leaves, cfg)
+                fused, scores = _reference_cross_scale(encodings, named, cfg)
                 items = [fused]
                 all_scores.append(scores)
             elif cfg.fusion == "concat":
-                items = [ad.concat(encodings, axis=0)]
+                items = [np.concatenate(encodings, axis=-2)]
             elif cfg.fusion == "add":
                 total = encodings[0]
                 for f in encodings[1:]:
@@ -145,17 +191,17 @@ def reference_forward_bag(bag, leaves, cfg):
             else:  # instance_pool: every scale's encoding is its own item
                 items = encodings
         by_cluster[cluster].extend(items)
-    zero = Tensor(np.zeros((cfg.fused_dim, 1)))
-    z = ad.concat(
+    b = named["classifier.b"]
+    zero = np.zeros((*b.shape[:-2], cfg.fused_dim, 1), b.dtype)
+    z = np.concatenate(
         [
-            _reference_pool(by_cluster[c], leaves, cfg.pooling) if by_cluster[c] else zero
+            _reference_pool(by_cluster[c], named, cfg.pooling) if by_cluster[c] else zero
             for c in range(cfg.n_clusters)
         ],
-        axis=0,
+        axis=-2,
     )
-    log_probs = ad.log_softmax(leaves["classifier.w"] @ z + leaves["classifier.b"], axis=0)
-    onehot = Tensor(np.eye(2)[:, [bag.label]])
-    return log_probs, (log_probs * onehot).sum() * -1.0, all_scores
+    log_probs = _log_softmax(named["classifier.w"] @ z + b)
+    return log_probs, -log_probs[..., bag.label, 0], all_scores
 
 
 def to_csv_store(manifest_path):

@@ -819,6 +819,37 @@ def test_input_that_is_not_utf8_exits_2_naming_the_file(workspace, tmp_path, cap
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.parametrize("top", [[], "x", 1, None, True])
+@pytest.mark.parametrize("case", ["config", "manifest", "signal locations", "cluster model"])
+def test_json_input_that_is_not_an_object_exits_2_writing_nothing(
+    workspace, tmp_path, capsys, case, top
+):
+    """Each JSON input of the command that reads it, its whole text one
+    JSON value that is not an object."""
+    root, c = workspace
+    manifest, cluster = tmp_path / "train/manifest.json", tmp_path / "cluster_model.json"
+    config = tmp_path / "config.json"
+    shutil.copytree(root / "data/train", tmp_path / "train")
+    shutil.copy(root / "clust/cluster_model.json", cluster)
+    shutil.copy(c, config)
+    command, bad, argv = {
+        "config": ("gen-data", config, []),
+        "manifest": ("cluster", manifest, ["--data", str(manifest)]),
+        "signal locations": (
+            "cluster", tmp_path / "train/signal_locations.json", ["--data", str(manifest)]
+        ),
+        "cluster model": ("train", cluster, ["--data", str(manifest), "--cluster", str(cluster)]),
+    }[case]
+    assert bad.exists()
+    bad.write_text(json.dumps(top))
+    before = sorted(tmp_path.rglob("*"))
+    code = main([command, "--config", str(config), "--out-dir", str(tmp_path / "out"), *argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_csv_dataset_and_its_npy_twin_give_identical_outputs(workspace, tmp_path):
     root, c = workspace
     shutil.copytree(root / "data", tmp_path / "csv")

@@ -143,6 +143,7 @@ class TestClusterDataset:
             (dict(centroids=[[float("nan"), 0.0]] * 4), "finite"),
             (dict(scale_index=None), "scale_index"),
             (dict(scale_index="2"), "scale_index"),
+            (dict(scale_index=True), "scale_index"),
             (dict(clustering_scale="multi"), "scale_index"),
         ],
     )
@@ -152,6 +153,13 @@ class TestClusterDataset:
         doc.update(edit)
         path.write_text(json.dumps(doc))
         with pytest.raises(FormatError, match=match):
+            load_cluster_model(path)
+
+    @pytest.mark.parametrize("top", [[], "x", 1, None, True])
+    def test_top_level_that_is_not_an_object_is_a_format_error(self, tmp_path, top):
+        path = tmp_path / "cm.json"
+        path.write_text(json.dumps(top))
+        with pytest.raises(FormatError, match="must hold a JSON object"):
             load_cluster_model(path)
 
     def test_feature_width_mismatch_is_a_config_error(self, dataset):

@@ -74,6 +74,8 @@ def test_benchmark_span_targets_resolve():
     table; its spans have read 0 since. The graph forward (``forward_bag``)
     and the graph layer functions were deleted once training ran
     ``train_step``, and their spans had read 0 on every pipeline before.
+    The autodiff engine went once no code built a graph; its ``backward``
+    span had read 0 on both workloads since training left the tape.
     """
     path = ROOT / "perfbench/tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
@@ -88,4 +90,5 @@ def test_benchmark_span_targets_resolve():
         "crossmil.models.mi_fcn_encode",
         "crossmil.models.cross_scale_attention",
         "crossmil.models.instance_pool",
+        "crossmil.autodiff.backward",
     }
