@@ -28,6 +28,7 @@ from crossmil.models import (
     train_step,
 )
 from crossmil.training import _epoch_loss
+import helpers
 from helpers import (
     assert_grads_close,
     central_difference,
@@ -128,6 +129,15 @@ class TestCheckFinite:
         with np.errstate(over="ignore"), pytest.raises(DomainError, match="'my_layer'"):
             models.check_finite(arr, "my_layer")
 
+    def test_empty_array_is_returned_as_is(self):
+        arr = np.zeros((0, 3))
+        assert models.check_finite(arr, "op") is arr
+
+    def test_an_overflowing_sum_warns_unless_overflow_is_ignored(self):
+        arr = np.full(5, 1e308)
+        with np.errstate(over="warn"), pytest.warns(RuntimeWarning, match="overflow"):
+            assert models.check_finite(arr, "op") is arr
+
 
 class TestArrayHelpers:
     """The softmax, log-softmax and sigmoid the layer kernels share."""
@@ -172,6 +182,52 @@ class TestArrayHelpers:
         assert np.isfinite(y).all()
         np.testing.assert_allclose(y[:2, 0], -np.log1p(np.exp(-2.0)) - [0.0, 2.0], atol=1e-12)
         assert np.exp(y).sum() == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("axis", [0, 1, 2, -1])
+    def test_softmax_normalizes_along_its_axis_only(self, axis):
+        x = np.random.default_rng(0).uniform(-5, 5, (3, 4, 2))
+        out = models.softmax_array(x, axis)
+        e = np.exp(x)
+        np.testing.assert_allclose(out, e / e.sum(axis=axis, keepdims=True), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(out.sum(axis=axis), 1.0, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("axis", [0, 1, -1])
+    def test_log_softmax_is_the_log_of_softmax(self, axis):
+        x = np.random.default_rng(1).uniform(-20, 20, (3, 4, 2))
+        np.testing.assert_allclose(
+            models.log_softmax_array(x, axis), np.log(models.softmax_array(x, axis)),
+            rtol=0, atol=1e-13,
+        )
+
+    @given(
+        st.lists(st.floats(-50, 50), min_size=1, max_size=8),
+        st.floats(-100, 100),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_log_softmax_shift_invariance(self, logits, shift):
+        base = models.log_softmax_array(np.asarray(logits), 0)
+        shifted = models.log_softmax_array(np.asarray(logits) + shift, 0)
+        np.testing.assert_allclose(base, shifted, rtol=0, atol=1e-12)
+
+    def test_sigmoid_against_extended_precision_oracle(self):
+        x = np.linspace(-40.0, 40.0, 161)
+        wide = 1 / (1 + np.exp(-x.astype(np.longdouble)))
+        np.testing.assert_allclose(
+            models.sigmoid_array(x), wide.astype(np.float64), rtol=1e-15, atol=0
+        )
+
+    @given(st.floats(-700, 700))
+    @settings(max_examples=100, deadline=None)
+    def test_sigmoid_of_x_and_of_minus_x_sum_to_one(self, x):
+        y = models.sigmoid_array(np.array([x, -x]))
+        assert abs(y.sum() - 1.0) <= 1e-15
+
+    @pytest.mark.parametrize("shape", [(0,), (5,), (3, 4)])
+    def test_sigmoid_keeps_the_shape_of_its_input(self, shape):
+        x = np.random.default_rng(2).uniform(-3, 3, shape)
+        y = models.sigmoid_array(x)
+        assert y.shape == shape and y.dtype == np.float64
+        np.testing.assert_allclose(y, 1 / (1 + np.exp(-x)), rtol=0, atol=1e-15)
 
 
 class TestMiFcn:
@@ -709,6 +765,65 @@ class TestBatchedForwardOracle:
         params = init_params(cfg, seed=0)
         with pytest.raises(ConfigError):
             train_step(bad, params, zero_grad(params))
+
+
+# the reference's complex-safe pieces, and the model helpers they stand in for
+REFERENCE_PIECES = {
+    "relu": (helpers._relu, lambda x: np.maximum(x, 0.0)),
+    "tanh": (np.tanh, np.tanh),
+    "sigmoid": (helpers._sigmoid, models.sigmoid_array),
+    "softmax": (helpers._softmax, lambda x: models.softmax_array(x, -2)),
+    "log_softmax": (helpers._log_softmax, lambda x: models.log_softmax_array(x, -2)),
+}
+
+
+class TestReferenceOracle:
+    """The complex-step oracle in helpers checked without the model: its
+    derivatives against central differences of the same reference, and its
+    pieces against the model's array helpers on real input."""
+
+    def test_complex_step_gradient_is_exact_for_an_analytic_loss(self):
+        params = init_params(small_config(), seed=0)
+        grad = complex_step_gradient(
+            lambda named: sum(np.exp(t).sum(axis=tuple(range(1, t.ndim))) for t in named.values()),
+            params,
+        )
+        np.testing.assert_allclose(grad, np.exp(params.flat), rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_PIECES))
+    def test_piece_matches_the_model_helper_on_real_input(self, name):
+        piece, model_helper = REFERENCE_PIECES[name]
+        x = np.random.default_rng(5).uniform(-4, 4, (2, 5, 1))
+        np.testing.assert_allclose(piece(x), model_helper(x), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_PIECES))
+    def test_piece_is_complex_safe(self, name):
+        """Complex-step derivatives of each piece equal central differences."""
+        piece = REFERENCE_PIECES[name][0]
+        rng = np.random.default_rng(6)
+        # away from relu's kink, where central differences straddle it
+        x = rng.uniform(0.1, 2.0, (2, 5, 1)) * rng.choice([-1.0, 1.0], (2, 5, 1))
+        w = rng.uniform(-1, 1, x.shape)
+        h = 1e-30
+        directions = x + 1j * h * np.eye(x.size).reshape(x.size, *x.shape)
+        complex_step = (w * piece(directions)).sum(axis=(1, 2, 3)).imag / h
+        numeric = central_difference(lambda: float((w * piece(x)).sum()), [x])[0]
+        np.testing.assert_allclose(complex_step, numeric.reshape(-1), rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("fusion,pooling,sharing,activation", ORACLE_CONFIGS)
+    def test_complex_step_matches_central_differences_of_the_reference(
+        self, fusion, pooling, sharing, activation
+    ):
+        cfg = oracle_config(fusion, pooling, sharing, activation, **C01_WIDTHS)
+        params = init_params(cfg, seed=3)
+        named = param_views(params)
+        for bag in equal_size_bags(cfg, 4, np.random.default_rng(3), n_bags=2):
+            exact = complex_step_gradient(lambda t: reference_forward_bag(bag, t, cfg)[1], params)
+            numeric = central_difference(
+                lambda: float(reference_forward_bag(bag, named, cfg)[1]), [params.flat]
+            )
+            # the relative error and bound of the acceptance gradient suite (c01)
+            assert relative_error(exact, numeric[0]) <= 1e-4
 
 
 class TestTrainStep:
