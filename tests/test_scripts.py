@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -54,6 +56,34 @@ def test_bag_size_ablation_writes_its_table(tmp_path):
     assert header == ["bag_size", "auc", "ap", "accuracy"]
     assert [r[0] for r in rows] == ["1", "8", "16", "64"]
     assert all(0.0 <= float(v) <= 1.0 for r in rows for v in r[1:])
+
+
+# The child's environment for the output digests: one BLAS thread, and
+# OpenBLAS's Haswell kernels on any x86-64 CPU with AVX2, so that one record
+# covers them. Other kernels change the bits (SkylakeX and Sandybridge move
+# most digests), so the core is part of the key the script prints.
+DIGEST_ENV = dict(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", OPENBLAS_CORETYPE="Haswell")
+
+
+def test_output_digests_match_the_recorded_ones():
+    """Every variant's checkpoints, loss curves and selection epochs keep their bits.
+
+    The digests are recorded per environment (numpy, BLAS and OpenBLAS
+    core) in ``tests/data/output_digests.json``. An environment without a
+    record skips, naming its key; CI prints each leg's key and digests.
+    """
+    child = subprocess.run(
+        [sys.executable, str(ROOT / "scripts/output_digests.py")],
+        env=dict(os.environ, **DIGEST_ENV), capture_output=True, text=True, timeout=600,
+    )
+    assert child.returncode == 0, child.stderr
+    run = json.loads(child.stdout)
+    recorded = json.loads((ROOT / "tests/data/output_digests.json").read_text())
+    if run["environment"] not in recorded:
+        pytest.skip(f"no output digests recorded for {run['environment']!r}")
+    expected = recorded[run["environment"]]
+    assert sorted(run["digests"]) == sorted(expected)
+    assert [case for case in expected if run["digests"][case] != expected[case]] == []
 
 
 def test_benchmark_selftest_passes():
