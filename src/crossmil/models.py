@@ -21,30 +21,31 @@ hand. By the name its errors give, each layer is:
   (zeros for an empty cluster);
 - ``classifier_head`` (``_classify``): a linear map of the concatenated
   pools and a log-softmax, (F, K) -> (2, 1);
-- ``nll_loss`` (``_nll``): the negative log-probability of the true class.
+- ``nll_loss`` (``_nll``): each bag's negative log-probability of its class.
 
 Each backward kernel maps the gradient of its layer's output to its
 input's (the encoder's input is data and gets none) and writes its
 parameters' gradients into given arrays.
 
 Parameters are views into one flat vector, so the optimizer steps them
-all in place; each kernel reads its weights as views of that vector,
-one kind stacked over the scales where the layer has one per scale.
-``train_step`` is the one place that composes the backward: the forward
-kernels, then the backward kernels from the loss down to the encoder,
-each parameter's gradient written into its slot of a gradient buffer
-laid out like the parameters. ``forward_bags`` runs equal-size bags
-through the forward kernels stacked on a leading axis a block at a time,
-for validation and scoring; attention maps run each patient's locations
-through the encoder and attention kernels as one group, for the scores
-alone. A stacked bag or scale gives the bits it gives alone, because
-each (E, n) input slice is contiguous and the classifier takes a
-(B, K*F, 1) column per bag, so every matmul runs on the strides of a
-lone one. Every intermediate that can leave the finite range is checked
-(``check_finite``), and the error names the layer. Each kernel fixes the
-order in which it adds terms, and checkpoints depend on that order to
-the bit. The softmax, log-softmax and sigmoid the kernels share are the
-array helpers below, shifted or split so no exponent overflows.
+all in place; each kernel reads its weights as views of that vector, one
+kind stacked over the scales where the layer has one per scale.
+``_forward`` alone composes the forward kernels, and ``train_step``
+alone the backward: ``_forward`` and the loss on one bag, then the
+backward kernels from the loss down to the encoder, each parameter's
+gradient written into its slot of a gradient buffer laid out like the
+parameters. ``forward_bags`` runs ``_forward`` on equal-size bags
+stacked on a leading axis a block at a time, for validation and scoring;
+attention maps run each patient's locations through the encoder and
+attention kernels alone, for the scores. A stacked bag or scale gives
+the bits it gives alone, because each (E, n) input slice is contiguous
+and the classifier takes a (B, K*F, 1) column per bag, so every matmul
+runs on the strides of a lone one. Every intermediate that can leave the
+finite range is checked (``check_finite``), and the error names the
+layer. Each kernel fixes the order in which it adds terms, and
+checkpoints depend on that order to the bit. The softmax, log-softmax
+and sigmoid the kernels share are the array helpers below, shifted or
+split so no exponent overflows.
 """
 
 from __future__ import annotations
@@ -451,20 +452,19 @@ def _classify_backward(
     return (layer[0].T @ g_logits).reshape(shape[::-1]).T.copy()
 
 
-def _nll(log_probs: np.ndarray, label: int) -> tuple[np.ndarray, np.ndarray]:
-    """Loss kernel: log-probabilities (2, 1) and the true class -> the
-    loss -(log_probs . onehot), rounded as a product, a sum and a
-    negation, then the one-hot column the backward reads."""
-    if label not in (0, 1):
-        raise ContractError(f"label must be 0 or 1, got {label}")
-    lp = log_probs.reshape(-1)
-    if lp.shape[0] != 2:
-        raise ContractError(f"log_probs must have 2 entries, got shape {log_probs.shape}")
-    if lp.max() > 1e-9 or abs(np.logaddexp(lp[0], lp[1])) > 1e-6:
+def _nll(log_probs: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray]:
+    """Loss kernel: log-probabilities (..., 2, 1) and the true classes (...)
+    -> the losses (...) -(log_probs . onehot), each rounded as a product,
+    a sum and a negation, then the one-hot columns the backward reads."""
+    if not np.isin(labels, (0, 1)).all():
+        raise ContractError(f"label must be 0 or 1, got {labels}")
+    if log_probs.shape[-2:] != (2, 1):
+        raise ContractError(f"log_probs must be (..., 2, 1), got shape {log_probs.shape}")
+    lse = np.logaddexp(log_probs[..., 0, 0], log_probs[..., 1, 0])
+    if log_probs.max() > 1e-9 or np.abs(lse).max() > 1e-6:
         raise ContractError("log_probs are not log-probabilities (logsumexp != 0)")
-    onehot = np.zeros_like(log_probs)
-    onehot.reshape(-1)[label] = 1.0
-    return check_finite(np.asarray((log_probs * onehot).sum() * -1.0), "nll_loss"), onehot
+    onehot = (np.asarray(labels)[..., None, None] == np.arange(2)[:, None]).astype(np.float64)
+    return check_finite(np.asarray((log_probs * onehot).sum(axis=(-2, -1)) * -1.0), "nll_loss"), onehot
 
 
 def _nll_backward(g: np.ndarray, onehot: np.ndarray) -> np.ndarray:
@@ -499,12 +499,6 @@ def _scale_inputs(emb: np.ndarray, cfg: ModelConfig) -> np.ndarray:
     first = cfg.encoder_scales[0]
     scales = emb[..., first : first + len(cfg.encoder_scales), :]
     return np.ascontiguousarray(np.moveaxis(scales, -2, -3).swapaxes(-1, -2))
-
-
-def _attention_scores(f: np.ndarray, params: ModelParams) -> np.ndarray:
-    """The (..., S, n) cross-scale scores of encodings ``f`` (..., S, L, n)."""
-    tanh = params.config.attention_activation == "tanh"
-    return _attend(f, *params.layers.attention, tanh)[0]
 
 
 def _fuse(f: np.ndarray, fusion: str) -> np.ndarray:
@@ -550,36 +544,42 @@ def _cluster_members(clusters: np.ndarray, cfg: ModelConfig) -> np.ndarray:
     return np.tile(members, cfg.n_scales) if cfg.fusion == "instance_pool" else members
 
 
+def _forward(x: np.ndarray, members: np.ndarray, params: ModelParams) -> tuple:
+    """Inputs ``x`` (..., S', E, n) and pooling masks ``members`` (..., K, m)
+    -> log-probabilities (..., 2, 1), then what the backward kernels read:
+    the classifier's input, the pools, what ``_pool`` keeps after them, the
+    items, what ``_attend`` keeps (None without it), encodings and hidden layer."""
+    cfg, layers = params.config, params.layers
+    f, h = _encode(x, layers.encoder)
+    attend = cfg.fusion == "cross_scale_attention"
+    attended = _attend(f, *layers.attention, cfg.attention_activation == "tanh") if attend else None
+    items = _fuse_scales(f, attended[0]) if attend else _fuse(f, cfg.fusion)
+    pooled, *pool_saved = _pool(items, members, *layers.pool)
+    log_probs, z = _classify(pooled, layers.classifier)
+    return log_probs, z, pooled, pool_saved, items, attended, f, h
+
+
 def train_step(bag: Bag, params: ModelParams, grad: ModelParams) -> float:
     """The loss of one training bag, with its gradient written into
     ``grad``, a gradient buffer of the same config.
 
-    The forward kernels run as ``forward_bags`` runs them on one bag, so
-    the loss is, to the bit, the one ``forward_bags([bag], params)``'s
-    log-probabilities give. Then each layer's backward kernel runs, from
-    the loss down to the encoder, writing every parameter's gradient
-    through ``grad.layers`` into its slot of ``grad.flat``. A value that
-    leaves the finite range raises an error naming its layer.
+    ``_forward`` and ``_nll`` run on the bag as validation runs them on a
+    block of bags; then each layer's backward kernel, from the loss down
+    to the encoder, writes its parameters' gradients through
+    ``grad.layers`` into ``grad.flat``. A non-finite value raises an error
+    naming its layer (``leaf`` for the bag's own embeddings).
     """
-    cfg = params.config
-    layers, slots = params.layers, grad.layers
+    cfg, layers, slots = params.config, params.layers, grad.layers
     members = _cluster_members(bag.clusters, cfg)
     x = check_finite(_scale_inputs(bag.patient.emb[bag.index], cfg), "leaf")
-    f, h = _encode(x, layers.encoder)
-    attend, tanh = cfg.fusion == "cross_scale_attention", cfg.attention_activation == "tanh"
-    if attend:
-        attended = _attend(f, *layers.attention, tanh)
-        items = _fuse_scales(f, attended[0])
-    else:
-        items = _fuse(f, cfg.fusion)
-    pooled, *pool_saved = _pool(items, members, *layers.pool)
-    log_probs, z = _classify(pooled, layers.classifier)
+    log_probs, z, pooled, pool_saved, items, attended, f, h = _forward(x, members, params)
     loss, onehot = _nll(log_probs, bag.label)
 
     g = _nll_backward(np.ones_like(loss), onehot)
     g = _classify_backward(g, (log_probs, z), pooled.shape, layers.classifier, slots.classifier)
     g = _pool_backward(g, items, pool_saved, layers.pool, slots.pool)
-    if attend:
+    if attended is not None:
+        tanh = cfg.attention_activation == "tanh"
         g = _attend_backward(g, f, attended, layers.attention, tanh, slots.attention)
     else:
         g = _fuse_backward(g, f.shape, cfg.fusion)
@@ -588,10 +588,10 @@ def train_step(bag: Bag, params: ModelParams, grad: ModelParams) -> float:
 
 
 # Bag instances scored in one block by forward_bags. It bounds the
-# block's working set (a few arrays of this many instances times a layer
-# width) whatever the number of bags: at 128 the train and eval stages
-# peak no higher than one bag at a time, where 256 added about 1 MB at
-# bag 64.
+# block's working set, every intermediate _forward keeps for this many
+# instances, whatever the number of bags: at 128, 20 bags of 8 or of 64
+# peak at about 940 KiB (tracemalloc, default widths), where one bag per
+# block peaks at 73 and 513 KiB and 256 instances at about 1,870 KiB.
 _BLOCK_INSTANCES = 128
 
 
@@ -599,8 +599,8 @@ def forward_bags(bags: Sequence[Bag], params: ModelParams) -> np.ndarray:
     """Log-probabilities (B, 2) of equal-size bags.
 
     Row i equals ``forward_bags([bags[i]], params)`` to the bit: a block
-    of bags at a time runs through the layer kernels, stacked on a
-    leading axis.
+    of bags at a time runs through ``_forward``, stacked on a leading
+    axis.
     """
     sizes = sorted({len(bag.index) for bag in bags})
     if len(sizes) > 1 or sizes == [0]:
@@ -608,18 +608,12 @@ def forward_bags(bags: Sequence[Bag], params: ModelParams) -> np.ndarray:
     out = np.empty((len(bags), 2))
     if not bags:
         return out
-    cfg = params.config
-    attend = cfg.fusion == "cross_scale_attention"
-    members = _cluster_members(np.stack([bag.clusters for bag in bags]), cfg)
-    layers = params.layers
+    members = _cluster_members(np.stack([bag.clusters for bag in bags]), params.config)
     step = max(1, _BLOCK_INSTANCES // sizes[0])
     for start in range(0, len(bags), step):
-        block = [bag.patient.emb[bag.index] for bag in bags[start : start + step]]
-        f = _encode(_scale_inputs(np.stack(block), cfg), layers.encoder)[0]
-        items = _fuse_scales(f, _attention_scores(f, params)) if attend else _fuse(f, cfg.fusion)
-        del f  # else this block's encodings stay alive while the next block encodes
-        pooled = _pool(items, members[start : start + step], *layers.pool)[0]
-        out[start : start + step] = _classify(pooled, layers.classifier)[0][..., 0]
+        block = bags[start : start + step]
+        x = _scale_inputs(np.stack([bag.patient.emb[bag.index] for bag in block]), params.config)
+        out[start : start + step] = _forward(x, members[start : start + step], params)[0][..., 0]
     return out
 
 
@@ -638,10 +632,11 @@ def attention_records(
     if params.config.fusion != "cross_scale_attention":
         raise ConfigError("no cross-scale attention in this variant")
     chosen = dataset if patients is None else [dataset.patient(pid) for pid in patients]
-    encoder = params.layers.encoder
+    cfg, layers = params.config, params.layers
     out = []
     for p in chosen:
-        scores = _attention_scores(_encode(_scale_inputs(p.emb, params.config), encoder)[0], params)
+        f = _encode(_scale_inputs(p.emb, cfg), layers.encoder)[0]
+        scores = _attend(f, *layers.attention, cfg.attention_activation == "tanh")[0]
         out += [
             AttentionRecord(p.patient_id, loc, (x, y), tuple(col))
             for loc, (x, y), col in zip(p.location_ids.tolist(), p.xy.tolist(), scores.T.tolist())

@@ -25,7 +25,7 @@ from .clustering import Bag, ClusterModel, assemble_bag, patient_rng
 from .data import Dataset
 from .errors import ContractError, CrossmilError, DomainError, TrainingError
 from .errors import check_bool, check_int, check_real
-from .models import ModelConfig, ModelParams, forward_bags, init_params, train_step
+from .models import ModelConfig, ModelParams, _nll, forward_bags, init_params, train_step
 
 _VAL_BAG_TAG = 0x56414C  # keeps validation bag streams apart from train streams
 
@@ -146,15 +146,14 @@ def _epoch_loss(
 ) -> float:
     """Mean NLL of the bags of ``ids``, scored together in one forward.
 
-    Each bag's loss is -(log_probs . onehot), rounded as
-    ``models._nll`` rounds it, so a bag scored alone gives the loss
-    ``train_step`` returns for it, to the bit. The losses are added as
-    Python floats in id order.
+    ``forward_bags`` and ``models._nll`` run as in ``train_step``, so a bag
+    scored alone gives the loss ``train_step`` returns for it, to the bit.
+    The losses are added as Python floats in id order.
     """
     batch = [bags[pid] for pid in ids]
-    onehot = np.eye(2)[[bag.label for bag in batch]]
+    losses = _nll(forward_bags(batch, params)[..., None], [bag.label for bag in batch])[0]
     total = 0.0
-    for loss in ((forward_bags(batch, params) * onehot).sum(axis=1) * -1.0).tolist():
+    for loss in losses.tolist():
         total += loss
     return total / len(ids)
 

@@ -88,7 +88,8 @@ def encode(x, params):
 def attend(f, params):
     """The (S, n) cross-scale scores of encodings f (S, L, n), and the
     (L, n) columns they fuse."""
-    scores = models._attention_scores(f, params)
+    tanh = params.config.attention_activation == "tanh"
+    scores = models._attend(f, *params.layers.attention, tanh)[0]
     return scores, models._fuse_scales(f, scores)
 
 

@@ -84,6 +84,23 @@ class TestNllLoss:
         with pytest.raises(ContractError):
             nll([[-0.1], [-0.1]], 0)
 
+    def test_batch_rows_equal_each_column_alone_bit_for_bit(self):
+        p = np.random.default_rng(4).uniform(0.01, 0.99, (3, 5))
+        lp = np.log(np.stack([p, 1 - p], axis=-1))[..., None]  # (3, 5, 2, 1)
+        labels = np.arange(15).reshape(3, 5) % 2
+        losses, onehot = _nll(lp, labels)
+        assert losses.shape == (3, 5) and onehot.shape == (3, 5, 2, 1)
+        alone = [[nll(lp[i, j], int(labels[i, j])) for j in range(5)] for i in range(3)]
+        assert losses.tolist() == alone
+
+    @pytest.mark.parametrize("labels, log_probs", [
+        ([0, 2, 1], np.log([[[0.5], [0.5]]] * 3)),
+        ([0, 1, 1], np.log([[[0.5], [0.5]], [[0.5], [0.5]], [[0.9], [0.9]]])),
+    ])
+    def test_one_bad_row_rejects_the_batch(self, labels, log_probs):
+        with pytest.raises(ContractError):
+            _nll(log_probs, labels)
+
 
 class TestTrainConfig:
     @pytest.mark.parametrize("field, value", [
