@@ -50,6 +50,7 @@ def blas_environment() -> str:
         for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
             if hasattr(lib, f"{prefix}_get_config{suffix}"):
                 config, corename = (getattr(lib, f"{prefix}_get_{what}{suffix}") for what in ("config", "corename"))
+                config.argtypes = corename.argtypes = []
                 config.restype = corename.restype = ctypes.c_char_p
                 blas, core = f"{prefix} {config().split()[1].decode()}", corename().decode()
     return f"numpy {np.__version__}; {blas}; core {core}"

@@ -456,14 +456,14 @@ def _nll(log_probs: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray]:
     """Loss kernel: log-probabilities (..., 2, 1) and the true classes (...)
     -> the losses (...) -(log_probs . onehot), each rounded as a product,
     a sum and a negation, then the one-hot columns the backward reads."""
-    if not np.isin(labels, (0, 1)).all():
+    if not set(np.ravel(labels).tolist()) <= {0, 1}:
         raise ContractError(f"label must be 0 or 1, got {labels}")
     if log_probs.shape[-2:] != (2, 1):
         raise ContractError(f"log_probs must be (..., 2, 1), got shape {log_probs.shape}")
     lse = np.logaddexp(log_probs[..., 0, 0], log_probs[..., 1, 0])
     if log_probs.max() > 1e-9 or np.abs(lse).max() > 1e-6:
         raise ContractError("log_probs are not log-probabilities (logsumexp != 0)")
-    onehot = (np.asarray(labels)[..., None, None] == np.arange(2)[:, None]).astype(np.float64)
+    onehot = np.eye(2)[np.asarray(labels, dtype=np.intp), :, None]
     return check_finite(np.asarray((log_probs * onehot).sum(axis=(-2, -1)) * -1.0), "nll_loss"), onehot
 
 
