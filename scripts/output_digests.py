@@ -14,7 +14,9 @@ it). Run on one BLAS thread.
 
 Prints one JSON object: {"environment": key, "digests": {case: sha256}}.
 
-Usage: OPENBLAS_NUM_THREADS=1 python scripts/output_digests.py
+Usage, in the environment of the recorded digests and of their test:
+
+    OPENBLAS_NUM_THREADS=1 OPENBLAS_CORETYPE=Haswell python scripts/output_digests.py
 """
 
 import ctypes
