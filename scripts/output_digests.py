@@ -6,7 +6,10 @@ Each of the 40 fusion x pooling x sharing x activation variants trains at
 bags 1 and 8 on one tiny planted-signal dataset, two splits, two epochs,
 at the acceptance gradient suite's widths (c01), in sequence, in this
 process. Each of the 80 runs gets one sha256 over, per split, the
-checkpoint bytes, the loss-curve bytes and the selection epoch. The
+checkpoint bytes, the loss-curve bytes and the selection epoch. One more
+run trains one variant with fixed bags (``bag_resample=False``), and one
+digest covers the whole output tree of ``scripts/run_pipeline.py`` at seed
+0, which trains its splits in forked workers. The
 digests depend on numpy's and BLAS's rounding, so they are printed with
 an environment key: the numpy version, the BLAS library and version, and
 the OpenBLAS core its kernels were picked for (``OPENBLAS_CORETYPE`` pins
@@ -19,6 +22,7 @@ Usage, in the environment of the recorded digests and of their test:
     OPENBLAS_NUM_THREADS=1 OPENBLAS_CORETYPE=Haswell python scripts/output_digests.py
 """
 
+import contextlib
 import ctypes
 import hashlib
 import itertools
@@ -36,6 +40,7 @@ from crossmil.clustering import cluster_dataset
 from crossmil.data import SyntheticSpec, generate_synthetic
 from crossmil.models import ACTIVATIONS, FUSIONS, POOLINGS, SHARINGS, ModelConfig
 from crossmil.training import TrainConfig, make_splits, train_one_split, write_loss_curves
+from run_pipeline import run as run_pipeline
 
 BAG_SIZES = (1, 8)
 C01_WIDTHS = dict(embed_dim=4, encoder_dim=3, attention_hidden=2)
@@ -58,15 +63,30 @@ def blas_environment() -> str:
     return f"numpy {np.__version__}; {blas}; core {core}"
 
 
-def run_digest(dataset, cluster_model, splits, model_cfg: ModelConfig, bag_size: int, tmp: Path) -> str:
+def run_digest(
+    dataset, cluster_model, splits, model_cfg: ModelConfig, bag_size: int, tmp: Path, bag_resample: bool = True
+) -> str:
     """One sha256 over each split's checkpoint, loss curves and selection epoch."""
-    train_cfg = TrainConfig(epochs=2, learning_rate=1e-2, bag_size=bag_size, n_splits=len(splits), seed=0)
+    train_cfg = TrainConfig(
+        epochs=2, learning_rate=1e-2, bag_size=bag_size, n_splits=len(splits), seed=0, bag_resample=bag_resample
+    )
     digest = hashlib.sha256()
     for split_id, split in enumerate(splits):
         model = train_one_split(dataset, split, cluster_model, train_cfg, model_cfg, split_id=split_id)
         digest.update(save_checkpoint(model.params, tmp / "model.ckpt").read_bytes())
         digest.update(write_loss_curves(model, tmp / "curves.csv").read_bytes())
         digest.update(f"{model.selection_epoch}\n".encode())
+    return digest.hexdigest()
+
+
+def tree_digest(root: Path) -> str:
+    """One sha256 over the relative path, size and bytes of every file under
+    ``root``, in path order."""
+    digest = hashlib.sha256()
+    for rel in sorted(p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()):
+        data = (root / rel).read_bytes()
+        digest.update(f"{rel}\n{len(data)}\n".encode())
+        digest.update(data)
     return digest.hexdigest()
 
 
@@ -86,6 +106,17 @@ def main() -> None:
             for bag_size in BAG_SIZES:
                 case = f"{fusion}/{pooling}/{sharing}/{activation}/bag{bag_size}"
                 digests[case] = run_digest(dataset, cluster_model, splits, cfg, bag_size, Path(tmp))
+        cfg = ModelConfig(
+            fusion="cross_scale_attention", pooling="plain", attention_sharing="shared",
+            attention_activation="relu", n_clusters=4, n_scales=spec.n_scales, **C01_WIDTHS,
+        )
+        digests["cross_scale_attention/plain/shared/relu/bag8/fixed_bags"] = run_digest(
+            dataset, cluster_model, splits, cfg, 8, Path(tmp), bag_resample=False
+        )
+        # the demo narrates its CLI steps; this script's stdout is its JSON alone
+        with contextlib.redirect_stdout(sys.stderr):
+            run_pipeline(Path(tmp) / "pipeline", 0)
+        digests["run_pipeline/seed0"] = tree_digest(Path(tmp) / "pipeline")
     print(json.dumps({"environment": blas_environment(), "digests": digests}, indent=1))
 
 
