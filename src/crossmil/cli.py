@@ -57,7 +57,7 @@ DEFAULT_CONFIG = {
     },
     "cluster": {"scale": "5x", "k": 8},
     "model": _defaults(ModelConfig, "embed_dim", "n_clusters", "n_scales"),
-    "train": _defaults(TrainConfig, "beta1", "beta2", "eps", "seed"),
+    "train": _defaults(TrainConfig, "seed"),
     "eval": {"mode": "ensemble", "n_bootstrap": 1000},
     "render": {"cell_size": 256.0},
 }

@@ -20,6 +20,9 @@ from .data import Dataset, PatientRecord
 from .errors import ConfigError, ContractError, FormatError, read_text
 
 MULTI_SCALE = "multi"
+# k-means stops after _MAX_ITER Lloyd iterations, or once no centroid moves _TOL
+_MAX_ITER = 100
+_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -58,13 +61,7 @@ def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
     return centroids
 
 
-def kmeans(
-    vectors: np.ndarray,
-    k: int,
-    seed: int = 0,
-    max_iter: int = 100,
-    tol: float = 1e-7,
-) -> KMeansResult:
+def kmeans(vectors: np.ndarray, k: int, seed: int = 0) -> KMeansResult:
     """Lloyd's algorithm with k-means++ seeding.
 
     Empty clusters are re-seeded to the point farthest from its current
@@ -82,7 +79,7 @@ def kmeans(
     centroids = _kmeanspp_init(x, k, rng)
     sse_history: list[float] = []
     labels = np.zeros(x.shape[0], dtype=np.int64)
-    for it in range(max_iter):
+    for it in range(_MAX_ITER):
         d2 = _sq_distances(x, centroids)
         labels = d2.argmin(axis=1)
         point_d2 = d2[np.arange(x.shape[0]), labels]
@@ -98,7 +95,7 @@ def kmeans(
             new_centroids[c] = x[labels == c].mean(axis=0)
         shift = np.linalg.norm(new_centroids - centroids, axis=1).max()
         centroids = new_centroids
-        if shift < tol:
+        if shift < _TOL:
             break
     return KMeansResult(centroids, labels, tuple(sse_history))
 

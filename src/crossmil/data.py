@@ -143,12 +143,17 @@ class SyntheticSpec:
             )
         for name in ("signal_strength", "noise_level"):
             check_real(name, getattr(self, name), 0)
-        floats = 2 * self.n_patients_per_class * self.n_locations * self.n_scales * self.dim
-        if floats > np.iinfo(np.intp).max // 8:
-            raise ConfigError(
-                f"n_patients_per_class, n_locations, n_scales and dim give {floats} embedding "
-                f"floats, more than the {np.iinfo(np.intp).max // 8} an array can address"
-            )
+        per_location = self.n_scales * self.dim
+        for names, what, floats in (
+            ("n_patients_per_class, n_locations, n_scales and dim", "embedding",
+             2 * self.n_patients_per_class * self.n_locations * per_location),
+            ("n_prototypes, n_scales and dim", "prototype", self.n_prototypes * per_location),
+        ):
+            if floats > np.iinfo(np.intp).max // 8:
+                raise ConfigError(
+                    f"{names} give {floats} {what} floats, more than the "
+                    f"{np.iinfo(np.intp).max // 8} an array can address"
+                )
 
 
 def _first_draws(spec: SyntheticSpec) -> tuple[np.random.Generator, np.ndarray, np.ndarray]:

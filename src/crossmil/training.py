@@ -34,9 +34,6 @@ _VAL_BAG_TAG = 0x56414C  # keeps validation bag streams apart from train streams
 class TrainConfig:
     epochs: int = 100
     learning_rate: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     bag_size: int = 8
     n_splits: int = 10
     seed: int = 0
@@ -49,9 +46,6 @@ class TrainConfig:
         check_bool("bag_resample", self.bag_resample)
         # a zero learning rate is allowed: a run that keeps the initial parameters
         check_real("learning_rate", self.learning_rate, 0)
-        check_real("eps", self.eps, 0, open_low=True)
-        for name in ("beta1", "beta2"):
-            check_real(name, getattr(self, name), 0, 1, open_high=True)
 
 
 @dataclass(frozen=True)
@@ -83,9 +77,10 @@ class Adam:
     and the step reads ``grad.flat``, then uses it as scratch.
     """
 
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
     def __init__(self, params: ModelParams, cfg: TrainConfig):
         self.lr = cfg.learning_rate
-        self.beta1, self.beta2, self.eps = cfg.beta1, cfg.beta2, cfg.eps
         self.t = 0
         self._values = params.flat
         n = params.flat.size
@@ -94,16 +89,16 @@ class Adam:
 
     def step(self) -> None:
         self.t += 1
-        b1t = 1.0 - self.beta1**self.t
-        b2t = 1.0 - self.beta2**self.t
+        b1t = 1.0 - self.BETA1**self.t
+        b2t = 1.0 - self.BETA2**self.t
         g, upd, m, v = self.grad.flat, self._upd, self.m, self.v
         # m = beta1 * m + (1 - beta1) * g;  v = beta2 * v + (1 - beta2) * g**2
-        np.multiply(g, 1 - self.beta1, out=upd)
-        np.add(np.multiply(m, self.beta1, out=m), upd, out=m)
-        np.multiply(np.square(g, out=upd), 1 - self.beta2, out=upd)
-        np.add(np.multiply(v, self.beta2, out=v), upd, out=v)
+        np.multiply(g, 1 - self.BETA1, out=upd)
+        np.add(np.multiply(m, self.BETA1, out=m), upd, out=m)
+        np.multiply(np.square(g, out=upd), 1 - self.BETA2, out=upd)
+        np.add(np.multiply(v, self.BETA2, out=v), upd, out=v)
         # upd = lr * (m / b1t) / (sqrt(v / b2t) + eps)
-        np.add(np.sqrt(np.divide(v, b2t, out=upd), out=upd), self.eps, out=upd)
+        np.add(np.sqrt(np.divide(v, b2t, out=upd), out=upd), self.EPS, out=upd)
         np.divide(np.multiply(np.divide(m, b1t, out=g), self.lr, out=g), upd, out=upd)
         np.subtract(self._values, upd, out=self._values)
 
@@ -176,13 +171,11 @@ def train_one_split(
     }
 
     def bag_for(pid: str, epoch_key: int) -> Bag:
+        """A fresh stream per key and patient, so one key always gives one bag."""
         rng = patient_rng((cfg.seed, split_id, epoch_key), pid)
         return assemble_bag(dataset.patient(pid), clusters[pid], cfg.bag_size, rng)
 
     val_bags = {pid: bag_for(pid, _VAL_BAG_TAG) for pid in split.val_ids}
-    fixed_bags = None
-    if not cfg.bag_resample:
-        fixed_bags = {pid: bag_for(pid, 0) for pid in split.train_ids}
 
     best_val = np.inf
     best_epoch = 0
@@ -190,16 +183,14 @@ def train_one_split(
     train_curve: list[float] = []
     val_curve: list[float] = []
     for epoch in range(cfg.epochs):
-        if cfg.bag_resample:
-            epoch_bags = {pid: bag_for(pid, epoch + 1) for pid in split.train_ids}
-        else:
-            epoch_bags = fixed_bags
+        # fixed bags draw with key 0 in every epoch, so each patient's bag repeats
+        bag_key = epoch + 1 if cfg.bag_resample else 0
         order_rng = np.random.default_rng([cfg.seed, split_id, epoch, 0x4F52])
         order = [split.train_ids[i] for i in order_rng.permutation(len(split.train_ids))]
         running = 0.0
         try:
             for pid in order:
-                bag = epoch_bags[pid]
+                bag = bag_for(pid, bag_key)
                 assert bag.patient_id in train_set  # validation data must never reach a gradient
                 running += train_step(bag, params, opt.grad)
                 opt.step()
@@ -234,10 +225,12 @@ def train_all(
 
     The splits share no state, so they are dealt round-robin over
     ``min(n_splits, usable CPUs)`` workers: this process and forked
-    children, which get the data through the fork and send each trained
-    model back through a pipe. Each split computes the same bytes as in
-    the sequential loop. If several splits fail, the error of the lowest
-    split id is raised, as the sequential loop would have.
+    children, which get the data through the fork and send back one
+    message per split through a pipe: its trained model, or the exception
+    that ends the worker's share. A worker that exits before sending is
+    an error naming the split it owed. Each split computes the same bytes
+    as in the sequential loop. If several splits fail, the error of the
+    lowest split id is raised, as the sequential loop would have.
 
     A worker sends back only what ``train_one_split`` returns. That is
     all this module's own does; a replacement (a tracer, a spy) may also
@@ -254,36 +247,52 @@ def train_all(
         or "fork" not in mp.get_all_start_methods()
     ):
         n_workers = 1
-    shares = [range(w, len(splits), n_workers) for w in range(n_workers)]
+    deal = [range(w, len(splits), n_workers) for w in range(n_workers)]
 
-    def train_share(split_ids: range) -> tuple[list[TrainedModel], Exception | None]:
-        """Train the splits in order; stop at the first that fails."""
-        done = []
-        for i in split_ids:
+    def train_share(share: range) -> list[TrainedModel | Exception]:
+        """One message per split of the share, in order: its trained model,
+        or the exception that ends the share."""
+        messages: list[TrainedModel | Exception] = []
+        for i in share:
             try:
-                done.append(
+                messages.append(
                     train_one_split(dataset, splits[i], cluster_model, cfg, model_cfg, split_id=i)
                 )
             except Exception as e:
-                return done, e
-        return done, None
+                messages.append(e)
+                break
+        return messages
+
+    def send_share(share: range, conn) -> None:
+        """Forked worker: train the whole share, then send its messages. A
+        model's pickle can outgrow the pipe's buffer, and this process reads
+        only after its own share, so an earlier send would stall the worker."""
+        for message in train_share(share):
+            conn.send(message)
 
     ctx = mp.get_context("fork") if n_workers > 1 else None
     children = []
+    results: dict[int, TrainedModel | Exception] = {}
     try:
-        for share in shares[1:]:
+        for share in deal[1:]:
             recv, send = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_report_share, args=(send, train_share, share))
+            proc = ctx.Process(target=send_share, args=(share, send))
             proc.start()
             send.close()
             children.append((proc, recv, share))
-        models, error = train_share(shares[0])
-        errors = {shares[0][len(models)]: error} if error else {}
+        results.update(zip(deal[0], train_share(deal[0])))
         for proc, recv, share in children:
-            done, error = _receive_share(proc, recv, share)
-            models += done
-            if error:
-                errors[share[len(done)]] = error
+            for i in share:
+                try:
+                    results[i] = recv.recv()
+                except EOFError:
+                    proc.join()
+                    results[i] = CrossmilError(
+                        f"training worker for split {i} exited with code "
+                        f"{proc.exitcode} without sending its result"
+                    )
+                if isinstance(results[i], Exception):
+                    break
     except BaseException:
         for proc, _, _ in children:
             proc.terminate()
@@ -292,39 +301,10 @@ def train_all(
         for proc, recv, _ in children:
             recv.close()
             proc.join()
-    if errors:
-        raise errors[min(errors)]
-    return sorted(models, key=lambda m: m.split_id)
-
-
-def _report_share(conn, train_share, share: range) -> None:
-    """Forked worker: train a share of the splits, then send each trained
-    model and the error that stopped the share, if any."""
-    done, error = train_share(share)
-    for m in done:
-        conn.send(m)
-    if error:
-        conn.send(error)
-    conn.close()
-
-
-def _receive_share(proc, conn, share: range):
-    """The trained models a worker sent, and the error that stopped it:
-    the one it sent, or a CrossmilError if it exited without a result."""
-    done: list[TrainedModel] = []
-    while len(done) < len(share):
-        try:
-            msg = conn.recv()
-        except EOFError:
-            proc.join()
-            return done, CrossmilError(
-                f"training worker for split {share[len(done)]} exited with code "
-                f"{proc.exitcode} without sending its result"
-            )
-        if isinstance(msg, Exception):
-            return done, msg
-        done.append(msg)
-    return done, None
+    failed = [i for i, result in results.items() if isinstance(result, Exception)]
+    if failed:
+        raise results[min(failed)]
+    return [results[i] for i in range(len(splits))]
 
 
 def write_loss_curves(model: TrainedModel, path: str | Path) -> Path:

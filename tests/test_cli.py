@@ -158,16 +158,19 @@ class TestGenData:
         assert main(["gen-data", "--config", str(config), "--out-dir", str(tmp_path / "o")]) == 2
         assert "typo_key" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["n_locations", "n_train_per_class"])
+    @pytest.mark.parametrize("key", ["n_locations", "n_train_per_class", "n_prototypes"])
     def test_unaddressable_dataset_size_exits_2_writing_nothing(self, tmp_path, capsys, key):
-        # 10**30 locations once ended in numpy's raw ValueError, and 10**30
-        # patients per class generated patients until killed
+        # 10**30 locations or prototypes once ended in numpy's raw ValueError,
+        # and 10**30 patients per class generated patients until killed
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"data": {key: 10**30}}))
         out = tmp_path / "out"
         assert main(["gen-data", "--config", str(config), "--out-dir", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "data.n_patients_per_class, n_locations, n_scales and dim give" in err
+        if key == "n_prototypes":
+            assert "data.n_prototypes, n_scales and dim give" in err
+        else:
+            assert "data.n_patients_per_class, n_locations, n_scales and dim give" in err
         assert "Traceback" not in err
         assert not out.exists()
 

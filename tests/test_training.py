@@ -109,14 +109,13 @@ class TestTrainConfig:
         ("bag_resample", "false"), ("bag_resample", 1),
         ("learning_rate", "1e-3"), ("learning_rate", -1e-3), ("learning_rate", math.nan),
         ("learning_rate", math.inf), ("learning_rate", True),
-        ("eps", 0.0), ("eps", math.nan), ("beta1", 1.0), ("beta2", -0.1), ("beta2", "0.9"),
     ])
     def test_mistyped_or_out_of_range_field_is_a_config_error(self, field, value):
         with pytest.raises(ConfigError, match=field):
             TrainConfig(**{field: value})
 
     def test_whole_numbers_and_zero_learning_rate_accepted(self):
-        cfg = TrainConfig(learning_rate=0, beta1=0, eps=1, seed=0, bag_resample=False)
+        cfg = TrainConfig(learning_rate=0, seed=0, bag_resample=False)
         assert cfg.learning_rate == 0 and not cfg.bag_resample
 
 
@@ -166,12 +165,12 @@ class TestMakeSplits:
 
 def per_tensor_adam_step(values, grads, m, v, t, cfg):
     """The per-tensor update the flat Adam must reproduce bit for bit."""
-    b1t = 1.0 - cfg.beta1**t
-    b2t = 1.0 - cfg.beta2**t
+    b1t = 1.0 - 0.9**t
+    b2t = 1.0 - 0.999**t
     for name, p in values.items():
-        m[name] = cfg.beta1 * m[name] + (1 - cfg.beta1) * grads[name]
-        v[name] = cfg.beta2 * v[name] + (1 - cfg.beta2) * grads[name]**2
-        values[name] = p - cfg.learning_rate * (m[name] / b1t) / (np.sqrt(v[name] / b2t) + cfg.eps)
+        m[name] = 0.9 * m[name] + (1 - 0.9) * grads[name]
+        v[name] = 0.999 * v[name] + (1 - 0.999) * grads[name]**2
+        values[name] = p - cfg.learning_rate * (m[name] / b1t) / (np.sqrt(v[name] / b2t) + 1e-8)
 
 
 class TestAdam:
@@ -392,14 +391,28 @@ class TestTrainAll:
         for i in range(2):
             assert (tmp_path / f"a_{i}.bin").read_bytes() == (tmp_path / f"b_{i}.bin").read_bytes()
 
-    def test_fixed_bags_flag(self):
+    @pytest.mark.parametrize("bag_resample", [False, True])
+    def test_fixed_bags_flag(self, monkeypatch, bag_resample):
+        import crossmil.training as training
+
         ds = small_dataset(seed=11)
         cm = cluster_dataset(ds, "5x", k=4, seed=11)
         tc = TrainConfig(
-            epochs=2, learning_rate=1e-3, bag_size=4, n_splits=2, seed=11, bag_resample=False
+            epochs=3, learning_rate=1e-3, bag_size=4, n_splits=2, seed=11, bag_resample=bag_resample
         )
-        models = train_all(ds, cm, tc, small_model(ds))
-        assert len(models) == 2
+        split = make_splits(ds, 2, seed=11)[0]
+        fed: dict[str, list[bytes]] = {pid: [] for pid in split.train_ids}
+        real_train_step = training.train_step
+
+        def spy_train_step(bag, params, grad):
+            fed[bag.patient_id].append(bag.index.tobytes())
+            return real_train_step(bag, params, grad)
+
+        monkeypatch.setattr(training, "train_step", spy_train_step)
+        train_one_split(ds, split, cm, tc, small_model(ds))
+        assert all(len(bags) == tc.epochs for bags in fed.values())
+        # a fixed bag repeats in every epoch; resampled ones differ between epochs
+        assert all((len(set(bags)) == 1) != bag_resample for bags in fed.values())
 
     def test_loss_curve_file_format(self, tmp_path):
         ds = small_dataset(seed=12)
