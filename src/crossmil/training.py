@@ -171,7 +171,6 @@ def train_one_split(
     }
 
     def bag_for(pid: str, epoch_key: int) -> Bag:
-        """A fresh stream per key and patient, so one key always gives one bag."""
         rng = patient_rng((cfg.seed, split_id, epoch_key), pid)
         return assemble_bag(dataset.patient(pid), clusters[pid], cfg.bag_size, rng)
 
@@ -183,14 +182,16 @@ def train_one_split(
     train_curve: list[float] = []
     val_curve: list[float] = []
     for epoch in range(cfg.epochs):
-        # fixed bags draw with key 0 in every epoch, so each patient's bag repeats
+        # each key seeds a fresh stream, so fixed bags (key 0) repeat every epoch.
+        # Drawing each bag just before its step trained ~10% slower at bag 8.
         bag_key = epoch + 1 if cfg.bag_resample else 0
+        bags = {pid: bag_for(pid, bag_key) for pid in split.train_ids}
         order_rng = np.random.default_rng([cfg.seed, split_id, epoch, 0x4F52])
         order = [split.train_ids[i] for i in order_rng.permutation(len(split.train_ids))]
         running = 0.0
         try:
             for pid in order:
-                bag = bag_for(pid, bag_key)
+                bag = bags[pid]
                 assert bag.patient_id in train_set  # validation data must never reach a gradient
                 running += train_step(bag, params, opt.grad)
                 opt.step()
@@ -247,7 +248,7 @@ def train_all(
         or "fork" not in mp.get_all_start_methods()
     ):
         n_workers = 1
-    deal = [range(w, len(splits), n_workers) for w in range(n_workers)]
+    shares = [range(w, len(splits), n_workers) for w in range(n_workers)]
 
     def train_share(share: range) -> list[TrainedModel | Exception]:
         """One message per split of the share, in order: its trained model,
@@ -274,13 +275,13 @@ def train_all(
     children = []
     results: dict[int, TrainedModel | Exception] = {}
     try:
-        for share in deal[1:]:
+        for share in shares[1:]:
             recv, send = ctx.Pipe(duplex=False)
             proc = ctx.Process(target=send_share, args=(share, send))
             proc.start()
             send.close()
             children.append((proc, recv, share))
-        results.update(zip(deal[0], train_share(deal[0])))
+        results.update(zip(shares[0], train_share(shares[0])))
         for proc, recv, share in children:
             for i in share:
                 try:
