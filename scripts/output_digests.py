@@ -8,12 +8,12 @@ at the acceptance gradient suite's widths (c01), in sequence, in this
 process. Each of the 80 runs gets one sha256 over, per split, the
 checkpoint bytes, the loss-curve bytes and the selection epoch. One more
 run trains one variant with fixed bags (``bag_resample=False``), and one
-digest covers the whole output tree of ``scripts/run_pipeline.py`` at seed
-0, which trains its splits in forked workers. The
-digests depend on numpy's and BLAS's rounding, so they are printed with
-an environment key: the numpy version, the BLAS library and version, and
-the OpenBLAS core its kernels were picked for (``OPENBLAS_CORETYPE`` pins
-it). Run on one BLAS thread.
+digest covers the whole output tree of ``scripts/run_pipeline.py`` at
+seed 0, which trains its splits in forked workers. The digests depend on
+numpy's and BLAS's rounding, so they are printed with an environment
+key: the numpy version, the BLAS library and version, and the OpenBLAS
+core its kernels were picked for (``OPENBLAS_CORETYPE`` pins it). Run on
+one BLAS thread.
 
 Prints one JSON object: {"environment": key, "digests": {case: sha256}}.
 
