@@ -193,6 +193,19 @@ class TestAdam:
             assert stepped[name].tobytes() == a.tobytes(), name
             assert stepped[name].tobytes() != init[name].tobytes(), name
 
+    def test_first_step_moves_each_value_by_the_rate_against_its_gradient(self):
+        # bias correction makes step 1 exactly lr * g / (|g| + eps) for the
+        # paper's Adam (beta1 0.9, beta2 0.999, eps 1e-8)
+        params = init_params(small_model(small_dataset(seed=15)), seed=3)
+        before = params.flat.copy()
+        opt = Adam(params, TrainConfig(learning_rate=1e-2))
+        g = np.random.default_rng(15).normal(size=before.size)
+        opt.grad.flat[:] = g
+        opt.step()
+        np.testing.assert_allclose(
+            before - params.flat, 1e-2 * g / (np.abs(g) + 1e-8), rtol=1e-12, atol=0
+        )
+
     def test_unpickled_values_stay_views_that_a_step_moves(self):
         mc = small_model(small_dataset(seed=14))
         other = init_params(mc, seed=2)
@@ -544,3 +557,33 @@ class TestParallelSplits:
             release.set()
             other.join(timeout=10)
         assert not started and [m.split_id for m in models] == [0, 1]
+
+
+@needs_fork
+@pytest.mark.usefixtures("two_cpus")
+class TestAFailingSplitEndsItsShare:
+    # this process trains splits 0, 2 and 4, the worker 1, 3 and 5
+    @pytest.mark.parametrize("failing, trained", [
+        (0, {0, 1, 3, 5}), (2, {0, 1, 2, 3, 5}), (3, {0, 1, 2, 3, 4}),
+    ])
+    def test_later_splits_of_the_share_never_train(self, monkeypatch, tmp_path, failing, trained):
+        import crossmil.training as training
+
+        ds = small_dataset(seed=18)
+        cm = cluster_dataset(ds, "5x", k=4, seed=18)
+        tc = TrainConfig(epochs=1, learning_rate=1e-3, bag_size=4, n_splits=6, seed=18)
+        split_of = {split_seed(tc, i): i for i in range(tc.n_splits)}
+
+        def marking_init(cfg, seed=0):
+            # a file, so the forked worker's splits are seen here too
+            (tmp_path / f"split_{split_of[seed]}").touch()
+            if split_of[seed] == failing:
+                raise TrainingError("training diverged", failing, 0)
+            return init_params(cfg, seed)
+
+        monkeypatch.setattr(training, "init_params", marking_init)
+        with pytest.raises(TrainingError) as err:
+            train_all(ds, cm, tc, small_model(ds))
+        assert err.value.split_id == failing
+        assert {int(f.name.split("_")[1]) for f in tmp_path.iterdir()} == trained
+        assert not mp.active_children()
