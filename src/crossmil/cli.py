@@ -5,7 +5,8 @@ command checks the whole config before it reads or writes anything, and
 every command archives the resolved config next to its outputs, so
 (config, seed) fully determines all output bytes.
 
-Exit codes: 0 success, 2 configuration/contract error, 3 I/O error.
+Exit codes: 0 success, 2 configuration/contract error or out of memory,
+3 I/O error.
 """
 
 from __future__ import annotations
@@ -277,7 +278,7 @@ def cmd_attn_map(args) -> int:
     dataset = load_dataset(args.data)
     models = _load_checkpoints(Path(args.ckpt_dir))
     by_id = {p.patient_id: p for p in dataset}
-    wanted = args.patients.split(",") if args.patients else list(by_id)
+    wanted = args.patients.split(",") if args.patients is not None else list(by_id)
     if "" in wanted:
         raise ConfigError(f"--patients has an empty patient id: {args.patients!r}")
     unknown = [pid for pid in wanted if pid not in by_id]
@@ -361,6 +362,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except CrossmilError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:
+        print(f"error: out of memory: {e}", file=sys.stderr)
         return 2
     except OSError as e:
         print(f"i/o error: {e}", file=sys.stderr)

@@ -226,10 +226,8 @@ def split_train_test(dataset: Dataset, n_test_per_class: int) -> tuple[Dataset, 
 # one table per patient, columns location_id, scale, x, y, e0, ..., e{E-1};
 # one row per (location, scale), locations ascending, then scales 0..S-1,
 # so row i*S + s holds emb[i, s]. save_dataset writes it as a float64
-# <patient_id>.npy; load_dataset reads by the file's suffix: .npy, or .csv
-# with a header line naming the columns (the interchange format for
-# embeddings written by outside tools). Errors name .npy rows by array
-# index and CSV rows by file line.
+# <patient_id>.npy, the one file type load_dataset reads; errors name a
+# table's rows by array index.
 # signal_locations.json: {patient_id: [location_id, ...]}, synthetic only
 
 _EXACT_INT = 2.0**53  # ids are stored as float64, exact below this
@@ -329,14 +327,12 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
         elif scale_labels != entry_labels:
             raise FormatError(f"patient {pid}: scale_labels differ from previous patients")
         path = base / entry["file"]
-        if path.suffix not in _READERS:
-            raise FormatError(f"patient {pid}: {path.name} is neither a .npy nor a .csv file")
+        if path.suffix != ".npy":
+            raise FormatError(f"patient {pid}: {path.name} is not a .npy file")
         if not path.exists():
             raise IntegrityError(f"patient {pid}: embedding file missing: {path}")
-        read, first_row = _READERS[path.suffix]
-        table = read(path, pid, dim, n_scales)
-        n_locations = entry["n_locations"]
-        emb, location_ids, xy = _patient_arrays(table, pid, first_row, n_scales, n_locations)
+        table = _read_npy(path, pid, dim)
+        emb, location_ids, xy = _patient_arrays(table, pid, n_scales, entry["n_locations"])
         planted = frozenset(signal.get(pid, ()))
         unknown = sorted(planted.difference(location_ids.tolist()))
         if unknown:
@@ -383,7 +379,7 @@ def _read_ground_truth(path: Path) -> dict[str, list[int]]:
     return doc
 
 
-def _read_npy(path: Path, pid: str, dim: int, n_scales: int) -> np.ndarray:
+def _read_npy(path: Path, pid: str, dim: int) -> np.ndarray:
     """One patient's ``(rows, 4 + dim)`` float64 table from a .npy file."""
     with path.open("rb") as f:
         try:
@@ -400,36 +396,7 @@ def _read_npy(path: Path, pid: str, dim: int, n_scales: int) -> np.ndarray:
     return table
 
 
-def _read_csv(path: Path, pid: str, dim: int, n_scales: int) -> np.ndarray:
-    """One patient's ``(rows, 4 + dim)`` float64 table parsed from a CSV file."""
-    lines = read_text(path).splitlines()
-    expected = "location_id,scale,x,y," + ",".join(f"e{i}" for i in range(dim))
-    if not lines or lines[0] != expected:
-        raise FormatError(f"patient {pid}: unexpected CSV header in {path.name}")
-    table = np.empty((len(lines) - 1, 4 + dim))
-    for r, line in enumerate(lines[1:]):
-        parts = line.split(",")
-        problem = None
-        if len(parts) != 4 + dim:
-            problem = f"has {len(parts)} fields, expected {4 + dim}"
-        else:
-            try:
-                table[r, :2] = int(parts[0]), int(parts[1])
-                table[r, 2:] = [float(v) for v in parts[2:]]
-            except (ValueError, OverflowError) as e:
-                problem = f"does not parse: {e}"
-        if problem is not None:
-            # earlier rows' id errors come first, so the first bad row is the one named
-            _row_ids(table[:r], pid, _CSV_FIRST_ROW, n_scales)
-            raise FormatError(f"patient {pid}: row {r + _CSV_FIRST_ROW} {problem}")
-    return table
-
-
-_CSV_FIRST_ROW = 2  # line 1 is the header
-_READERS = {".npy": (_read_npy, 0), ".csv": (_read_csv, _CSV_FIRST_ROW)}
-
-
-def _row_ids(table: np.ndarray, pid: str, first_row: int, n_scales: int) -> np.ndarray:
+def _row_ids(table: np.ndarray, pid: str, n_scales: int) -> np.ndarray:
     """The ``(rows, 2)`` int64 (location, scale) ids of a table.
 
     Rejects, at the first offending row, ids that are not integers, an
@@ -440,7 +407,7 @@ def _row_ids(table: np.ndarray, pid: str, first_row: int, n_scales: int) -> np.n
     bad = np.flatnonzero(~exact.all(axis=1))
     if len(bad):
         raise FormatError(
-            f"patient {pid}: row {bad[0] + first_row} has a location id or scale that is "
+            f"patient {pid}: row {bad[0]} has a location id or scale that is "
             "not an integer below 2**53"
         )
     ids = ids.astype(np.int64)
@@ -452,23 +419,18 @@ def _row_ids(table: np.ndarray, pid: str, first_row: int, n_scales: int) -> np.n
     if len(bad):
         loc, s = ids[bad[0]].tolist()
         problem = f"names unknown scale {s}" if unknown[bad[0]] else "is a duplicate entry"
-        raise IntegrityError(
-            f"patient {pid}: row {bad[0] + first_row} {problem} for (location {loc}, scale {s})"
-        )
+        raise IntegrityError(f"patient {pid}: row {bad[0]} {problem} for (location {loc}, scale {s})")
     return ids
 
 
 def _patient_arrays(
-    table: np.ndarray, pid: str, first_row: int, n_scales: int, n_locations: int
+    table: np.ndarray, pid: str, n_scales: int, n_locations: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Check one patient's table and build ``(emb (n, S, E), location_ids (n,), xy (n, 2))``.
-
-    Both readers end here, so a .npy and a CSV face the same checks.
-    """
-    ids = _row_ids(table, pid, first_row, n_scales)
+    """Check one patient's table and build ``(emb (n, S, E), location_ids (n,), xy (n, 2))``."""
+    ids = _row_ids(table, pid, n_scales)
     bad = np.flatnonzero(~np.isfinite(table[:, 2:]).all(axis=1))
     if len(bad):
-        raise FormatError(f"patient {pid}: row {bad[0] + first_row} holds a non-finite value")
+        raise FormatError(f"patient {pid}: row {bad[0]} holds a non-finite value")
     location_ids, location = np.unique(ids[:, 0], return_inverse=True)
     rows = np.full((len(location_ids), n_scales), -1, dtype=np.int64)
     rows[location, ids[:, 1]] = np.arange(len(ids))

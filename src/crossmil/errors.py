@@ -1,8 +1,9 @@
 """Exception hierarchy shared across the package, and the config field
 checks that raise ``ConfigError`` naming the field.
 
-The CLI maps ``CrossmilError`` to exit code 2 (configuration/contract
-problems) and ``OSError`` to exit code 3 (I/O problems).
+The CLI maps ``CrossmilError`` and ``MemoryError`` to exit code 2
+(configuration/contract problems, or sizes larger than memory) and
+``OSError`` to exit code 3 (I/O problems).
 """
 
 import math

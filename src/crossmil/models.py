@@ -473,11 +473,10 @@ def _nll_backward(g: np.ndarray, onehot: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AttentionRecord:
-    """Per-instance cross-scale scores plus location metadata."""
+    """One location's cross-scale scores, keyed by patient and location id."""
 
     patient_id: str
     location_id: int
-    xy: tuple[float, float]
     scores: tuple[float, ...]
 
 
@@ -638,7 +637,7 @@ def attention_records(
         f = _encode(_scale_inputs(p.emb, cfg), layers.encoder)[0]
         scores = _attend(f, *layers.attention, cfg.attention_activation == "tanh")[0]
         out += [
-            AttentionRecord(p.patient_id, loc, (x, y), tuple(col))
-            for loc, (x, y), col in zip(p.location_ids.tolist(), p.xy.tolist(), scores.T.tolist())
+            AttentionRecord(p.patient_id, loc, tuple(col))
+            for loc, col in zip(p.location_ids.tolist(), scores.T.tolist())
         ]
     return out

@@ -1,11 +1,8 @@
 """Shared test oracles: finite differences, complex-step gradients,
-gradient comparison, named views of a model's parameters, the
-per-instance reference forward of the bag model, and the CSV fixture
-writer."""
+gradient comparison, named views of a model's parameters and the
+per-instance reference forward of the bag model."""
 
-import json
 import math
-from pathlib import Path
 
 import numpy as np
 
@@ -202,27 +199,3 @@ def reference_forward_bag(bag, named, cfg):
     )
     log_probs = _log_softmax(named["classifier.w"] @ z + b)
     return log_probs, -log_probs[..., bag.label, 0], all_scores
-
-
-def to_csv_store(manifest_path):
-    """Rewrite a saved dataset's .npy tables as CSVs and point the manifest at them.
-
-    Each table becomes ``location_id,scale,x,y,e0,...`` rows, floats at 17
-    significant digits (an exact float64 round trip), which is the layout
-    an outside embedding extractor writes. Returns the manifest path.
-    """
-    manifest = Path(manifest_path)
-    doc = json.loads(manifest.read_text())
-    for entry in doc["patients"]:
-        npy = manifest.parent / entry["file"]
-        table = np.load(npy, allow_pickle=False)
-        header = "location_id,scale,x,y," + ",".join(f"e{i}" for i in range(table.shape[1] - 4))
-        lines = [header]
-        for row in table.tolist():
-            lines.append(f"{int(row[0])},{int(row[1])}," + ",".join(f"{v:.17g}" for v in row[2:]))
-        csv = npy.with_suffix(".csv")
-        csv.write_text("\n".join(lines) + "\n")
-        npy.unlink()
-        entry["file"] = csv.name
-    manifest.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return manifest

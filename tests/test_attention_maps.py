@@ -22,7 +22,7 @@ def points(*xy):
 
 def model_records(pid, scores):
     """One model's records for locations 0..n-1 of patient ``pid``."""
-    return [AttentionRecord(pid, i, (float(i), 0.0), tuple(row)) for i, row in enumerate(scores)]
+    return [AttentionRecord(pid, i, tuple(row)) for i, row in enumerate(scores)]
 
 
 def per_record_render(xy, scores, geometry, n_scales):
@@ -208,9 +208,9 @@ class TestAggregation:
         if change == "order":
             second[0], second[1] = second[1], second[0]
         elif change == "location":
-            second[2] = AttentionRecord("p", 7, (2.0, 0.0), (0.5, 0.5))
+            second[2] = AttentionRecord("p", 7, (0.5, 0.5))
         elif change == "patient":
-            second[2] = AttentionRecord("q", 2, (2.0, 0.0), (0.5, 0.5))
+            second[2] = AttentionRecord("q", 2, (0.5, 0.5))
         else:
             second = second[:2]
         with pytest.raises(ContractError, match="same locations"):

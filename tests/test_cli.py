@@ -8,7 +8,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import to_csv_store
 
 from crossmil.checkpoint import load_checkpoint, save_checkpoint
 from crossmil.cli import _load_checkpoints, main, model_config
@@ -172,6 +171,19 @@ class TestGenData:
         else:
             assert "data.n_patients_per_class, n_locations, n_scales and dim give" in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_out_of_memory_exits_2_writing_nothing(self, tmp_path, capsys, monkeypatch):
+        # an addressable size larger than memory fails in numpy's allocation
+        message = "Unable to allocate 72.8 TiB for an array with shape (10000000000000,)"
+
+        def generate_synthetic(spec):
+            raise MemoryError(message)
+
+        monkeypatch.setattr("crossmil.cli.generate_synthetic", generate_synthetic)
+        out = tmp_path / "out"
+        assert main(["gen-data", "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: out of memory: {message}\n"
         assert not out.exists()
 
 
@@ -724,7 +736,7 @@ class TestAttnMap:
         assert "repeated" in err and "pos004" in err and "neg004" not in err
         assert not (tmp_path / "maps").exists()
 
-    @pytest.mark.parametrize("patients", ["pos004,", ",pos004", "pos004,,neg004"])
+    @pytest.mark.parametrize("patients", ["", "pos004,", ",pos004", "pos004,,neg004"])
     def test_empty_patient_id_exits_2_writing_nothing(self, workspace, tmp_path, capsys, patients):
         root, c = workspace
         code = main([
@@ -762,6 +774,7 @@ MALFORMED_INPUTS = [
     ("cluster", ("train", "patient_id", "a\nb"), "entry 0: patient_id"),
     ("cluster", ("train", "label", True), "neg000: label"),
     ("cluster", ("train", "file", 7), "neg000: file"),
+    ("cluster", ("train", "file", "neg000.csv"), "patient neg000: neg000.csv is not a .npy file"),
     ("cluster", ("train", "dim", "8"), "neg000: dim"),
     ("cluster", ("train", "n_locations", "9"), "neg000: n_locations"),
     ("cluster", ("train", "n_scales", True), "neg000: n_scales"),
@@ -806,15 +819,13 @@ def test_malformed_input_exits_2_writing_nothing(
     assert sorted(tmp_path.rglob("*")) == before
 
 
-@pytest.mark.parametrize("case", ["manifest", "cluster model", "config", "scores", "csv table"])
+@pytest.mark.parametrize("case", ["manifest", "cluster model", "config", "scores"])
 def test_input_that_is_not_utf8_exits_2_naming_the_file(workspace, tmp_path, capsys, case):
     """A \\xff byte appended to one text input of the command that reads it."""
     root, c = workspace
     manifest, cluster = tmp_path / "train/manifest.json", tmp_path / "cluster_model.json"
     config, scores = tmp_path / "config.json", tmp_path / "scores.csv"
     shutil.copytree(root / "data/train", tmp_path / "train")
-    if case == "csv table":
-        to_csv_store(manifest)
     shutil.copy(root / "clust/cluster_model.json", cluster)
     shutil.copy(c, config)
     scores.write_text("patient_id,label,score,predicted\np00,1,0.9,1\np01,0,0.2,0\n")
@@ -824,7 +835,6 @@ def test_input_that_is_not_utf8_exits_2_naming_the_file(workspace, tmp_path, cap
         "cluster model": ("train", cluster, ["--data", str(manifest), "--cluster", str(cluster)]),
         "config": ("gen-data", config, []),
         "scores": ("compare", scores, ["--scores", f"a={scores}.good", "--scores", f"b={scores}"]),
-        "csv table": ("cluster", tmp_path / "train/neg000.csv", ["--data", str(manifest)]),
     }[case]
     bad.write_bytes(bad.read_bytes() + b"\xff")
     before = sorted(tmp_path.rglob("*"))
@@ -864,32 +874,6 @@ def test_json_input_that_is_not_an_object_exits_2_writing_nothing(
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
     assert sorted(tmp_path.rglob("*")) == before
-
-
-def test_csv_dataset_and_its_npy_twin_give_identical_outputs(workspace, tmp_path):
-    root, c = workspace
-    shutil.copytree(root / "data", tmp_path / "csv")
-    for part in ("train", "test"):
-        to_csv_store(tmp_path / "csv" / part / "manifest.json")
-    assert {f.suffix for f in (tmp_path / "csv/train").iterdir()} == {".csv", ".json"}
-    trees = {}
-    for store, data in (("npy", root / "data"), ("csv", tmp_path / "csv")):
-        out = tmp_path / f"out_{store}"
-        common = ["--config", c, "--seed", "3"]
-        train, test = str(data / "train/manifest.json"), str(data / "test/manifest.json")
-        clust, ckpt = str(out / "cluster/cluster_model.json"), str(out / "train")
-        for argv in (
-            ["cluster", "--data", train, "--out-dir", str(out / "cluster")],
-            ["train", "--data", train, "--cluster", clust, "--out-dir", ckpt],
-            ["eval", "--data", test, "--cluster", clust, "--ckpt-dir", ckpt,
-             "--out-dir", str(out / "eval")],
-            ["attn-map", "--data", test, "--ckpt-dir", ckpt, "--out-dir", str(out / "maps")],
-        ):
-            assert main([*argv, *common]) == 0
-        files = [f for f in out.rglob("*") if f.is_file()]
-        trees[store] = {f.relative_to(out).as_posix(): f.read_bytes() for f in files}
-    assert len(trees["npy"]) > 10
-    assert trees["csv"] == trees["npy"]
 
 
 # Runs gen-data -> cluster -> train -> attn-map in one child process.

@@ -3,7 +3,6 @@ import pickle
 
 import numpy as np
 import pytest
-from helpers import to_csv_store
 
 from crossmil.data import (
     background_prototypes,
@@ -152,10 +151,6 @@ class TestDiskFormat:
             SyntheticSpec(n_patients_per_class=2, n_locations=4, dim=5, seed=21)
         )
 
-    @pytest.fixture
-    def csv_manifest(self, dataset, tmp_path):
-        return to_csv_store(save_dataset(dataset, tmp_path))
-
     def test_round_trip(self, dataset, tmp_path):
         manifest = save_dataset(dataset, tmp_path / "ds")
         assert datasets_equal(load_dataset(manifest), dataset)
@@ -172,20 +167,10 @@ class TestDiskFormat:
         manifest = save_dataset(Dataset((), default_scales(3)), tmp_path)
         assert json.loads(manifest.read_text()) == {"patients": []}
 
-    def test_missing_embedding_file(self, csv_manifest, tmp_path):
-        manifest = csv_manifest
-        (tmp_path / "neg001.csv").unlink()
+    def test_missing_embedding_file(self, dataset, tmp_path):
+        manifest = save_dataset(dataset, tmp_path)
+        (tmp_path / "neg001.npy").unlink()
         with pytest.raises(IntegrityError, match="neg001"):
-            load_dataset(manifest)
-
-    def test_missing_scale_names_patient_and_location(self, csv_manifest, tmp_path):
-        manifest = csv_manifest
-        csv = tmp_path / "pos000.csv"
-        lines = csv.read_text().splitlines()
-        # drop the scale-1 row of location 2
-        lines = [l for l in lines if not l.startswith("2,1,")]
-        csv.write_text("\n".join(lines) + "\n")
-        with pytest.raises(IntegrityError, match=r"pos000.*location 2.*\[1\]"):
             load_dataset(manifest)
 
     def test_dimension_mismatch_is_a_format_error(self, dataset, tmp_path):
@@ -193,15 +178,6 @@ class TestDiskFormat:
         doc = json.loads(manifest.read_text())
         doc["patients"][0]["dim"] = 9
         manifest.write_text(json.dumps(doc))
-        with pytest.raises(FormatError):
-            load_dataset(manifest)
-
-    def test_unparseable_row_is_a_format_error(self, csv_manifest, tmp_path):
-        manifest = csv_manifest
-        csv = tmp_path / "neg000.csv"
-        lines = csv.read_text().splitlines()
-        lines[1] = lines[1].replace(",", ",oops,", 1).rsplit(",", 1)[0]
-        csv.write_text("\n".join(lines) + "\n")
         with pytest.raises(FormatError):
             load_dataset(manifest)
 
@@ -215,30 +191,17 @@ class TestDiskFormat:
         with pytest.raises(FormatError, match="pos001"):
             load_dataset(manifest)
 
-    def test_duplicate_row_rejected(self, csv_manifest, tmp_path):
-        manifest = csv_manifest
-        csv = tmp_path / "neg000.csv"
-        lines = csv.read_text().splitlines()
-        csv.write_text("\n".join(lines + [lines[1]]) + "\n")
-        with pytest.raises(IntegrityError, match="duplicate"):
-            load_dataset(manifest)
-
-    @pytest.mark.parametrize("store", ["npy", "csv"])
-    def test_clinical_shaped_width_loads(self, tmp_path, store):
+    def test_clinical_shaped_width_loads(self, tmp_path):
         # 2048-channel rows, the width real embedding extractors emit
         ds = Dataset(
             (patient("case0", 0, dim=2048), patient("case1", 1, dim=2048)),
             default_scales(3),
         )
-        manifest = save_dataset(ds, tmp_path)
-        if store == "csv":
-            to_csv_store(manifest)
-        loaded = load_dataset(manifest)
+        loaded = load_dataset(save_dataset(ds, tmp_path))
         assert loaded.dim == 2048 and datasets_equal(loaded, ds)
-        if store == "npy":
-            save_dataset(loaded, tmp_path / "again")
-            for name in ("case0.npy", "case1.npy", "manifest.json"):
-                assert (tmp_path / name).read_bytes() == (tmp_path / "again" / name).read_bytes()
+        save_dataset(loaded, tmp_path / "again")
+        for name in ("case0.npy", "case1.npy", "manifest.json"):
+            assert (tmp_path / name).read_bytes() == (tmp_path / "again" / name).read_bytes()
 
     def test_signal_ground_truth_round_trips(self, tmp_path):
         ds = generate_synthetic(SyntheticSpec(n_patients_per_class=2, n_locations=6, seed=9))
@@ -264,18 +227,6 @@ class TestDiskFormat:
         manifest = save_dataset(ds, tmp_path)
         (tmp_path / "signal_locations.json").write_text(text)
         with pytest.raises(FormatError, match=r"signal_locations\.json: .*" + problem):
-            load_dataset(manifest)
-
-    @pytest.mark.parametrize("column, value", [(2, "nan"), (3, "inf"), (6, "-inf")])
-    def test_non_finite_value_names_patient_and_row(self, csv_manifest, tmp_path, column, value):
-        manifest = csv_manifest
-        csv = tmp_path / "pos001.csv"
-        lines = csv.read_text().splitlines()
-        parts = lines[4].split(",")
-        parts[column] = value
-        lines[4] = ",".join(parts)
-        csv.write_text("\n".join(lines) + "\n")
-        with pytest.raises(FormatError, match=r"pos001: row 5 .*non-finite"):
             load_dataset(manifest)
 
     @pytest.mark.parametrize(
@@ -390,7 +341,7 @@ class TestNpyStore:
             SyntheticSpec(n_patients_per_class=2, n_locations=4, dim=5, seed=21)
         )
 
-    def test_table_holds_the_csv_rows_in_csv_order(self, dataset, tmp_path):
+    def test_table_rows_are_locations_then_scales(self, dataset, tmp_path):
         save_dataset(dataset, tmp_path)
         p = dataset.patient("pos001")
         table = np.load(tmp_path / "pos001.npy", allow_pickle=False)
@@ -427,15 +378,17 @@ class TestNpyStore:
         with pytest.raises(error, match=f"patient pos001: .*{message}"):
             load_dataset(manifest)
 
-    def test_unknown_suffix_is_a_format_error(self, dataset, tmp_path):
+    @pytest.mark.parametrize("suffix", [".txt", ".csv"])
+    def test_unknown_suffix_is_a_format_error(self, dataset, tmp_path, suffix):
         manifest = save_dataset(dataset, tmp_path)
-        (tmp_path / "pos001.npy").rename(tmp_path / "pos001.txt")
+        name = "pos001" + suffix
+        (tmp_path / "pos001.npy").rename(tmp_path / name)
         doc = json.loads(manifest.read_text())
         for entry in doc["patients"]:
             if entry["patient_id"] == "pos001":
-                entry["file"] = "pos001.txt"
+                entry["file"] = name
         manifest.write_text(json.dumps(doc))
-        with pytest.raises(FormatError, match="patient pos001: pos001.txt"):
+        with pytest.raises(FormatError, match=rf"patient pos001: pos001\{suffix} is not a \.npy"):
             load_dataset(manifest)
 
     def test_n_scales_must_match_scale_labels(self, dataset, tmp_path):
@@ -445,38 +398,6 @@ class TestNpyStore:
         manifest.write_text(json.dumps(doc))
         with pytest.raises(FormatError, match="neg000: n_scales 2 but 3 scale_labels"):
             load_dataset(manifest)
-
-    def test_mixed_csv_and_npy_manifest_loads_the_same_arrays(self, dataset, tmp_path):
-        npy_manifest = save_dataset(dataset, tmp_path / "npy")
-        csv_manifest = to_csv_store(save_dataset(dataset, tmp_path / "csv"))
-        doc = json.loads(npy_manifest.read_text())
-        for entry in doc["patients"]:
-            if entry["label"] == 1:
-                csv = entry["patient_id"] + ".csv"
-                (tmp_path / "npy" / csv).write_bytes((tmp_path / "csv" / csv).read_bytes())
-                entry["file"] = csv
-        mixed = tmp_path / "npy/mixed.json"
-        mixed.write_text(json.dumps(doc))
-        assert {e["file"][-4:] for e in doc["patients"]} == {".csv", ".npy"}
-        reference = load_dataset(npy_manifest)
-        assert datasets_equal(load_dataset(mixed), reference)
-        assert datasets_equal(load_dataset(csv_manifest), reference)
-
-    def test_csv_id_errors_in_earlier_rows_come_before_a_parse_error(self, dataset, tmp_path):
-        manifest = to_csv_store(save_dataset(dataset, tmp_path))
-        csv = tmp_path / "pos001.csv"
-        lines = csv.read_text().splitlines()
-        row4 = lines[3]
-        lines[3] = "0,7" + row4[3:]  # row 4: scale 7
-        lines[5] = lines[5] + ",extra"  # row 6: too many fields
-        csv.write_text("\n".join(lines) + "\n")
-        with pytest.raises(IntegrityError, match="pos001: row 4 names unknown scale 7"):
-            load_dataset(manifest)
-        lines[3] = row4
-        csv.write_text("\n".join(lines) + "\n")
-        with pytest.raises(FormatError, match="pos001: row 6 has 10 fields, expected 9"):
-            load_dataset(manifest)
-
 
 class TestDatasetIndex:
     def test_duplicate_patient_id_rejected(self):

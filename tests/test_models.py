@@ -729,7 +729,7 @@ class TestBatchedForwardOracle:
             assert len(ref_scores) == bag_size
             for i, ref in zip(bag.index, ref_scores):
                 rec = records[i]
-                assert rec.location_id == 100 + i and rec.xy == tuple(xy[i])
+                assert rec.location_id == 100 + i
                 np.testing.assert_allclose(rec.scores, ref[:, 0], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("sharing", ["shared", "per_scale"])
@@ -752,7 +752,6 @@ class TestBatchedForwardOracle:
         assert len(records) == len(expected)
         for rec, (p, i) in zip(records, expected):
             assert (rec.patient_id, rec.location_id) == (p.patient_id, int(p.location_ids[i]))
-            assert rec.xy == tuple(p.xy[i])
             assert all(type(v) is float for v in rec.scores) and type(rec.location_id) is int
             ref = reference_scores(p.emb[i], named, cfg)[:, 0]
             np.testing.assert_allclose(rec.scores, ref, rtol=0, atol=1e-12)
