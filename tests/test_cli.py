@@ -819,6 +819,37 @@ def test_malformed_input_exits_2_writing_nothing(
     assert sorted(tmp_path.rglob("*")) == before
 
 
+# each dataset-reading command and the step that does its bulk allocation
+OUT_OF_MEMORY_STEPS = {
+    "cluster": "cluster_dataset",
+    "train": "train_all",
+    "eval": "evaluate",
+    "attn-map": "geometry_for",
+}
+
+
+@pytest.mark.parametrize("command", sorted(OUT_OF_MEMORY_STEPS))
+def test_out_of_memory_in_a_command_exits_2_writing_nothing(
+    workspace, tmp_path, capsys, monkeypatch, command
+):
+    root, c = workspace
+    message = "Unable to allocate 9.1 TiB for an array with shape (1250000000000,)"
+
+    def step(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(f"crossmil.cli.{OUT_OF_MEMORY_STEPS[command]}", step)
+    argv = ["--data", str(root / "data/test/manifest.json")]
+    if command in ("train", "eval"):
+        argv += ["--cluster", str(root / "clust/cluster_model.json")]
+    if command in ("eval", "attn-map"):
+        argv += ["--ckpt-dir", str(root / "ckpt")]
+    out = tmp_path / "out"
+    assert main([command, "--config", c, "--out-dir", str(out), "--seed", "3", *argv]) == 2
+    assert capsys.readouterr().err == f"error: out of memory: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("case", ["manifest", "cluster model", "config", "scores"])
 def test_input_that_is_not_utf8_exits_2_naming_the_file(workspace, tmp_path, capsys, case):
     """A \\xff byte appended to one text input of the command that reads it."""

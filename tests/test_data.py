@@ -297,6 +297,12 @@ def _set(row, column, value):
     return _edit_table(fn)
 
 
+def _fill(table, cells, value):
+    for row, column in cells:
+        table[row, column] = value
+    return table
+
+
 def _write_bytes(fn):
     return lambda path: path.write_bytes(fn(path.read_bytes()))
 
@@ -321,6 +327,10 @@ MALFORMED_NPY = {
     "huge location id": (_set(2, 0, 2.0**60), FormatError, "row 2 .*not an integer"),
     "non-finite value": (_set(5, 7, np.inf), FormatError, "row 5 holds a non-finite"),
     "non-finite coordinate": (_set(6, 2, np.nan), FormatError, "row 6 holds a non-finite"),
+    "non-finite y coordinate": (_set(6, 3, np.inf), FormatError, "row 6 holds a non-finite"),
+    "negative infinite value": (_set(5, 4, -np.inf), FormatError, "row 5 holds a non-finite"),
+    "two non-finite rows": (_edit_table(lambda t: _fill(t, [(9, 5), (2, 8)], np.nan)), FormatError,
+                            "row 2 holds a non-finite"),
     "unknown scale": (_set(4, 1, 3.0), IntegrityError, "row 4 names unknown scale 3"),
     "negative scale": (_set(4, 1, -1.0), IntegrityError, "row 4 names unknown scale -1"),
     "duplicate": (
@@ -328,6 +338,8 @@ MALFORMED_NPY = {
     ),
     "missing scale": (_edit_table(lambda t: np.delete(t, 4, axis=0)), IntegrityError,
                       r"location 1 is missing scale\(s\) \[1\]"),
+    "missing scales": (_edit_table(lambda t: np.delete(t, [3, 5], axis=0)), IntegrityError,
+                       r"location 1 is missing scale\(s\) \[0, 2\]"),
     "inconsistent coordinates": (_set(4, 3, 0.0), IntegrityError, "location 1 has inconsistent"),
     "fewer locations than the manifest": (_edit_table(lambda t: t[:-3]), IntegrityError,
                                           "manifest says 4 locations, file has 3"),
