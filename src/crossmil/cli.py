@@ -28,7 +28,7 @@ from .attention_maps import (
     write_records_csv,
 )
 from .checkpoint import load_checkpoint, save_checkpoint
-from .clustering import cluster_dataset, load_cluster_model, save_cluster_model
+from .clustering import ClusterModel, cluster_dataset, load_cluster_model, save_cluster_model
 from .data import Dataset, SyntheticSpec, generate_synthetic, load_dataset, save_dataset, split_train_test
 from .errors import ConfigError, CrossmilError, check_choice, check_int, check_real, read_text
 from .evaluation import (
@@ -173,6 +173,18 @@ def _load_checkpoints(ckpt_dir: Path) -> list[ModelParams]:
     return models
 
 
+def _data_and_cluster(args) -> tuple[Dataset, ClusterModel]:
+    """The dataset and cluster model; the model's scale index must hold its label there."""
+    dataset, cluster = load_dataset(args.data), load_cluster_model(args.cluster)
+    s = cluster.scale_index
+    if s is not None and dataset.scale_labels[s : s + 1] != (cluster.clustering_scale,):
+        raise ConfigError(
+            f"the cluster model clusters scale {cluster.clustering_scale!r} at index {s}, "
+            f"but the dataset's scales are {dataset.scale_labels}"
+        )
+    return dataset, cluster
+
+
 def _archive_model(config: dict, cfg: ModelConfig, k: int) -> None:
     """Replace the config file's model section and cluster k with what a stage used."""
     config["model"] = {key: getattr(cfg, key) for key in config["model"]}
@@ -208,8 +220,7 @@ def cmd_cluster(args) -> int:
 def cmd_train(args) -> int:
     config = _run_config(args)
     tcfg = train_config(config)
-    dataset = load_dataset(args.data)
-    cluster = load_cluster_model(args.cluster)
+    dataset, cluster = _data_and_cluster(args)
     cfg = model_config(config, dataset, cluster.k)
     models = train_all(dataset, cluster, tcfg, cfg)
     out = Path(args.out_dir)
@@ -223,8 +234,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     config = _run_config(args)
-    dataset = load_dataset(args.data)
-    cluster = load_cluster_model(args.cluster)
+    dataset, cluster = _data_and_cluster(args)
     models = _load_checkpoints(Path(args.ckpt_dir))
     report, scored = evaluate(
         models,

@@ -224,10 +224,10 @@ def split_train_test(dataset: Dataset, n_test_per_class: int) -> tuple[Dataset, 
 # manifest.json: {"patients": [{patient_id, label, file, n_locations,
 #                               n_scales, dim, scale_labels}, ...]}
 # one table per patient, columns location_id, scale, x, y, e0, ..., e{E-1};
-# one row per (location, scale), locations ascending, then scales 0..S-1,
-# so row i*S + s holds emb[i, s]. save_dataset writes it as a float64
-# <patient_id>.npy, the one file type load_dataset reads; errors name a
-# table's rows by array index.
+# one row per (location, scale) in one order: row i*S + s holds the i-th
+# location's id, scale s and emb[i, s], location ids strictly rising.
+# save_dataset writes it as a float64 <patient_id>.npy, the one file type
+# load_dataset reads; it rejects any other row order, naming rows by index.
 # signal_locations.json: {patient_id: [location_id, ...]}, synthetic only
 
 _EXACT_INT = 2.0**53  # ids are stored as float64, exact below this
@@ -396,12 +396,11 @@ def _read_npy(path: Path, pid: str, dim: int) -> np.ndarray:
     return table
 
 
-def _row_ids(table: np.ndarray, pid: str, n_scales: int) -> np.ndarray:
-    """The ``(rows, 2)`` int64 (location, scale) ids of a table.
-
-    Rejects, at the first offending row, ids that are not integers, an
-    unknown scale and a repeated (location, scale) pair.
-    """
+def _patient_arrays(
+    table: np.ndarray, pid: str, n_scales: int, n_locations: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Check that one patient's table has the store's row order and split it
+    into ``(emb (n, S, E), location_ids (n,), xy (n, 2))``."""
     ids = table[:, :2]
     exact = np.isfinite(ids) & (ids == np.trunc(ids)) & (np.abs(ids) < _EXACT_INT)
     bad = np.flatnonzero(~exact.all(axis=1))
@@ -410,45 +409,30 @@ def _row_ids(table: np.ndarray, pid: str, n_scales: int) -> np.ndarray:
             f"patient {pid}: row {bad[0]} has a location id or scale that is "
             "not an integer below 2**53"
         )
-    ids = ids.astype(np.int64)
-    unknown = (ids[:, 1] < 0) | (ids[:, 1] >= n_scales)
-    order = np.lexsort((ids[:, 1], ids[:, 0]))  # stable: a repeat sorts after its first row
-    repeat = np.zeros(len(ids), dtype=bool)
-    repeat[order[1:][(ids[order[1:]] == ids[order[:-1]]).all(axis=1)]] = True
-    bad = np.flatnonzero(unknown | repeat)
-    if len(bad):
-        loc, s = ids[bad[0]].tolist()
-        problem = f"names unknown scale {s}" if unknown[bad[0]] else "is a duplicate entry"
-        raise IntegrityError(f"patient {pid}: row {bad[0]} {problem} for (location {loc}, scale {s})")
-    return ids
-
-
-def _patient_arrays(
-    table: np.ndarray, pid: str, n_scales: int, n_locations: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Check one patient's table and build ``(emb (n, S, E), location_ids (n,), xy (n, 2))``."""
-    ids = _row_ids(table, pid, n_scales)
     bad = np.flatnonzero(~np.isfinite(table[:, 2:]).all(axis=1))
     if len(bad):
         raise FormatError(f"patient {pid}: row {bad[0]} holds a non-finite value")
-    location_ids, location = np.unique(ids[:, 0], return_inverse=True)
-    rows = np.full((len(location_ids), n_scales), -1, dtype=np.int64)
-    rows[location, ids[:, 1]] = np.arange(len(ids))
-    incomplete = np.flatnonzero((rows < 0).any(axis=1))
-    if len(incomplete):
-        i = incomplete[0]
+    scale = np.arange(len(table)) % n_scales  # row - scale: that location's scale-0 row
+    in_place = (ids[:, 1] == scale) & (ids[:, 0] == ids[np.arange(len(table)) - scale, 0])
+    in_place[n_scales::n_scales] &= np.diff(ids[::n_scales, 0]) > 0
+    bad = np.flatnonzero(~in_place)
+    if len(bad):
+        loc, s = ids[bad[0]].astype(np.int64).tolist()
         raise IntegrityError(
-            f"patient {pid}: location {location_ids[i]} is missing scale(s) "
-            f"{np.flatnonzero(rows[i] < 0).tolist()}"
+            f"patient {pid}: row {bad[0]} (location {loc}, scale {s}) is out of place: row "
+            f"i*{n_scales} + s must hold scale s of the i-th location, location ids rising"
         )
-    xy = table[rows, 2:4]  # (n, S, 2): one coordinate pair per scale row
+    if len(table) != n_locations * n_scales:
+        raise IntegrityError(
+            f"patient {pid}: manifest says {n_locations} locations at {n_scales} scales, "
+            f"{n_locations * n_scales} rows; file has {len(table)}"
+        )
+    table = table.reshape(n_locations, n_scales, -1)
+    location_ids = table[:, 0, 0].astype(np.int64)
+    xy = table[:, :, 2:4]  # (n, S, 2): one coordinate pair per scale row
     inconsistent = np.flatnonzero((xy != xy[:, :1]).any(axis=(1, 2)))
     if len(inconsistent):
         raise IntegrityError(
             f"patient {pid}: location {location_ids[inconsistent[0]]} has inconsistent coordinates"
         )
-    if len(location_ids) != n_locations:
-        raise IntegrityError(
-            f"patient {pid}: manifest says {n_locations} locations, file has {len(location_ids)}"
-        )
-    return np.ascontiguousarray(table[rows, 4:]), location_ids, np.ascontiguousarray(xy[:, 0])
+    return table[:, :, 4:].copy(), location_ids, xy[:, 0].copy()

@@ -58,9 +58,13 @@ class Split:
 class TrainedModel:
     params: ModelParams
     split_id: int
-    selection_epoch: int
     train_curve: list[float] = field(default_factory=list)
     val_curve: list[float] = field(default_factory=list)
+
+    @property
+    def selection_epoch(self) -> int:
+        """The epoch whose parameters were kept: the first lowest validation loss."""
+        return int(np.argmin(self.val_curve))
 
 
 class Adam:
@@ -177,7 +181,6 @@ def train_one_split(
     val_bags = {pid: bag_for(pid, _VAL_BAG_TAG) for pid in split.val_ids}
 
     best_val = np.inf
-    best_epoch = 0
     best_flat = params.flat.copy()
     train_curve: list[float] = []
     val_curve: list[float] = []
@@ -206,11 +209,10 @@ def train_one_split(
         val_curve.append(val_loss)
         if val_loss < best_val:
             best_val = val_loss
-            best_epoch = epoch
             best_flat = params.flat.copy()
 
     params.flat[:] = best_flat
-    return TrainedModel(params, split_id, best_epoch, train_curve, val_curve)
+    return TrainedModel(params, split_id, train_curve, val_curve)
 
 
 _OWN_TRAIN_ONE_SPLIT = train_one_split

@@ -265,6 +265,23 @@ class TestCluster:
         assert "pos001: row 3" in capsys.readouterr().err
         assert not (tmp_path / "clust/cluster_model.json").exists()
 
+    def test_permuted_rows_exit_2_naming_patient_and_row_writing_nothing(
+        self, workspace, tmp_path, capsys
+    ):
+        root, c = workspace
+        data = tmp_path / "train"
+        shutil.copytree(root / "data/train", data)
+        table = np.load(data / "pos001.npy")
+        np.save(data / "pos001.npy", table[[*range(3), 6, 7, 8, 3, 4, 5, *range(9, len(table))]])
+        before = sorted(tmp_path.rglob("*"))
+        code = main([
+            "cluster", "--config", c, "--data", str(data / "manifest.json"),
+            "--out-dir", str(tmp_path / "clust"), "--seed", "3",
+        ])
+        assert code == 2
+        assert "pos001: row 6 (location 1, scale 0) is out of place" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_malformed_ground_truth_exits_2_naming_the_file(self, workspace, tmp_path, capsys):
         root, c = workspace
         data = tmp_path / "train"
@@ -816,6 +833,38 @@ def test_malformed_input_exits_2_writing_nothing(
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and named in err and "Traceback" not in err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_cluster_model_of_another_scale_exits_2_writing_nothing(
+    workspace, tmp_path, capsys, command
+):
+    """A cluster model fitted on 5x, index 0 of a dataset whose scales run
+    (5x, 10x, 20x), applied to gen-data's (20x, 10x, 5x) data."""
+    root, c = workspace
+    flipped = tmp_path / "flipped"
+    shutil.copytree(root / "data/train", flipped)
+    doc = json.loads((flipped / "manifest.json").read_text())
+    for entry in doc["patients"]:
+        entry["scale_labels"] = ["5x", "10x", "20x"]
+    (flipped / "manifest.json").write_text(json.dumps(doc))
+    clust = tmp_path / "clust"
+    assert main([
+        "cluster", "--config", c, "--data", str(flipped / "manifest.json"), "--out-dir", str(clust),
+    ]) == 0
+    cluster = json.loads((clust / "cluster_model.json").read_text())
+    assert (cluster["clustering_scale"], cluster["scale_index"]) == ("5x", 0)
+    split = "train" if command == "train" else "test"
+    argv = ["--data", str(root / "data" / split / "manifest.json"),
+            "--cluster", str(clust / "cluster_model.json")]
+    if command == "eval":
+        argv += ["--ckpt-dir", str(root / "ckpt")]
+    before = sorted(tmp_path.rglob("*"))
+    code = main([command, "--config", c, "--out-dir", str(tmp_path / "out"), "--seed", "3", *argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "scale '5x' at index 0" in err and "('20x', '10x', '5x')" in err
     assert sorted(tmp_path.rglob("*")) == before
 
 

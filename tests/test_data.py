@@ -1,5 +1,7 @@
 import json
 import pickle
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -311,6 +313,11 @@ def _save_object_array(path):
     np.save(path, np.load(path).astype(object), allow_pickle=True)
 
 
+def _out_of_place(row, location, scale):
+    """The message naming the first row out of the store's row order."""
+    return rf"row {row} \(location {location}, scale {scale}\) is out of place"
+
+
 MALFORMED_NPY = {
     "truncated data": (_write_bytes(lambda b: b[:-8]), FormatError, "not a readable .npy"),
     "truncated header": (_write_bytes(lambda b: b[:20]), FormatError, "not a readable .npy"),
@@ -331,18 +338,21 @@ MALFORMED_NPY = {
     "negative infinite value": (_set(5, 4, -np.inf), FormatError, "row 5 holds a non-finite"),
     "two non-finite rows": (_edit_table(lambda t: _fill(t, [(9, 5), (2, 8)], np.nan)), FormatError,
                             "row 2 holds a non-finite"),
-    "unknown scale": (_set(4, 1, 3.0), IntegrityError, "row 4 names unknown scale 3"),
-    "negative scale": (_set(4, 1, -1.0), IntegrityError, "row 4 names unknown scale -1"),
-    "duplicate": (
-        _set(3, 0, 0.0), IntegrityError, r"row 3 is a duplicate .*\(location 0, scale 0\)"
-    ),
+    "unknown scale": (_set(4, 1, 3.0), IntegrityError, _out_of_place(4, 1, 3)),
+    "negative scale": (_set(4, 1, -1.0), IntegrityError, _out_of_place(4, 1, -1)),
+    "duplicate": (_set(3, 0, 0.0), IntegrityError, _out_of_place(3, 0, 0)),
     "missing scale": (_edit_table(lambda t: np.delete(t, 4, axis=0)), IntegrityError,
-                      r"location 1 is missing scale\(s\) \[1\]"),
+                      _out_of_place(4, 1, 2)),
     "missing scales": (_edit_table(lambda t: np.delete(t, [3, 5], axis=0)), IntegrityError,
-                       r"location 1 is missing scale\(s\) \[0, 2\]"),
+                       _out_of_place(3, 1, 1)),
+    "location id changes within a location's rows": (_set(4, 0, 2.0), IntegrityError,
+                                                     _out_of_place(4, 2, 1)),
+    "permuted rows": (_edit_table(lambda t: t[[*range(3), 6, 7, 8, 3, 4, 5, *range(9, 12)]]),
+                      IntegrityError, _out_of_place(6, 1, 0)),
     "inconsistent coordinates": (_set(4, 3, 0.0), IntegrityError, "location 1 has inconsistent"),
     "fewer locations than the manifest": (_edit_table(lambda t: t[:-3]), IntegrityError,
-                                          "manifest says 4 locations, file has 3"),
+                                          "manifest says 4 locations at 3 scales, 12 rows; "
+                                          "file has 9"),
 }
 
 
@@ -373,6 +383,25 @@ class TestNpyStore:
         np.testing.assert_array_equal(loaded.location_ids, [2, 5, 9])
         np.testing.assert_array_equal(loaded.emb, emb[[1, 0, 2]])
         np.testing.assert_array_equal(loaded.xy, xy[[1, 0, 2]])
+
+    def test_readme_ingest_recipe_loads_back_unsorted_ids(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        [recipe] = [
+            block for block in re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+            if "np.save(path, table)" in block
+        ]
+        rng = np.random.default_rng(5)
+        ids = np.array([7, 2, 11, 5])
+        emb, xy = rng.standard_normal((4, 3, 6)), rng.standard_normal((4, 2))
+        exec(recipe, {"np": np, "emb": emb, "ids": ids, "xy": xy, "path": tmp_path / "case0.npy"})
+        entry = dict(patient_id="case0", label=1, file="case0.npy", n_locations=4, n_scales=3,
+                     dim=6, scale_labels=list(default_scales(3)))
+        (tmp_path / "manifest.json").write_text(json.dumps({"patients": [entry]}))
+        loaded = load_dataset(tmp_path / "manifest.json").patient("case0")
+        order = [1, 3, 0, 2]
+        np.testing.assert_array_equal(loaded.location_ids, ids[order])
+        np.testing.assert_array_equal(loaded.emb, emb[order])
+        np.testing.assert_array_equal(loaded.xy, xy[order])
 
     def test_location_id_beyond_float64_integers_rejected_on_save(self, tmp_path):
         ds = Dataset(
